@@ -28,6 +28,8 @@ from enum import Enum
 from pathlib import Path, PurePosixPath
 
 from .model import (
+    AccessPolicy,
+    AssetMetaData,
     ConnectorModel,
     ContractValue,
     EdcUsage,
@@ -36,6 +38,7 @@ from .model import (
     SecretEnvVar,
     SecretRef,
     join_idlink,
+    variant_name,
 )
 from .validator import ValidationReport, validate
 
@@ -144,13 +147,12 @@ def generate_edc(
     if not isinstance(ext, EdcUsage):
         raise GenerationError(
             f"generator/usage mismatch: edc generator requires edc usage, "
-            f"model '{model.name}' has {_variant_name(model)}"
+            f"model '{model.name}' has {variant_name(ext)} usage"
         )
     _ensure_clean(model, report)
 
     asset_id = model.identification.linked_asset_id
     policy_id = f"{model.name}-policy"
-    meta = model.metadata
 
     data_address: dict[str, object] = {
         "type": "HttpData",
@@ -158,17 +160,6 @@ def generate_edc(
     }
     if model.usage.schema_address is not None:
         data_address["schemaUrl"] = model.usage.schema_address
-    properties: dict[str, object] = {
-        "created": meta.created.isoformat(),
-        "description": meta.description,
-        "modified": meta.modified.isoformat(),
-        "publisher": meta.publisher,
-        "semanticIds": list(meta.semantic_ids),
-        "title": meta.title,
-        "version": meta.version,
-    }
-    if meta.language is not None:
-        properties["language"] = meta.language
     asset = {
         "dataAddress": data_address,
         "id": asset_id,
@@ -177,7 +168,7 @@ def generate_edc(
             "endpoint": model.identification.endpoint,
             "identifierType": model.identification.identifier_type.value,
         },
-        "properties": properties,
+        "properties": _metadata_json(model.metadata),
     }
 
     constraints: list[dict[str, object]] = [
@@ -203,23 +194,8 @@ def generate_edc(
             role.role_name: [p.value for p in role.permissions] for role in model.access.roles
         },
         "usagePolicy": model.access.usage_policy,
+        **_credentials_json(model.access),
     }
-    idp = model.access.identity_provider
-    if idp is not None:
-        policy["identityProvider"] = {
-            "clientId": idp.client_id,
-            "endpoint": idp.endpoint,
-            "grantType": idp.grant_type.value,
-            "secret": _secret(idp.secret),
-        }
-    if model.access.oauth is not None:
-        oauth = model.access.oauth
-        policy["oauth"] = {
-            "grantType": oauth.grant_type,
-            "identifier": oauth.identifier,
-            "scope": oauth.scope,
-            "secret": _secret(oauth.secret),
-        }
 
     connection: dict[str, object] = {
         "edcAddress": ext.edc_address,
@@ -263,11 +239,10 @@ def generate_opcua(
     if not isinstance(ext, OpcUaUsage):
         raise GenerationError(
             f"generator/usage mismatch: opcua generator requires opcua usage, "
-            f"model '{model.name}' has {_variant_name(model)}"
+            f"model '{model.name}' has {variant_name(ext)} usage"
         )
     _ensure_clean(model, report)
 
-    meta = model.metadata
     catalog: dict[str, object] = {
         "asset": {
             "baseUrl": model.identification.base_url,
@@ -275,16 +250,8 @@ def generate_opcua(
             "id": model.identification.linked_asset_id,
             "identifierType": model.identification.identifier_type.value,
         },
-        "created": meta.created.isoformat(),
-        "description": meta.description,
-        "modified": meta.modified.isoformat(),
-        "publisher": meta.publisher,
-        "semanticIds": list(meta.semantic_ids),
-        "title": meta.title,
-        "version": meta.version,
+        **_metadata_json(model.metadata),
     }
-    if meta.language is not None:
-        catalog["language"] = meta.language
 
     resource: dict[str, object] = {
         "addressSpace": ext.address_space,
@@ -320,8 +287,7 @@ def generate_idlink_aas(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:
     """Emit the resolved ID-Link URL plus the AAS security configuration."""
-    idp = model.access.identity_provider
-    if idp is None:
+    if model.access.identity_provider is None:
         raise GenerationError(
             f"aas security requires an identity provider: model '{model.name}' "
             "has no access identity block"
@@ -335,12 +301,6 @@ def generate_idlink_aas(
         "idLink": url,
         "identifierType": model.identification.identifier_type.value,
     }
-    security["identityProvider"] = {
-        "clientId": idp.client_id,
-        "endpoint": idp.endpoint,
-        "grantType": idp.grant_type.value,
-        "secret": _secret(idp.secret),
-    }
 
     return GenerationBundle(
         artifacts=(
@@ -352,7 +312,7 @@ def generate_idlink_aas(
 
 
 def _access_document(model: ConnectorModel) -> dict[str, object]:
-    document: dict[str, object] = {
+    return {
         "contractOffers": {
             key: _json_scalar(value) for key, value in model.access.contract_offers.items()
         },
@@ -361,23 +321,44 @@ def _access_document(model: ConnectorModel) -> dict[str, object]:
             for role in model.access.roles
         ],
         "usagePolicy": model.access.usage_policy,
+        **_credentials_json(model.access),
     }
-    idp = model.access.identity_provider
+
+
+def _credentials_json(access: AccessPolicy) -> dict[str, object]:
+    """The identityProvider and oauth members, each present when the model has it."""
+    members: dict[str, object] = {}
+    idp = access.identity_provider
     if idp is not None:
-        document["identityProvider"] = {
+        members["identityProvider"] = {
             "clientId": idp.client_id,
             "endpoint": idp.endpoint,
             "grantType": idp.grant_type.value,
             "secret": _secret(idp.secret),
         }
-    if model.access.oauth is not None:
-        oauth = model.access.oauth
-        document["oauth"] = {
-            "grantType": oauth.grant_type,
-            "identifier": oauth.identifier,
-            "scope": oauth.scope,
-            "secret": _secret(oauth.secret),
+    if access.oauth is not None:
+        members["oauth"] = {
+            "grantType": access.oauth.grant_type,
+            "identifier": access.oauth.identifier,
+            "scope": access.oauth.scope,
+            "secret": _secret(access.oauth.secret),
         }
+    return members
+
+
+def _metadata_json(meta: AssetMetaData) -> dict[str, object]:
+    """Catalog metadata, shared by the EDC asset properties and the OPC UA catalog."""
+    document: dict[str, object] = {
+        "created": meta.created.isoformat(),
+        "description": meta.description,
+        "modified": meta.modified.isoformat(),
+        "publisher": meta.publisher,
+        "semanticIds": list(meta.semantic_ids),
+        "title": meta.title,
+        "version": meta.version,
+    }
+    if meta.language is not None:
+        document["language"] = meta.language
     return document
 
 
@@ -419,11 +400,3 @@ def generate_all(
     artifacts.sort(key=lambda a: a.relative_path)
     return GenerationBundle(artifacts=tuple(artifacts), source_model=model.name)
 
-
-def _variant_name(model: ConnectorModel) -> str:
-    ext = model.usage.extension
-    if isinstance(ext, EdcUsage):
-        return "edc usage"
-    if isinstance(ext, OpcUaUsage):
-        return "opcua usage"
-    return "plain usage"

@@ -22,6 +22,7 @@ from typing import Union
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 ENV_NAME_RE = re.compile(r"[A-Z][A-Z0-9_]*")
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class IdentifierType(str, Enum):
@@ -82,9 +83,33 @@ def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
         raise TypeError(f"{what} must be a string, got {type(value).__name__}")
     if not allow_empty and not value:
         raise ValueError(f"{what} must be non-empty")
-    for ch in value:
-        if ord(ch) < 0x20 or ch == "\x7f":
-            raise ValueError(f"{what} must not contain control characters")
+    if _CONTROL_RE.search(value):
+        raise ValueError(f"{what} must not contain control characters")
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """One field of a model class, as the DSL spells it and the model holds it.
+
+    ``kind`` is one of: str, date, int, bool, enum, str-list, enum-list,
+    secret, sub-block, contract, roles.  ``cls`` is the enum class of enum
+    and enum-list rows, and the model class of sub-block and roles rows.
+    Binding, unknown-field detection, canonical printing and constructor
+    checks all read these rows, in this order.
+    """
+
+    key: str
+    attr: str
+    kind: str
+    required: bool = True
+    nonempty: bool = False
+    minimum: int | None = None
+    unique: bool = False
+    cls: type | None = None
+
+
+# Rows of these kinds are keyword blocks in the DSL rather than `key: value` fields.
+BLOCK_KINDS = frozenset({"sub-block", "contract", "roles"})
 
 
 @dataclass(frozen=True)
@@ -152,11 +177,7 @@ class IdentificationData:
     identifier_type: IdentifierType
 
     def __post_init__(self) -> None:
-        _check_text(self.linked_asset_id, "linkedAssetId", allow_empty=False)
-        _check_text(self.base_url, "baseUrl")
-        _check_text(self.endpoint, "endpoint")
-        if not isinstance(self.identifier_type, IdentifierType):
-            raise TypeError("identifierType must be an IdentifierType")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -171,16 +192,7 @@ class AssetMetaData:
     language: str | None = None
 
     def __post_init__(self) -> None:
-        _check_text(self.title, "title", allow_empty=False)
-        _check_text(self.description, "description")
-        _check_text(self.publisher, "publisher", allow_empty=False)
-        _check_text(self.version, "version", allow_empty=False)
-        if not isinstance(self.created, date) or not isinstance(self.modified, date):
-            raise TypeError("created and modified must be dates")
-        for sid in self.semantic_ids:
-            _check_text(sid, "semanticId")
-        if self.language is not None:
-            _check_text(self.language, "language")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -189,9 +201,7 @@ class PushEndpointsConfig:
     cloud_push: bool
 
     def __post_init__(self) -> None:
-        _check_text(self.callback_url, "callbackUrl")
-        if not isinstance(self.cloud_push, bool):
-            raise TypeError("cloudPush must be a boolean")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -205,13 +215,7 @@ class EdcUsage:
     push_endpoints: PushEndpointsConfig | None = None
 
     def __post_init__(self) -> None:
-        _check_text(self.edc_address, "edcAddress")
-        _check_text(self.remote_address, "remoteAddress")
-        _check_text(self.remote_id, "remoteId")
-        if self.sts_service_address is not None:
-            _check_text(self.sts_service_address, "stsServiceAddress")
-        for url in self.trusted_did_registries:
-            _check_text(url, "trustedDidRegistries entry")
+        _check_fields(self)
 
     @property
     def direct_dsp(self) -> bool:
@@ -225,8 +229,7 @@ class QosMetrics:
     max_subscriptions: int
 
     def __post_init__(self) -> None:
-        if self.sampling_rate_ms <= 0 or self.max_subscriptions <= 0:
-            raise ValueError("qos metrics must be positive")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -241,14 +244,7 @@ class OpcUaUsage:
     qos: QosMetrics | None = None
 
     def __post_init__(self) -> None:
-        _check_text(self.endpoint_url, "endpointUrl")
-        _check_text(self.address_space, "addressSpace")
-        if not self.protocols:
-            raise ValueError("protocols must not be empty")
-        if len(set(self.protocols)) != len(self.protocols):
-            raise ValueError("protocols must not contain duplicates")
-        for url in self.companion_specs:
-            _check_text(url, "companionSpecs entry")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -266,9 +262,7 @@ class UsageConfig:
     schema_address: str | None = None
 
     def __post_init__(self) -> None:
-        _check_text(self.data_address, "dataAddress")
-        if self.schema_address is not None:
-            _check_text(self.schema_address, "schemaAddress")
+        _check_fields(self)
         if not isinstance(self.extension, (EdcUsage, OpcUaUsage, PlainUsage)):
             raise TypeError("usage extension must be one of EdcUsage, OpcUaUsage, PlainUsage")
 
@@ -284,8 +278,7 @@ class Role:
     def __post_init__(self) -> None:
         if not NAME_RE.fullmatch(self.role_name):
             raise ValueError(f"invalid role name: {self.role_name!r}")
-        # Emptiness and duplicates are validator findings (E205), not
-        # construction errors, so defective models stay representable.
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -296,8 +289,7 @@ class IdentityProviderConfig:
     secret: SecretRef
 
     def __post_init__(self) -> None:
-        _check_text(self.endpoint, "identity endpoint")
-        _check_text(self.client_id, "clientId", allow_empty=False)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -308,9 +300,7 @@ class OAuthInfo:
     scope: str
 
     def __post_init__(self) -> None:
-        _check_text(self.identifier, "oauth identifier", allow_empty=False)
-        _check_text(self.grant_type, "oauth grantType")
-        _check_text(self.scope, "oauth scope")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -322,13 +312,7 @@ class AccessPolicy:
     oauth: OAuthInfo | None = None
 
     def __post_init__(self) -> None:
-        _check_text(self.usage_policy, "usagePolicy", allow_empty=False)
-        for key, value in self.contract_offers.items():
-            _check_text(key, "contract key")
-            if isinstance(value, str):
-                _check_text(value, f"contract value for {key!r}")
-            elif not isinstance(value, (bool, int, date)):
-                raise TypeError(f"contract value for {key!r} must be a scalar")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -342,11 +326,170 @@ class ConnectorModel:
     def __post_init__(self) -> None:
         if not NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid connector name: {self.name!r}")
+        _check_fields(self)
 
 
-def model_equals(a: ConnectorModel, b: ConnectorModel) -> bool:
-    """Structural equality; contract-offer comparison ignores insertion order."""
-    return a == b
+_F = FieldSpec
+
+FIELDS: dict[type, tuple[FieldSpec, ...]] = {
+    ConnectorModel: (
+        _F("discovery", "identification", "sub-block", cls=IdentificationData),
+        _F("metadata", "metadata", "sub-block", cls=AssetMetaData),
+        _F("usage", "usage", "sub-block", cls=UsageConfig),
+        _F("access", "access", "sub-block", cls=AccessPolicy),
+    ),
+    IdentificationData: (
+        _F("linkedAssetId", "linked_asset_id", "str", nonempty=True),
+        _F("baseUrl", "base_url", "str"),
+        _F("endpoint", "endpoint", "str"),
+        _F("identifierType", "identifier_type", "enum", cls=IdentifierType),
+    ),
+    AssetMetaData: (
+        _F("title", "title", "str", nonempty=True),
+        _F("description", "description", "str"),
+        _F("publisher", "publisher", "str", nonempty=True),
+        _F("semanticIds", "semantic_ids", "str-list", required=False),
+        _F("version", "version", "str", nonempty=True),
+        _F("created", "created", "date"),
+        _F("modified", "modified", "date"),
+        _F("language", "language", "str", required=False),
+    ),
+    UsageConfig: (
+        _F("dataAddress", "data_address", "str"),
+        _F("schemaAddress", "schema_address", "str", required=False),
+    ),
+    EdcUsage: (
+        _F("edcAddress", "edc_address", "str"),
+        _F("xApiKey", "x_api_key", "secret"),
+        _F("remoteAddress", "remote_address", "str"),
+        _F("remoteId", "remote_id", "str", nonempty=True),
+        _F("stsServiceAddress", "sts_service_address", "str", required=False),
+        _F("trustedDidRegistries", "trusted_did_registries", "str-list", required=False),
+        _F("push", "push_endpoints", "sub-block", required=False, cls=PushEndpointsConfig),
+    ),
+    PushEndpointsConfig: (
+        _F("callbackUrl", "callback_url", "str"),
+        _F("cloudPush", "cloud_push", "bool"),
+    ),
+    OpcUaUsage: (
+        _F("endpointUrl", "endpoint_url", "str"),
+        _F("securityPolicy", "security_policy", "enum", cls=SecurityPolicy),
+        _F("messageSecurityMode", "message_security_mode", "enum", cls=MessageSecurityMode),
+        _F("authenticationMode", "authentication_mode", "enum", cls=AuthenticationMode),
+        _F("protocols", "protocols", "enum-list", nonempty=True, unique=True, cls=Protocol),
+        _F("companionSpecs", "companion_specs", "str-list", required=False),
+        _F("addressSpace", "address_space", "str"),
+        _F("qos", "qos", "sub-block", required=False, cls=QosMetrics),
+    ),
+    QosMetrics: (
+        _F("samplingRateMs", "sampling_rate_ms", "int", minimum=1),
+        _F("maxSubscriptions", "max_subscriptions", "int", minimum=1),
+    ),
+    PlainUsage: (),
+    AccessPolicy: (
+        _F("usagePolicy", "usage_policy", "str", nonempty=True),
+        _F("contract", "contract_offers", "contract", required=False),
+        _F("roles", "roles", "roles", required=False, cls=Role),
+        _F(
+            "identity", "identity_provider", "sub-block", required=False, cls=IdentityProviderConfig
+        ),
+        _F("oauth", "oauth", "sub-block", required=False, cls=OAuthInfo),
+    ),
+    Role: (
+        # Emptiness and duplicates are validator findings (E205), not
+        # construction errors, so defective models stay representable.
+        _F("permissions", "permissions", "enum-list", cls=Permission),
+    ),
+    IdentityProviderConfig: (
+        _F("endpoint", "endpoint", "str"),
+        _F("clientId", "client_id", "str", nonempty=True),
+        _F("grantType", "grant_type", "enum", cls=GrantType),
+        _F("secret", "secret", "secret"),
+    ),
+    OAuthInfo: (
+        _F("identifier", "identifier", "str", nonempty=True),
+        _F("secret", "secret", "secret"),
+        _F("grantType", "grant_type", "str"),
+        _F("scope", "scope", "str"),
+    ),
+}
+
+VARIANTS: dict[str, type] = {"edc": EdcUsage, "opcua": OpcUaUsage, "plain": PlainUsage}
+
+
+def variant_name(extension: UsageExtension) -> str:
+    """The DSL keyword (``edc``, ``opcua``, ``plain``) of a usage extension."""
+    return next(name for name, cls in VARIANTS.items() if isinstance(extension, cls))
+
+
+def _check_fields(obj: object) -> None:
+    """Enforce the table rows of ``obj``'s class on a freshly built instance."""
+    for spec in FIELDS[type(obj)]:
+        value = getattr(obj, spec.attr)
+        if value is None and not spec.required:
+            continue
+        _CHECKS[spec.kind](spec, value)
+
+
+def _check_str(spec: FieldSpec, value: object) -> None:
+    _check_text(value, spec.key, allow_empty=not spec.nonempty)
+
+
+def _check_type(spec: FieldSpec, value: object, *expected: type) -> None:
+    if not isinstance(value, expected):
+        names = " or ".join(cls.__name__ for cls in expected)
+        raise TypeError(f"{spec.key} must be {names}, got {type(value).__name__}")
+
+
+def _check_int(spec: FieldSpec, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{spec.key} must be an integer, got {type(value).__name__}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ValueError(f"{spec.key} must be >= {spec.minimum}")
+
+
+def _check_str_list(spec: FieldSpec, value: tuple[str, ...]) -> None:
+    for item in value:
+        _check_text(item, f"{spec.key} entry")
+
+
+def _check_enum_list(spec: FieldSpec, value: tuple[Enum, ...]) -> None:
+    for item in value:
+        if not isinstance(item, spec.cls):
+            _check_type(spec, item, spec.cls)
+    if spec.nonempty and not value:
+        raise ValueError(f"{spec.key} must not be empty")
+    if spec.unique and len(set(value)) != len(value):
+        raise ValueError(f"{spec.key} must not contain duplicates")
+
+
+def _check_contract(spec: FieldSpec, offers: dict[str, ContractValue]) -> None:
+    for key, value in offers.items():
+        _check_text(key, "contract key")
+        if isinstance(value, str):
+            _check_text(value, f"contract value for {key!r}")
+        elif not isinstance(value, (bool, int, date)):
+            raise TypeError(f"contract value for {key!r} must be a scalar")
+
+
+def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
+    for role in roles:
+        _check_type(spec, role, spec.cls)
+
+
+_CHECKS = {
+    "str": _check_str,
+    "date": lambda spec, value: _check_type(spec, value, date),
+    "int": _check_int,
+    "bool": lambda spec, value: _check_type(spec, value, bool),
+    "enum": lambda spec, value: _check_type(spec, value, spec.cls),
+    "str-list": _check_str_list,
+    "enum-list": _check_enum_list,
+    "secret": lambda spec, value: _check_type(spec, value, SecretLiteral, SecretEnvVar),
+    "sub-block": lambda spec, value: _check_type(spec, value, spec.cls),
+    "contract": _check_contract,
+    "roles": _check_roles,
+}
 
 
 def join_idlink(identification: IdentificationData) -> str:
@@ -418,110 +561,50 @@ def print_canonical(model: ConnectorModel) -> str:
     """
     w = _Writer()
     w.open(f"connector {_quote(model.name)}")
-    _print_discovery(w, model.identification)
-    _print_metadata(w, model.metadata)
-    _print_usage(w, model.usage)
-    _print_access(w, model.access)
+    _print_fields(w, model)
     w.close()
     return "\n".join(w.lines) + "\n"
 
 
-def _print_discovery(w: _Writer, ident: IdentificationData) -> None:
-    w.open("discovery")
-    w.line(f"linkedAssetId: {_quote(ident.linked_asset_id)}")
-    w.line(f"baseUrl: {_quote(ident.base_url)}")
-    w.line(f"endpoint: {_quote(ident.endpoint)}")
-    w.line(f"identifierType: {ident.identifier_type.value}")
-    w.close()
+_FORMATS = {
+    "str": _quote,
+    "date": date.isoformat,
+    "int": str,
+    "bool": lambda value: "true" if value else "false",
+    "enum": lambda value: value.value,
+    "str-list": _string_list,
+    "enum-list": lambda value: "[" + ", ".join(member.value for member in value) + "]",
+    "secret": _secret,
+}
 
 
-def _print_metadata(w: _Writer, meta: AssetMetaData) -> None:
-    w.open("metadata")
-    w.line(f"title: {_quote(meta.title)}")
-    w.line(f"description: {_quote(meta.description)}")
-    w.line(f"publisher: {_quote(meta.publisher)}")
-    if meta.semantic_ids:
-        w.line(f"semanticIds: {_string_list(meta.semantic_ids)}")
-    w.line(f"version: {_quote(meta.version)}")
-    w.line(f"created: {meta.created.isoformat()}")
-    w.line(f"modified: {meta.modified.isoformat()}")
-    if meta.language is not None:
-        w.line(f"language: {_quote(meta.language)}")
-    w.close()
-
-
-def _print_usage(w: _Writer, usage: UsageConfig) -> None:
-    ext = usage.extension
-    if isinstance(ext, EdcUsage):
-        variant = "edc"
-    elif isinstance(ext, OpcUaUsage):
-        variant = "opcua"
-    else:
-        variant = "plain"
-    w.open(f"usage {variant}")
-    w.line(f"dataAddress: {_quote(usage.data_address)}")
-    if usage.schema_address is not None:
-        w.line(f"schemaAddress: {_quote(usage.schema_address)}")
-    if isinstance(ext, EdcUsage):
-        w.line(f"edcAddress: {_quote(ext.edc_address)}")
-        w.line(f"xApiKey: {_secret(ext.x_api_key)}")
-        w.line(f"remoteAddress: {_quote(ext.remote_address)}")
-        w.line(f"remoteId: {_quote(ext.remote_id)}")
-        if ext.sts_service_address is not None:
-            w.line(f"stsServiceAddress: {_quote(ext.sts_service_address)}")
-        if ext.trusted_did_registries:
-            w.line(f"trustedDidRegistries: {_string_list(ext.trusted_did_registries)}")
-        if ext.push_endpoints is not None:
-            w.open("push")
-            w.line(f"callbackUrl: {_quote(ext.push_endpoints.callback_url)}")
-            w.line(f"cloudPush: {'true' if ext.push_endpoints.cloud_push else 'false'}")
+def _print_fields(w: _Writer, obj: object) -> None:
+    for spec in FIELDS[type(obj)]:
+        value = getattr(obj, spec.attr)
+        # Absent optionals are omitted; an optional string is printed even when empty.
+        if value is None or (not value and not spec.required and spec.kind != "str"):
+            continue
+        format_value = _FORMATS.get(spec.kind)
+        if format_value is not None:
+            w.line(f"{spec.key}: {format_value(value)}")
+        elif spec.kind == "sub-block":
+            if isinstance(value, UsageConfig):
+                w.open(f"usage {variant_name(value.extension)}")
+                _print_fields(w, value)
+                _print_fields(w, value.extension)
+            else:
+                w.open(spec.key)
+                _print_fields(w, value)
             w.close()
-    elif isinstance(ext, OpcUaUsage):
-        w.line(f"endpointUrl: {_quote(ext.endpoint_url)}")
-        w.line(f"securityPolicy: {ext.security_policy.value}")
-        w.line(f"messageSecurityMode: {ext.message_security_mode.value}")
-        w.line(f"authenticationMode: {ext.authentication_mode.value}")
-        w.line("protocols: [" + ", ".join(p.value for p in ext.protocols) + "]")
-        if ext.companion_specs:
-            w.line(f"companionSpecs: {_string_list(ext.companion_specs)}")
-        w.line(f"addressSpace: {_quote(ext.address_space)}")
-        if ext.qos is not None:
-            w.open("qos")
-            w.line(f"samplingRateMs: {ext.qos.sampling_rate_ms}")
-            w.line(f"maxSubscriptions: {ext.qos.max_subscriptions}")
+        elif spec.kind == "contract":
+            w.open(spec.key)
+            for key in sorted(value):
+                w.line(f"{_quote(key)}: {_scalar(value[key])},")
             w.close()
-    w.close()
-
-
-def _print_access(w: _Writer, access: AccessPolicy) -> None:
-    w.open("access")
-    w.line(f"usagePolicy: {_quote(access.usage_policy)}")
-    if access.contract_offers:
-        w.open("contract")
-        for key in sorted(access.contract_offers):
-            w.line(f"{_quote(key)}: {_scalar(access.contract_offers[key])},")
-        w.close()
-    if access.roles:
-        w.open("roles")
-        for role in access.roles:
-            w.open(f"role {role.role_name}")
-            w.line("permissions: [" + ", ".join(p.value for p in role.permissions) + "]")
+        elif spec.kind == "roles":
+            w.open(spec.key)
+            for role in value:
+                w.open(f"role {role.role_name}")
+                _print_fields(w, role)
+                w.close()
             w.close()
-        w.close()
-    if access.identity_provider is not None:
-        idp = access.identity_provider
-        w.open("identity")
-        w.line(f"endpoint: {_quote(idp.endpoint)}")
-        w.line(f"clientId: {_quote(idp.client_id)}")
-        w.line(f"grantType: {idp.grant_type.value}")
-        w.line(f"secret: {_secret(idp.secret)}")
-        w.close()
-    if access.oauth is not None:
-        oauth = access.oauth
-        w.open("oauth")
-        w.line(f"identifier: {_quote(oauth.identifier)}")
-        w.line(f"secret: {_secret(oauth.secret)}")
-        w.line(f"grantType: {_quote(oauth.grant_type)}")
-        w.line(f"scope: {_quote(oauth.scope)}")
-        w.close()
-    w.close()

@@ -28,33 +28,20 @@ from enum import Enum
 from typing import Union
 
 from .model import (
+    BLOCK_KINDS,
+    FIELDS,
     NAME_RE,
-    AccessPolicy,
-    AssetMetaData,
-    AuthenticationMode,
+    VARIANTS,
     ConnectorModel,
     ContractValue,
     Diagnostic,
-    EdcUsage,
-    GrantType,
-    IdentificationData,
-    IdentifierType,
-    MessageSecurityMode,
-    OAuthInfo,
-    OpcUaUsage,
-    Permission,
-    PlainUsage,
-    Protocol,
-    PushEndpointsConfig,
-    QosMetrics,
+    FieldSpec,
     Role,
     SecretEnvVar,
     SecretLiteral,
-    SecurityPolicy,
     Severity,
     Span,
     UsageConfig,
-    IdentityProviderConfig,
 )
 
 MAX_DIAGNOSTICS = 100
@@ -90,27 +77,29 @@ class Token:
         return self.kind.value
 
 
-KEYWORDS = frozenset(
-    {
-        "connector",
-        "discovery",
-        "metadata",
-        "usage",
-        "access",
-        "contract",
-        "roles",
-        "role",
-        "push",
-        "qos",
-        "identity",
-        "oauth",
-        "edc",
-        "opcua",
-        "plain",
-    }
-)
+def _subblock_table() -> dict[str, frozenset[str]]:
+    """Which keyword blocks each block label accepts, from the table's block rows."""
+    table: dict[str, frozenset[str]] = {}
+    pending = [(spec.key, spec.cls) for spec in FIELDS[ConnectorModel]]
+    while pending:
+        label, cls = pending.pop()
+        classes = (UsageConfig, *VARIANTS.values()) if cls is UsageConfig else (cls,)
+        rows = [row for c in classes for row in FIELDS.get(c, ()) if row.kind in BLOCK_KINDS]
+        table[label] = frozenset(row.key for row in rows)
+        for row in rows:
+            if row.kind == "roles":  # a roles block holds only `role NAME { ... }` entries
+                pending += [(row.key, None), ("role", row.cls)]
+            else:
+                pending.append((row.key, row.cls))
+    return table
 
-SECTION_KEYWORDS = ("discovery", "metadata", "usage", "access")
+
+_SUBBLOCKS = _subblock_table()
+
+# Block labels, the connector header and usage variants are reserved words.
+KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
+
+SECTION_KEYWORDS = tuple(spec.key for spec in FIELDS[ConnectorModel])
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])")
@@ -131,9 +120,6 @@ class _Sink:
         self.full = False
 
     def error(self, code: str, message: str, span: Span) -> None:
-        self._add(Severity.ERROR, code, message, span)
-
-    def _add(self, severity: Severity, code: str, message: str, span: Span) -> None:
         if self.full:
             return
         if len(self.diagnostics) >= MAX_DIAGNOSTICS - 1:
@@ -142,7 +128,7 @@ class _Sink:
             )
             self.full = True
             return
-        self.diagnostics.append(Diagnostic(severity, code, message, span))
+        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
     @property
     def has_errors(self) -> bool:
@@ -354,22 +340,7 @@ class _RawBlock:
     fields: dict[str, tuple[Span, _Value]] = field(default_factory=dict)
     blocks: dict[str, "_RawBlock"] = field(default_factory=dict)
     roles: list[tuple[str, Span, "_RawBlock"]] = field(default_factory=list)
-    contract: list[tuple[str, Span, _Scalar]] = field(default_factory=list)
-
-
-_SUBBLOCKS: dict[str, frozenset[str]] = {
-    "usage": frozenset({"push", "qos"}),
-    "access": frozenset({"contract", "roles", "identity", "oauth"}),
-    "push": frozenset(),
-    "qos": frozenset(),
-    "contract": frozenset(),
-    "roles": frozenset(),
-    "identity": frozenset(),
-    "oauth": frozenset(),
-    "discovery": frozenset(),
-    "metadata": frozenset(),
-    "role": frozenset(),
-}
+    contract: dict[str, tuple[Span, _Scalar]] = field(default_factory=dict)
 
 
 class _Abort(Exception):
@@ -542,10 +513,10 @@ class _Parser:
         if self.at(TokenKind.COMMA):
             self.advance()
         key = key_tok.value
-        if any(existing == key for existing, _, _ in raw.contract):
+        if key in raw.contract:
             self.error("E015", f"duplicate contract key \"{key}\"", key_tok.span)
             return
-        raw.contract.append((str(key), key_tok.span, value))
+        raw.contract[key] = (key_tok.span, value)
 
     def parse_role_entry(self, raw: _RawBlock) -> None:
         name_tok = self.peek()
@@ -659,7 +630,7 @@ class _Parser:
                 self.advance()
                 variant = None
                 if tok.lexeme == "usage":
-                    if self.at_keyword("edc", "opcua", "plain"):
+                    if self.at_keyword(*VARIANTS):
                         variant = self.advance().lexeme
                     else:
                         self.error(
@@ -704,477 +675,254 @@ class _Parser:
             if section not in sections:
                 self.error("E011", f"missing required section '{section}'", connector_span)
 
-        identification = metadata = usage = access = None
-        if "discovery" in sections:
-            identification = self.bind_discovery(sections["discovery"][1])
-        if "metadata" in sections:
-            metadata = self.bind_metadata(sections["metadata"][1])
-        if "usage" in sections:
-            usage = self.bind_usage(sections["usage"][1], sections["usage"][2])
-        if "access" in sections:
-            access = self.bind_access(sections["access"][1])
+        values: dict[str, object] = {}
+        for spec in FIELDS[ConnectorModel]:
+            if spec.key not in sections:
+                continue
+            _, raw, variant = sections[spec.key]
+            if spec.cls is UsageConfig:
+                values[spec.attr] = self.bind_usage(raw, variant)
+            else:
+                values[spec.attr] = self.bind(spec.cls, raw, spec.key, spec.key)
 
-        if None in (name, identification, metadata, usage, access):
+        if name is None or len(sections) < len(SECTION_KEYWORDS) or None in values.values():
             return None
-        return ConnectorModel(
-            name=name,
-            identification=identification,
-            metadata=metadata,
-            usage=usage,
-            access=access,
-        )
+        return ConnectorModel(name=name, **values)
 
     # --- binding ----------------------------------------------------------
 
-    def bind_discovery(self, raw: _RawBlock) -> IdentificationData | None:
-        b = _Binder(self, raw, "discovery")
-        linked = b.string("linkedAssetId", nonempty=True)
-        base_url = b.string("baseUrl")
-        endpoint = b.string("endpoint")
-        id_type = b.enum("identifierType", IdentifierType)
-        b.finish()
-        if not b.ok:
-            return None
-        return IdentificationData(linked, base_url, endpoint, id_type)
-
-    def bind_metadata(self, raw: _RawBlock) -> AssetMetaData | None:
-        b = _Binder(self, raw, "metadata")
-        title = b.string("title", nonempty=True)
-        description = b.string("description")
-        publisher = b.string("publisher", nonempty=True)
-        semantic_ids = b.string_list("semanticIds", required=False)
-        version = b.string("version", nonempty=True)
-        created = b.date_("created")
-        modified = b.date_("modified")
-        language = b.string("language", required=False)
-        b.finish()
-        if not b.ok:
-            return None
-        return AssetMetaData(
-            title=title,
-            description=description,
-            publisher=publisher,
-            version=version,
-            created=created,
-            modified=modified,
-            semantic_ids=semantic_ids,
-            language=language,
-        )
+    def bind(self, cls: type, raw: _RawBlock, label: str, path: str, **extra: object) -> object:
+        """Bind a raw block against the table rows of ``cls``; None on any error."""
+        values = _Binder(self, raw, label, path, FIELDS[cls]).bind()
+        return None if values is None else cls(**extra, **values)
 
     def bind_usage(self, raw: _RawBlock, variant: str | None) -> UsageConfig | None:
         if variant is None:
             return None
-        b = _Binder(self, raw, f"{variant} usage", path="usage")
-        data_address = b.string("dataAddress")
-        schema_address = b.string("schemaAddress", required=False)
-
-        extension: object = None
-        if variant == "edc":
-            edc_address = b.string("edcAddress")
-            x_api_key = b.secret("xApiKey")
-            remote_address = b.string("remoteAddress")
-            remote_id = b.string("remoteId", nonempty=True)
-            sts = b.string("stsServiceAddress", required=False)
-            registries = b.string_list("trustedDidRegistries", required=False)
-            push = None
-            push_raw = b.block("push")
-            if push_raw is not None:
-                push = self.bind_push(push_raw)
-                if push is None:
-                    b.ok = False
-            b.finish()
-            if b.ok:
-                extension = EdcUsage(
-                    edc_address=edc_address,
-                    x_api_key=x_api_key,
-                    remote_address=remote_address,
-                    remote_id=remote_id,
-                    sts_service_address=sts,
-                    trusted_did_registries=registries,
-                    push_endpoints=push,
-                )
-        elif variant == "opcua":
-            endpoint_url = b.string("endpointUrl")
-            security_policy = b.enum("securityPolicy", SecurityPolicy)
-            message_mode = b.enum("messageSecurityMode", MessageSecurityMode)
-            auth_mode = b.enum("authenticationMode", AuthenticationMode)
-            protocols = b.enum_list("protocols", Protocol, nonempty=True, unique=True)
-            companion = b.string_list("companionSpecs", required=False)
-            address_space = b.string("addressSpace")
-            qos = None
-            qos_raw = b.block("qos")
-            if qos_raw is not None:
-                qos = self.bind_qos(qos_raw)
-                if qos is None:
-                    b.ok = False
-            b.finish()
-            if b.ok:
-                extension = OpcUaUsage(
-                    endpoint_url=endpoint_url,
-                    security_policy=security_policy,
-                    message_security_mode=message_mode,
-                    authentication_mode=auth_mode,
-                    protocols=protocols,
-                    address_space=address_space,
-                    companion_specs=companion,
-                    qos=qos,
-                )
-        else:
-            b.finish()
-            if b.ok:
-                extension = PlainUsage()
-
-        if extension is None or not b.ok:
+        extension = VARIANTS[variant]
+        rows = FIELDS[UsageConfig] + FIELDS[extension]
+        values = _Binder(self, raw, f"{variant} usage", "usage", rows).bind()
+        if values is None:
             return None
-        return UsageConfig(
-            data_address=data_address, extension=extension, schema_address=schema_address
-        )
-
-    def bind_push(self, raw: _RawBlock) -> PushEndpointsConfig | None:
-        self.smap.record("usage.push", raw.keyword_span)
-        b = _Binder(self, raw, "push", path="usage.push")
-        callback = b.string("callbackUrl")
-        cloud = b.bool_("cloudPush")
-        b.finish()
-        if not b.ok:
-            return None
-        return PushEndpointsConfig(callback_url=callback, cloud_push=cloud)
-
-    def bind_qos(self, raw: _RawBlock) -> QosMetrics | None:
-        self.smap.record("usage.qos", raw.keyword_span)
-        b = _Binder(self, raw, "qos", path="usage.qos")
-        rate = b.int_("samplingRateMs", minimum=1)
-        subs = b.int_("maxSubscriptions", minimum=1)
-        b.finish()
-        if not b.ok:
-            return None
-        return QosMetrics(sampling_rate_ms=rate, max_subscriptions=subs)
-
-    def bind_access(self, raw: _RawBlock) -> AccessPolicy | None:
-        b = _Binder(self, raw, "access")
-        usage_policy = b.string("usagePolicy", nonempty=True)
-
-        offers: dict[str, ContractValue] = {}
-        contract_raw = b.block("contract")
-        if contract_raw is not None:
-            self.smap.record("access.contract", contract_raw.keyword_span)
-            for key, key_span, scalar in contract_raw.contract:
-                if scalar.kind is TokenKind.IDENT:
-                    self.error(
-                        "E014",
-                        "contract values must be a string, integer, date, or boolean",
-                        scalar.span,
-                    )
-                    b.ok = False
-                    continue
-                if scalar.value is None:
-                    b.ok = False
-                    continue
-                offers[key] = scalar.value
-                self.smap.record(f"access.contract.{key}", scalar.span)
-
-        roles: list[Role] = []
-        roles_raw = b.block("roles")
-        if roles_raw is not None:
-            self.smap.record("access.roles", roles_raw.keyword_span)
-            for role_name, name_span, body in roles_raw.roles:
-                role = self.bind_role(role_name, name_span, body)
-                if role is None:
-                    b.ok = False
-                else:
-                    roles.append(role)
-
-        identity = None
-        identity_raw = b.block("identity")
-        if identity_raw is not None:
-            self.smap.record("access.identity", identity_raw.keyword_span)
-            identity = self.bind_identity(identity_raw)
-            if identity is None:
-                b.ok = False
-
-        oauth = None
-        oauth_raw = b.block("oauth")
-        if oauth_raw is not None:
-            self.smap.record("access.oauth", oauth_raw.keyword_span)
-            oauth = self.bind_oauth(oauth_raw)
-            if oauth is None:
-                b.ok = False
-
-        b.finish()
-        if not b.ok:
-            return None
-        return AccessPolicy(
-            usage_policy=usage_policy,
-            contract_offers=offers,
-            roles=tuple(roles),
-            identity_provider=identity,
-            oauth=oauth,
-        )
-
-    def bind_role(self, name: str, name_span: Span, raw: _RawBlock) -> Role | None:
-        if not NAME_RE.fullmatch(name):
-            self.error("E014", f"invalid role name {name!r}", name_span)
-            return None
-        path = f"access.roles[{name}]"
-        self.smap.record(path, name_span)
-        b = _Binder(self, raw, f"role {name}", path=path)
-        permissions = b.enum_list("permissions", Permission, nonempty=False, unique=False)
-        b.finish()
-        if not b.ok:
-            return None
-        return Role(role_name=name, permissions=permissions)
-
-    def bind_identity(self, raw: _RawBlock) -> IdentityProviderConfig | None:
-        b = _Binder(self, raw, "identity", path="access.identity")
-        endpoint = b.string("endpoint")
-        client_id = b.string("clientId", nonempty=True)
-        grant = b.enum("grantType", GrantType)
-        secret = b.secret("secret")
-        b.finish()
-        if not b.ok:
-            return None
-        return IdentityProviderConfig(
-            endpoint=endpoint, client_id=client_id, grant_type=grant, secret=secret
-        )
-
-    def bind_oauth(self, raw: _RawBlock) -> OAuthInfo | None:
-        b = _Binder(self, raw, "oauth", path="access.oauth")
-        identifier = b.string("identifier", nonempty=True)
-        secret = b.secret("secret")
-        grant = b.string("grantType")
-        scope = b.string("scope")
-        b.finish()
-        if not b.ok:
-            return None
-        return OAuthInfo(identifier=identifier, secret=secret, grant_type=grant, scope=scope)
+        ext_values = {
+            spec.attr: values.pop(spec.attr) for spec in FIELDS[extension] if spec.attr in values
+        }
+        return UsageConfig(extension=extension(**ext_values), **values)
 
 
 class _Binder:
-    """Typed accessors over a raw block; every problem becomes a diagnostic."""
+    """Binds the fields and blocks of one raw block against table rows.
 
-    def __init__(self, parser: _Parser, raw: _RawBlock, label: str, path: str | None = None) -> None:
+    Every problem becomes a diagnostic; ``bind`` returns the attribute
+    values of the rows present, or None when any of them failed.
+    """
+
+    def __init__(
+        self, parser: _Parser, raw: _RawBlock, label: str, path: str, rows: tuple[FieldSpec, ...]
+    ) -> None:
         self.parser = parser
         self.raw = raw
         self.label = label
-        self.path = path if path is not None else raw.label
-        self.used_fields: set[str] = set()
-        self.used_blocks: set[str] = set()
+        self.path = path
+        self.rows = rows
+        self.values: dict[str, object] = {}
         self.ok = True
 
-    def _take(self, key: str, required: bool) -> tuple[Span, _Value] | None:
-        self.used_fields.add(key)
-        entry = self.raw.fields.get(key)
-        if entry is None:
-            if required:
-                self.parser.error(
-                    "E011",
-                    f"missing required field '{key}' in {self.label} block",
-                    self.raw.keyword_span,
-                )
-                self.ok = False
-            return None
-        return entry
+    def bind(self) -> dict[str, object] | None:
+        found = 0
+        for spec in self.rows:
+            if spec.kind in BLOCK_KINDS:
+                entry = self.raw.blocks.get(spec.key)
+                if entry is not None:
+                    self.parser.smap.record(f"{self.path}.{spec.key}", entry.keyword_span)
+            else:
+                entry = self.raw.fields.get(spec.key)
+                if entry is not None:
+                    entry = entry[1]
+                elif spec.required:
+                    self._fail(
+                        "E011",
+                        f"missing required field '{spec.key}' in {self.label} block",
+                        self.raw.keyword_span,
+                    )
+            if entry is not None:
+                found += 1
+                _BIND[spec.kind](self, spec, entry)
+        if found < len(self.raw.fields) + len(self.raw.blocks):
+            self.report_unknown()
+        return self.values if self.ok else None
 
     def _fail(self, code: str, message: str, span: Span) -> None:
         self.parser.error(code, message, span)
         self.ok = False
 
-    def _record(self, key: str, span: Span) -> None:
-        self.parser.smap.record(f"{self.path}.{key}", span)
+    def _set(self, spec: FieldSpec, span: Span, value: object) -> None:
+        self.parser.smap.record(f"{self.path}.{spec.key}", span)
+        self.values[spec.attr] = value
 
-    def block(self, name: str) -> _RawBlock | None:
-        self.used_blocks.add(name)
-        return self.raw.blocks.get(name)
-
-    def string(self, key: str, *, required: bool = True, nonempty: bool = False) -> str | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
-        if not isinstance(value, _Scalar) or value.kind is not TokenKind.STRING:
-            self._fail("E014", f"field '{key}' expects a quoted string", _value_span(value))
-            return None
-        text = str(value.value)
-        if nonempty and not text:
-            self._fail("E014", f"field '{key}' must be non-empty", value.span)
-            return None
-        self._record(key, value.span)
-        return text
-
-    def date_(self, key: str, *, required: bool = True) -> date | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
-        if not isinstance(value, _Scalar) or value.kind is not TokenKind.DATE:
-            self._fail("E014", f"field '{key}' expects a date (YYYY-MM-DD)", _value_span(value))
-            return None
-        if value.value is None:  # invalid calendar date, already reported
+    def scalar(self, spec: FieldSpec, value: _Value) -> None:
+        token_kind, expects = _SCALARS[spec.kind]
+        if not isinstance(value, _Scalar) or value.kind is not token_kind:
+            if spec.kind == "enum":
+                expects = f"one of: {_enum_values(spec.cls)}"
+            return self._fail("E014", f"field '{spec.key}' expects {expects}", value.span)
+        result = value.value
+        if spec.kind == "date" and result is None:  # invalid calendar date, already reported
             self.ok = False
-            return None
-        self._record(key, value.span)
-        return value.value
+            return
+        if spec.kind == "enum":
+            try:
+                result = spec.cls(result)
+            except ValueError:
+                return self._fail(
+                    "E014",
+                    f"invalid value '{value.value}' for field '{spec.key}' "
+                    f"(expected one of: {_enum_values(spec.cls)})",
+                    value.span,
+                )
+        if spec.nonempty and not result:
+            return self._fail("E014", f"field '{spec.key}' must be non-empty", value.span)
+        if spec.minimum is not None and result < spec.minimum:
+            return self._fail("E014", f"field '{spec.key}' must be >= {spec.minimum}", value.span)
+        self._set(spec, value.span, result)
 
-    def int_(self, key: str, *, required: bool = True, minimum: int | None = None) -> int | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
-        if not isinstance(value, _Scalar) or value.kind is not TokenKind.INTEGER:
-            self._fail("E014", f"field '{key}' expects an integer", _value_span(value))
-            return None
-        number = int(value.value)
-        if minimum is not None and number < minimum:
-            self._fail("E014", f"field '{key}' must be >= {minimum}", value.span)
-            return None
-        self._record(key, value.span)
-        return number
-
-    def bool_(self, key: str, *, required: bool = True) -> bool | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
-        if not isinstance(value, _Scalar) or value.kind is not TokenKind.BOOLEAN:
-            self._fail("E014", f"field '{key}' expects true or false", _value_span(value))
-            return None
-        self._record(key, value.span)
-        return bool(value.value)
-
-    def enum(self, key: str, enum_type: type[Enum], *, required: bool = True) -> Enum | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
-        if not isinstance(value, _Scalar) or value.kind is not TokenKind.IDENT:
-            self._fail(
-                "E014",
-                f"field '{key}' expects one of: {_enum_values(enum_type)}",
-                _value_span(value),
-            )
-            return None
-        try:
-            member = enum_type(str(value.value))
-        except ValueError:
-            self._fail(
-                "E014",
-                f"invalid value '{value.value}' for field '{key}' "
-                f"(expected one of: {_enum_values(enum_type)})",
-                value.span,
-            )
-            return None
-        self._record(key, value.span)
-        return member
-
-    def string_list(self, key: str, *, required: bool = True) -> tuple[str, ...] | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None if required else ()
-        _, value = entry
+    def string_list(self, spec: FieldSpec, value: _Value) -> None:
         if not isinstance(value, _List):
-            self._fail("E014", f"field '{key}' expects a list of strings", _value_span(value))
-            return None if required else ()
+            return self._fail("E014", f"field '{spec.key}' expects a list of strings", value.span)
         items: list[str] = []
-        bad = False
         for index, item in enumerate(value.items):
             if item.kind is not TokenKind.STRING:
-                self._fail("E014", f"entries of '{key}' must be quoted strings", item.span)
-                bad = True
+                self._fail("E014", f"entries of '{spec.key}' must be quoted strings", item.span)
                 continue
-            items.append(str(item.value))
-            self.parser.smap.record(f"{self.path}.{key}[{index}]", item.span)
-        if bad:
-            return None if required else ()
-        self._record(key, value.span)
-        return tuple(items)
+            items.append(item.value)
+            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item.span)
+        if len(items) == len(value.items):
+            self._set(spec, value.span, tuple(items))
 
-    def enum_list(
-        self,
-        key: str,
-        enum_type: type[Enum],
-        *,
-        required: bool = True,
-        nonempty: bool = False,
-        unique: bool = False,
-    ) -> tuple[Enum, ...] | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
+    def enum_list(self, spec: FieldSpec, value: _Value) -> None:
         if not isinstance(value, _List):
-            self._fail(
+            return self._fail(
                 "E014",
-                f"field '{key}' expects a list of: {_enum_values(enum_type)}",
-                _value_span(value),
+                f"field '{spec.key}' expects a list of: {_enum_values(spec.cls)}",
+                value.span,
             )
-            return None
         members: list[Enum] = []
         bad = False
         for index, item in enumerate(value.items):
             if item.kind is not TokenKind.IDENT:
                 self._fail(
                     "E014",
-                    f"entries of '{key}' must be one of: {_enum_values(enum_type)}",
+                    f"entries of '{spec.key}' must be one of: {_enum_values(spec.cls)}",
                     item.span,
                 )
                 bad = True
                 continue
             try:
-                member = enum_type(str(item.value))
+                member = spec.cls(item.value)
             except ValueError:
                 self._fail(
                     "E014",
-                    f"invalid value '{item.value}' in '{key}' "
-                    f"(expected one of: {_enum_values(enum_type)})",
+                    f"invalid value '{item.value}' in '{spec.key}' "
+                    f"(expected one of: {_enum_values(spec.cls)})",
                     item.span,
                 )
                 bad = True
                 continue
-            if unique and member in members:
-                self._fail("E015", f"duplicate entry '{item.value}' in '{key}'", item.span)
+            # A unique list holds each member at most once, so this scan is bounded
+            # by the size of the enum.
+            if spec.unique and member in members:
+                self._fail("E015", f"duplicate entry '{item.value}' in '{spec.key}'", item.span)
                 bad = True
                 continue
             members.append(member)
-            self.parser.smap.record(f"{self.path}.{key}[{index}]", item.span)
-        if nonempty and not value.items:
-            self._fail("E014", f"field '{key}' must not be empty", value.span)
-            return None
-        if bad:
-            return None
-        self._record(key, value.span)
-        return tuple(members)
+            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item.span)
+        if spec.nonempty and not value.items:
+            return self._fail("E014", f"field '{spec.key}' must not be empty", value.span)
+        if not bad:
+            self._set(spec, value.span, tuple(members))
 
-    def secret(self, key: str, *, required: bool = True) -> SecretLiteral | SecretEnvVar | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        _, value = entry
+    def secret(self, spec: FieldSpec, value: _Value) -> None:
         if isinstance(value, _EnvRef):
-            self._record(key, value.span)
-            return SecretEnvVar(value.name)
-        if isinstance(value, _Scalar) and value.kind is TokenKind.STRING:
-            self._record(key, value.span)
-            return SecretLiteral(str(value.value))
-        self._fail(
-            "E014",
-            f"field '{key}' expects a quoted string or env(NAME) reference",
-            _value_span(value),
-        )
-        return None
+            self._set(spec, value.span, SecretEnvVar(value.name))
+        elif isinstance(value, _Scalar) and value.kind is TokenKind.STRING:
+            self._set(spec, value.span, SecretLiteral(value.value))
+        else:
+            self._fail(
+                "E014",
+                f"field '{spec.key}' expects a quoted string or env(NAME) reference",
+                value.span,
+            )
 
-    def finish(self) -> None:
+    def sub_block(self, spec: FieldSpec, raw: _RawBlock) -> None:
+        value = self.parser.bind(spec.cls, raw, spec.key, f"{self.path}.{spec.key}")
+        if value is None:
+            self.ok = False
+        else:
+            self.values[spec.attr] = value
+
+    def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
+        offers: dict[str, ContractValue] = {}
+        for key, (_, scalar) in raw.contract.items():
+            if scalar.kind is TokenKind.IDENT:
+                self._fail(
+                    "E014",
+                    "contract values must be a string, integer, date, or boolean",
+                    scalar.span,
+                )
+                continue
+            if scalar.value is None:  # invalid calendar date, already reported
+                self.ok = False
+                continue
+            offers[key] = scalar.value
+            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", scalar.span)
+        self.values[spec.attr] = offers
+
+    def roles(self, spec: FieldSpec, raw: _RawBlock) -> None:
+        roles: list[Role] = []
+        for name, name_span, body in raw.roles:
+            if not NAME_RE.fullmatch(name):
+                self._fail("E014", f"invalid role name {name!r}", name_span)
+                continue
+            path = f"{self.path}.{spec.key}[{name}]"
+            self.parser.smap.record(path, name_span)
+            role = self.parser.bind(spec.cls, body, f"role {name}", path, role_name=name)
+            if role is None:
+                self.ok = False
+            else:
+                roles.append(role)
+        self.values[spec.attr] = tuple(roles)
+
+    def report_unknown(self) -> None:
+        blocks = {spec.key for spec in self.rows if spec.kind in BLOCK_KINDS}
+        fields = {spec.key for spec in self.rows} - blocks
         for key, (key_span, _) in self.raw.fields.items():
-            if key not in self.used_fields:
+            if key not in fields:
                 self._fail("E010", f"unknown field '{key}' in {self.label} block", key_span)
         for name, sub in self.raw.blocks.items():
-            if name not in self.used_blocks:
+            if name not in blocks:
                 self._fail(
                     "E010", f"unknown block '{name}' in {self.label} block", sub.keyword_span
                 )
 
 
-def _value_span(value: _Value) -> Span:
-    return value.span
+# Scalar kinds: the token kind each accepts and what the E014 message says it expects.
+_SCALARS = {
+    "str": (TokenKind.STRING, "a quoted string"),
+    "date": (TokenKind.DATE, "a date (YYYY-MM-DD)"),
+    "int": (TokenKind.INTEGER, "an integer"),
+    "bool": (TokenKind.BOOLEAN, "true or false"),
+    "enum": (TokenKind.IDENT, None),
+}
+
+_BIND = {
+    **{kind: _Binder.scalar for kind in _SCALARS},
+    "str-list": _Binder.string_list,
+    "enum-list": _Binder.enum_list,
+    "secret": _Binder.secret,
+    "sub-block": _Binder.sub_block,
+    "contract": _Binder.contract,
+    "roles": _Binder.roles,
+}
 
 
 def _enum_values(enum_type: type[Enum]) -> str:

@@ -21,7 +21,6 @@ from dsx import (
     generate_edc,
     generate_idlink_aas,
     join_idlink,
-    model_equals,
     parse,
     print_canonical,
     validate,
@@ -109,7 +108,7 @@ def test_round_trip_500_models():
         text = print_canonical(model)
         result = parse(text, f"gen-{index}.dsx")
         assert result.diagnostics == [], (index, result.diagnostics)
-        assert model_equals(result.model, model), index
+        assert result.model == model, index
         assert print_canonical(result.model) == text, index
     assert seen_variants == {"EdcUsage", "OpcUaUsage", "PlainUsage"}
     assert time.perf_counter() - started < 30.0

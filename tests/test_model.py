@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from dataclasses import replace
 from datetime import date
@@ -9,8 +10,10 @@ from dsx import (
     AssetMetaData,
     AuthenticationMode,
     ConnectorModel,
+    EdcUsage,
     IdentificationData,
     IdentifierType,
+    IdentityProviderConfig,
     MessageSecurityMode,
     OpcUaUsage,
     Permission,
@@ -23,10 +26,10 @@ from dsx import (
     Span,
     UsageConfig,
     join_idlink,
-    model_equals,
     parse,
     print_canonical,
 )
+from dsx.model import FIELDS
 from modelgen import build_model
 
 
@@ -86,11 +89,31 @@ class TestConstructionInvariants:
                 address_space="ns",
             )
 
+    def test_table_rows_drive_constructor_checks(self):
+        with pytest.raises(ValueError):  # the remoteId row is non-empty
+            EdcUsage("https://edc.example", SecretEnvVar("KEY"), "https://dsp.example", "")
+        with pytest.raises(TypeError):  # enum rows check the enum class
+            IdentityProviderConfig(
+                "https://idp.example", "client", "CLIENT_CREDENTIALS", SecretEnvVar("KEY")
+            )
+
+
+class TestFieldTable:
+    def test_every_model_field_has_exactly_one_row(self):
+        # Connector and role names and the usage variant are not `key: value` fields.
+        outside = {(ConnectorModel, "name"), (Role, "role_name"), (UsageConfig, "extension")}
+        for cls, rows in FIELDS.items():
+            attrs = [spec.attr for spec in rows]
+            assert len(attrs) == len(set(attrs)), cls
+            declared = {f.name for f in dataclasses.fields(cls)}
+            expected = declared - {attr for c, attr in outside if c is cls}
+            assert set(attrs) == expected, cls
+
 
 class TestModelEquals:
     def test_reflexive(self):
         m = minimal_model()
-        assert model_equals(m, m)
+        assert m == m
 
     def test_contract_offer_order_is_irrelevant(self):
         a = minimal_model(
@@ -105,14 +128,14 @@ class TestModelEquals:
                 contract_offers={"b": "x", "a": 1},
             )
         )
-        assert model_equals(a, b)
+        assert a == b
 
     def test_differing_field_breaks_equality(self):
         a = minimal_model()
         b = minimal_model(
             identification=replace(a.identification, linked_asset_id="urn:asset:2")
         )
-        assert not model_equals(a, b)
+        assert a != b
 
 
 class TestJoinIdlink:
@@ -179,7 +202,7 @@ class TestCanonicalPrinting:
         text = print_canonical(production_machine.model)
         reparsed = parse(text, "roundtrip.dsx")
         assert reparsed.diagnostics == []
-        assert model_equals(reparsed.model, production_machine.model)
+        assert reparsed.model == production_machine.model
 
 
 class TestSpanAndDiagnosticTypes:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +269,25 @@ class TestParseProperties:
         result = parse(text, "ordered.dsx")
         positions = [d.span.sort_key() for d in result.diagnostics]
         assert positions == sorted(positions)
+
+    def test_contract_keys_parse_in_linear_time(self):
+        # Linear parsing makes 4x the keys take about 4x the time; a
+        # quadratic duplicate-key check takes about 16x.
+        def source(n):
+            entries = "".join(f'      "key-{i:05d}": {i},\n' for i in range(n))
+            return fixture_text("production-machine.dsx").replace(
+                "    contract {\n", "    contract {\n" + entries, 1
+            )
+
+        texts = [source(2000), source(8000)]
+        best = [float("inf"), float("inf")]
+        for _ in range(3):
+            for index, text in enumerate(texts):
+                start = time.perf_counter()
+                result = parse(text, "contract.dsx")
+                best[index] = min(best[index], time.perf_counter() - start)
+                assert result.model is not None
+        assert best[1] / best[0] < 8
 
     @pytest.mark.parametrize(
         "source",

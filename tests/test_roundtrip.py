@@ -28,7 +28,6 @@ from dsx import (
     SecretLiteral,
     SecurityPolicy,
     UsageConfig,
-    model_equals,
     parse,
     print_canonical,
 )
@@ -189,7 +188,7 @@ def test_print_parse_round_trip(model):
     text = print_canonical(model)
     result = parse(text, "generated.dsx")
     assert result.diagnostics == [], (text, result.diagnostics)
-    assert model_equals(result.model, model)
+    assert result.model == model
     assert print_canonical(result.model) == text
 
 
@@ -207,5 +206,5 @@ def test_seeded_sweep_round_trips():
         text = print_canonical(model)
         result = parse(text, f"gen-{index}.dsx")
         assert result.diagnostics == [], (index, result.diagnostics)
-        assert model_equals(result.model, model)
+        assert result.model == model
         assert print_canonical(result.model) == text
