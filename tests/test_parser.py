@@ -28,6 +28,144 @@ def codes(result):
     return [d.code for d in result.diagnostics]
 
 
+_E002_CTRL = "control character in string literal"
+_E002_ENV = "malformed env() reference (expected env(UPPER_CASE_NAME))"
+_E001 = ("E001", "unterminated string literal")
+_X_COLON = [("IDENT", "x", "x", 1, 1, 1), ("COLON", ":", None, 1, 2, 1)]
+
+# Lexer edge cases: source -> tokens as (kind, lexeme, value, line, column,
+# length) and diagnostics as (code, message, line, column, length), in the
+# order tokenize reports them.
+LEX_CASES = {
+    "backslash-before-other-char-stays-literal": (
+        'x: "a\\qb\\\\c\\"d"',
+        _X_COLON
+        + [("STRING", '"a\\qb\\\\c\\"d"', 'a\\qb\\c"d', 1, 4, 12), ("EOF", "", None, 1, 16, 0)],
+        [],
+    ),
+    "backslash-at-end-of-input": (
+        'x: "ab\\',
+        _X_COLON + [("EOF", "", None, 1, 8, 0)],
+        [(*_E001, 1, 4, 1)],
+    ),
+    "escaped-quote-then-newline-is-unterminated": (
+        'x: "abc\\"\ny: 1',
+        _X_COLON
+        + [
+            ("IDENT", "y", "y", 2, 1, 1),
+            ("COLON", ":", None, 2, 2, 1),
+            ("INTEGER", "1", 1, 2, 4, 1),
+            ("EOF", "", None, 2, 5, 0),
+        ],
+        [(*_E001, 1, 4, 1)],
+    ),
+    "lone-cr-ends-a-string": (
+        'x: "a\rb"\n',
+        _X_COLON + [("IDENT", "b", "b", 1, 7, 1), ("EOF", "", None, 2, 1, 0)],
+        [(*_E001, 1, 4, 1), (*_E001, 1, 8, 1)],
+    ),
+    "unterminated-string-then-tokens-on-next-line": (
+        'x: "open\ny: [1, 2]',
+        _X_COLON
+        + [
+            ("IDENT", "y", "y", 2, 1, 1),
+            ("COLON", ":", None, 2, 2, 1),
+            ("LBRACKET", "[", None, 2, 4, 1),
+            ("INTEGER", "1", 1, 2, 5, 1),
+            ("COMMA", ",", None, 2, 6, 1),
+            ("INTEGER", "2", 2, 2, 8, 1),
+            ("RBRACKET", "]", None, 2, 9, 1),
+            ("EOF", "", None, 2, 10, 0),
+        ],
+        [(*_E001, 1, 4, 1)],
+    ),
+    "control-characters-in-string": (
+        'x: "a\x01b\tc\x7fd\x1f"',
+        _X_COLON
+        + [("STRING", '"a\x01b\tc\x7fd\x1f"', "abcd", 1, 4, 10), ("EOF", "", None, 1, 14, 0)],
+        [("E002", _E002_CTRL, 1, column, 1) for column in (6, 8, 10, 12)],
+    ),
+    "control-character-in-unterminated-string": (
+        'x: "a\x01b\n}',
+        _X_COLON + [("RBRACE", "}", None, 2, 1, 1), ("EOF", "", None, 2, 2, 0)],
+        [("E002", _E002_CTRL, 1, 6, 1), (*_E001, 1, 4, 1)],
+    ),
+    "bare-minus-and-negative-integer": (
+        "a: - b: -7",
+        [
+            ("IDENT", "a", "a", 1, 1, 1),
+            ("COLON", ":", None, 1, 2, 1),
+            ("IDENT", "b", "b", 1, 6, 1),
+            ("COLON", ":", None, 1, 7, 1),
+            ("INTEGER", "-7", -7, 1, 9, 2),
+            ("EOF", "", None, 1, 11, 0),
+        ],
+        [("E002", "illegal character '-'", 1, 4, 1)],
+    ),
+    "date-with-extra-digit-lexes-as-integers": (
+        "d: 2025-01-011",
+        [
+            ("IDENT", "d", "d", 1, 1, 1),
+            ("COLON", ":", None, 1, 2, 1),
+            ("INTEGER", "2025", 2025, 1, 4, 4),
+            ("INTEGER", "-01", -1, 1, 8, 3),
+            ("INTEGER", "-011", -11, 1, 11, 4),
+            ("EOF", "", None, 1, 15, 0),
+        ],
+        [],
+    ),
+    "malformed-env-references": (
+        "s: env(FOO\nt: env(x)",
+        [
+            ("IDENT", "s", "s", 1, 1, 1),
+            ("COLON", ":", None, 1, 2, 1),
+            ("IDENT", "FOO", "FOO", 1, 8, 3),
+            ("IDENT", "t", "t", 2, 1, 1),
+            ("COLON", ":", None, 2, 2, 1),
+            ("IDENT", "x", "x", 2, 8, 1),
+            ("EOF", "", None, 2, 10, 0),
+        ],
+        [
+            ("E002", _E002_ENV, 1, 4, 3),
+            ("E002", _E002_ENV, 2, 4, 3),
+            ("E002", "illegal character ')'", 2, 9, 1),
+        ],
+    ),
+    "tabs-and-bom-before-tokens": (
+        "\ufeff\ta:\t\ufeff1\n\t\tb",
+        [
+            ("IDENT", "a", "a", 1, 3, 1),
+            ("COLON", ":", None, 1, 4, 1),
+            ("INTEGER", "1", 1, 1, 7, 1),
+            ("IDENT", "b", "b", 2, 3, 1),
+            ("EOF", "", None, 2, 4, 0),
+        ],
+        [],
+    ),
+    "non-ascii-and-astral-outside-strings": (
+        "é x \U0001f600 y",
+        [
+            ("IDENT", "x", "x", 1, 3, 1),
+            ("IDENT", "y", "y", 1, 7, 1),
+            ("EOF", "", None, 1, 8, 0),
+        ],
+        [
+            ("E002", "illegal character 'é'", 1, 1, 1),
+            ("E002", "illegal character '\U0001f600'", 1, 5, 1),
+        ],
+    ),
+    # 99 control characters fill the budget, the 100th becomes E099, the
+    # rest of the string is still read and nothing after it is.
+    "e099-cap-reached-inside-one-string": (
+        'x: "' + "\x01" * 120 + '" y',
+        _X_COLON
+        + [("STRING", '"' + "\x01" * 120 + '"', "", 1, 4, 122), ("EOF", "", None, 1, 126, 0)],
+        [("E002", _E002_CTRL, 1, column, 1) for column in range(5, 104)]
+        + [("E099", "too many errors", 1, 104, 1)],
+    ),
+}
+
+
 class TestTokenize:
     def test_smallest_statement(self):
         tokens, diagnostics = tokenize('title: "Mill"')
@@ -103,6 +241,19 @@ class TestTokenize:
         tokens, _ = tokenize("cloudPush: true x: false")
         assert tokens[2].kind is TokenKind.BOOLEAN and tokens[2].value is True
         assert tokens[5].value is False
+
+    @pytest.mark.parametrize("source, tokens, diagnostics", LEX_CASES.values(), ids=LEX_CASES)
+    def test_lexer_edge_cases(self, source, tokens, diagnostics):
+        got_tokens, got_diagnostics = tokenize(source, "t.dsx")
+        assert [
+            (t.kind.name, t.lexeme, t.value, t.span.line, t.span.column, t.span.length)
+            for t in got_tokens
+        ] == tokens
+        assert all(t.span.file == "t.dsx" for t in got_tokens)
+        assert [
+            (d.code, d.message, d.span.line, d.span.column, d.span.length)
+            for d in got_diagnostics
+        ] == diagnostics
 
 
 class TestParseBasics:
