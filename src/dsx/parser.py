@@ -9,6 +9,10 @@ The surface syntax is block-structured::
       access { ... }
     }
 
+The lexer is one compiled master regex with a named group per token class;
+line and column are derived from newline offsets, and each :class:`Token`
+builds its :class:`~dsx.model.Span` on first access to ``span``.
+
 ``parse`` never raises on malformed input: every problem becomes a
 :class:`~dsx.model.Diagnostic` and the parser resynchronizes at block
 boundaries so several errors can be reported per run.  A model is only
@@ -64,17 +68,39 @@ class TokenKind(Enum):
     EOF = "end of file"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    lexeme: str
-    span: Span
-    value: object = None
+    """One lexeme with its kind, decoded value and source position.
+
+    The :class:`Span` is built on first access to ``span``; most tokens are
+    never asked for one.
+    """
+
+    __slots__ = ("kind", "lexeme", "value", "file", "line", "column", "_span")
+
+    def __init__(
+        self, kind: TokenKind, lexeme: str, value: object, file: str, line: int, column: int
+    ) -> None:
+        self.kind = kind
+        self.lexeme = lexeme
+        self.value = value
+        self.file = file
+        self.line = line
+        self.column = column
+        self._span: Span | None = None
+
+    @property
+    def span(self) -> Span:
+        if self._span is None:
+            self._span = Span(self.file, self.line, self.column, len(self.lexeme))
+        return self._span
 
     def describe(self) -> str:
         if self.kind in (TokenKind.KEYWORD, TokenKind.IDENT):
             return f"'{self.lexeme}'"
         return self.kind.value
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
 def _subblock_table() -> dict[str, frozenset[str]]:
@@ -102,14 +128,44 @@ KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
 SECTION_KEYWORDS = tuple(spec.key for spec in FIELDS[ConnectorModel])
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])")
-_INT_RE = re.compile(r"[0-9]+")
-# Hyphens are allowed after the first character so role names such as
+# The lexer: one alternative per token class, tried in order at each offset.
+# Every character matches at least ``bad``, so the matches tile the source.
+# Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
-_ENV_BODY_RE = re.compile(r"[A-Z][A-Z0-9_]*")
-_ASCII_DIGITS = frozenset("0123456789")
-_ASCII_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+# A string runs to its closing quote or to the end of its line.  Its body is
+# an unrolled loop, which keeps a 1 MiB literal linear; a backslash pairs
+# only with '"' or '\', and stays literal before any other character.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<space>[ \t\r\ufeff]+|//[^\n]*)
+    |(?P<newline>\n[ \t\r\ufeff]*)
+    |(?P<env>env\((?:(?P<env_name>[A-Z][A-Z0-9_]*)\))?)
+    |(?P<word>[A-Za-z_][A-Za-z0-9_-]*)
+    |(?P<punct>[{}\[\]:,])
+    |(?P<string>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*(?P<close>"?))
+    |(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
+    |(?P<integer>-?[0-9]+)
+    |(?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
+
+_PUNCT = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+    ":": TokenKind.COLON,
+    ",": TokenKind.COMMA,
+}
+# Words that are not identifiers: their kind and value.
+_WORDS = {
+    "true": (TokenKind.BOOLEAN, True),
+    "false": (TokenKind.BOOLEAN, False),
+    **{word: (TokenKind.KEYWORD, word) for word in KEYWORDS},
+}
 
 
 class _Sink:
@@ -137,140 +193,70 @@ class _Sink:
 
 def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def make(kind: TokenKind, lexeme: str, tline: int, tcol: int, value: object = None) -> None:
-        tokens.append(Token(kind, lexeme, Span(file, tline, tcol, len(lexeme)), value))
-
-    while i < n and not sink.full:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0  # offset of the first character of the current line
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "space":
+            continue
+        start = m.start()
+        if group == "newline":
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch in " \t\r﻿":
-            i += 1
-            col += 1
+        text = m.group()
+        column = start - line_start + 1
+        if group == "word":
+            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
+            append(Token(kind, text, value, file, line, column))
             continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
+        if group == "punct":
+            append(Token(_PUNCT[text], text, None, file, line, column))
             continue
-        if ch == '"':
-            start_line, start_col, start_index = line, col, i
-            i += 1
-            col += 1
-            chars: list[str] = []
-            terminated = False
-            while i < n:
-                c = source[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    terminated = True
-                    break
-                if c in "\n\r":
-                    break
-                if c == "\\" and i + 1 < n and source[i + 1] in ('"', "\\"):
-                    chars.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if ord(c) < 0x20 or c == "\x7f":
+        if group == "string":
+            printable = text.isprintable()  # false for every control character
+            if not printable:
+                for bad in _CONTROL_RE.finditer(text):
                     sink.error(
                         "E002",
                         "control character in string literal",
-                        Span(file, line, col, 1),
+                        Span(file, line, column + bad.start(), 1),
                     )
-                    i += 1
-                    col += 1
-                    continue
-                chars.append(c)
-                i += 1
-                col += 1
-            if not terminated:
-                sink.error(
-                    "E001", "unterminated string literal", Span(file, start_line, start_col, 1)
-                )
-                continue
-            # The lexeme keeps the raw source slice; the decoded text is the value.
-            tokens.append(
-                Token(
-                    TokenKind.STRING,
-                    source[start_index:i],
-                    Span(file, start_line, start_col, col - start_col),
-                    "".join(chars),
-                )
-            )
-            continue
-        if ch in _ASCII_DIGITS or (ch == "-" and source[i + 1 : i + 2] in _ASCII_DIGITS):
-            if ch != "-":
-                m = _DATE_RE.match(source, i)
-                if m:
-                    lexeme = m.group(0)
-                    make(TokenKind.DATE, lexeme, line, col, lexeme)
-                    i += len(lexeme)
-                    col += len(lexeme)
-                    continue
-            m = _INT_RE.match(source, i + 1 if ch == "-" else i)
-            lexeme = ("-" if ch == "-" else "") + m.group(0)
-            make(TokenKind.INTEGER, lexeme, line, col, int(lexeme))
-            i += len(lexeme)
-            col += len(lexeme)
-            continue
-        if ch in _ASCII_IDENT_START:
-            m = _IDENT_RE.match(source, i)
-            lexeme = m.group(0)
-            tline, tcol = line, col
-            i += len(lexeme)
-            col += len(lexeme)
-            if lexeme == "env" and i < n and source[i] == "(":
-                body = _ENV_BODY_RE.match(source, i + 1)
-                if body and source[i + 1 + len(body.group(0)) : i + 2 + len(body.group(0))] == ")":
-                    name = body.group(0)
-                    full = f"env({name})"
-                    make(TokenKind.ENV_REF, full, tline, tcol, name)
-                    i += len(name) + 2
-                    col += len(name) + 2
-                    continue
-                sink.error(
-                    "E002",
-                    "malformed env() reference (expected env(UPPER_CASE_NAME))",
-                    Span(file, tline, tcol, 3),
-                )
-                i += 1
-                col += 1
-                continue
-            if lexeme in ("true", "false"):
-                make(TokenKind.BOOLEAN, lexeme, tline, tcol, lexeme == "true")
-            elif lexeme in KEYWORDS:
-                make(TokenKind.KEYWORD, lexeme, tline, tcol, lexeme)
+            if m.group("close"):
+                # The lexeme keeps the raw source slice; the decoded text is the value.
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE_RE.sub(r"\1", value)
+                if not printable:
+                    value = _CONTROL_RE.sub("", value)
+                append(Token(TokenKind.STRING, text, value, file, line, column))
             else:
-                make(TokenKind.IDENT, lexeme, tline, tcol, lexeme)
+                sink.error("E001", "unterminated string literal", Span(file, line, column, 1))
+        elif group == "date":
+            append(Token(TokenKind.DATE, text, text, file, line, column))
             continue
-        punct = {
-            "{": TokenKind.LBRACE,
-            "}": TokenKind.RBRACE,
-            "[": TokenKind.LBRACKET,
-            "]": TokenKind.RBRACKET,
-            ":": TokenKind.COLON,
-            ",": TokenKind.COMMA,
-        }.get(ch)
-        if punct is not None:
-            make(punct, ch, line, col)
-            i += 1
-            col += 1
+        elif group == "integer":
+            append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
             continue
-        sink.error("E002", f"illegal character {ch!r}", Span(file, line, col, 1))
-        i += 1
-        col += 1
-
-    tokens.append(Token(TokenKind.EOF, "", Span(file, line, col, 0)))
+        elif group == "env":
+            name = m.group("env_name")
+            if name is not None:
+                append(Token(TokenKind.ENV_REF, text, name, file, line, column))
+                continue
+            sink.error(
+                "E002",
+                "malformed env() reference (expected env(UPPER_CASE_NAME))",
+                Span(file, line, column, 3),
+            )
+        else:
+            sink.error("E002", f"illegal character {text!r}", Span(file, line, column, 1))
+        if sink.full:
+            end = m.end()
+            break
+    else:
+        end = len(source)
+    tokens.append(Token(TokenKind.EOF, "", None, file, line, end - line_start + 1))
     return tokens
 
 
