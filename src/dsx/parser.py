@@ -876,6 +876,9 @@ class _Binder:
                 self.ok = False
             else:
                 roles.append(role)
+        # A roles block holds only `role NAME { ... }` entries.
+        for key, (key_span, _) in raw.fields.items():
+            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_span)
         self.values[spec.attr] = tuple(roles)
 
     def report_unknown(self) -> None:

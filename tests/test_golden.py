@@ -55,20 +55,20 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "609b98b6ccbc0bd18d6e890371a8e3c1e0d34d70e148cf432031d21100217de8",
+    "production-machine:delete-token": "5173fd63cff65c6d3249560c851116147f402c57642ee6e1e881e27fa1ec759c",
     "production-machine:duplicate-token": "e67615b6bced9ec58043df7e779a7d2f43395fbb0bf5635aa35a2da17f2b4da6",
-    "production-machine:replace-token": "6705f7fa043d7d397961b8e9f0ec6240caf50439de701df08ce5fa6c51353cb0",
-    "production-machine:drop-line": "3abd5f7baa7bc2c64067dc3e2996c099eefbd727f6b12029669cb2ed3d8d1b12",
+    "production-machine:replace-token": "778044848b3978332ffb504c872ddf4dc40ddb5d30b7e96765dd711950488097",
+    "production-machine:drop-line": "57e3f028a9442a5b8dd92ec310921465f6cb6838f194259fe9bb846aef549050",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "11b366072562bd31dacf87a25bede34809b661f03fa13514e9c584bce3d4ce8f",
+    "machine-opcua:delete-token": "e6f52be0dbb4982ea5c76e9854ef64d1529698208c18c4d78701aefb10ff48bc",
     "machine-opcua:duplicate-token": "cc5492f49d7b823dfa5d3da1f74b14c2737f3c3b54fe56a615e425030883dd92",
-    "machine-opcua:replace-token": "b70f00a9115afc2cb2d815a1f4934d91ade9eecf6544dbdc9e23ea8bf5d6bba4",
-    "machine-opcua:drop-line": "160b88a55b76564244d2201baf670605a63b661334471ace0eabf37b5bdb5540",
+    "machine-opcua:replace-token": "4202ac696f9abc72a63ff0123b96975243284010a0901c87c54b331b3ae11fea",
+    "machine-opcua:drop-line": "37d028b24aea8813907cc30faa77e5f1c586519ea4ad742f265c5888791e929f",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "380fe21d944558dfb4054f2aebc9e300b1ed864c16147a39032a86cd34c21b39",
+    "sensor-idlink:delete-token": "7b7f9788a7748f34221896a544b8db8ded996e0cd5de809a98c6ca1d52831243",
     "sensor-idlink:duplicate-token": "eb28c2b0895a93965ce9145c91dcbbcc74547b9cb730fd10096ac19f39f4b1b6",
-    "sensor-idlink:replace-token": "6d16b31490a7c9aa7c5762b55bada93c07452cb51a5b89db35516ee602e1c4c2",
-    "sensor-idlink:drop-line": "34c8a3f83c39fdc896493c2df1227fe91f61b06dbfbb9c35f541362adf8b8baf",
+    "sensor-idlink:replace-token": "2183fa704992dd44e3ee37bcd28e5d9e6791f7db85c01d2d4c73e13f19727a00",
+    "sensor-idlink:drop-line": "deabe32cfc488b927c7129eb575283bc6c858d192a5d250277467da871e5cb07",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }
 

@@ -324,6 +324,20 @@ class TestParseErrors:
         line = text.splitlines()[finding.span.line - 1]
         assert line[finding.span.column - 1 :].startswith("colour")
 
+    def test_unknown_field_in_roles_block(self):
+        text = fixture_text("production-machine.dsx").replace(
+            "roles {\n", 'roles {\n      bogus: "x"\n', 1
+        )
+        result = parse(text, "roles.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E010", "unknown field 'bogus' in roles block")
+        ]
+        span = result.diagnostics[0].span
+        line = text.splitlines()[span.line - 1]
+        assert line[span.column - 1 :].startswith("bogus")
+        assert span.length == len("bogus")
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
