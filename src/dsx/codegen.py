@@ -377,10 +377,13 @@ def generate_all(
     """Generate every requested target, nesting artifacts per target directory.
 
     All per-target failures are collected and reported together rather
-    than stopping at the first one.
+    than stopping at the first one.  Without a ``report`` the model is
+    validated once here, not once per target.
     """
     if not targets:
         raise GenerationError("no targets requested")
+    if report is None:
+        report = validate(model)
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
     for target in Target:

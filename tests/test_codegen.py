@@ -15,6 +15,7 @@ from dsx import (
     OpcUaUsage,
     SecretEnvVar,
     Target,
+    codegen,
     generate_all,
     generate_edc,
     generate_idlink_aas,
@@ -188,6 +189,17 @@ class TestGenerateAll:
         result = parse_fixture("invalid/e203-date-order.dsx")
         with pytest.raises(GenerationError, match="E203"):
             generate_all(result.model, {Target.EDC})
+
+    def test_validates_once_without_report(self, production_machine, monkeypatch):
+        calls = []
+
+        def counting_validate(model):
+            calls.append(model)
+            return validate(model)
+
+        monkeypatch.setattr(codegen, "validate", counting_validate)
+        generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
+        assert calls == [production_machine.model]
 
     def test_accepts_prevalidated_report(self, production_machine):
         report = validate(
