@@ -378,7 +378,7 @@ def generate_all(
 
     All per-target failures are collected and reported together rather
     than stopping at the first one.  Without a ``report`` the model is
-    validated once here, not once per target.
+    validated here, once for all targets.
     """
     if not targets:
         raise GenerationError("no targets requested")

@@ -71,8 +71,8 @@ class TokenKind(Enum):
 class Token:
     """One lexeme with its kind, decoded value and source position.
 
-    The :class:`Span` is built on first access to ``span``; most tokens are
-    never asked for one.
+    The :class:`Span` is built on first access to ``span``, because most
+    punctuation tokens never need one.
     """
 
     __slots__ = ("kind", "lexeme", "value", "file", "line", "column", "_span")
@@ -214,6 +214,12 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
         if group == "punct":
             append(Token(_PUNCT[text], text, None, file, line, column))
             continue
+        if group == "date":
+            append(Token(TokenKind.DATE, text, text, file, line, column))
+            continue
+        if group == "integer":
+            append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
+            continue
         if group == "string":
             printable = text.isprintable()  # false for every control character
             if not printable:
@@ -233,12 +239,6 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
                 append(Token(TokenKind.STRING, text, value, file, line, column))
             else:
                 sink.error("E001", "unterminated string literal", Span(file, line, column, 1))
-        elif group == "date":
-            append(Token(TokenKind.DATE, text, text, file, line, column))
-            continue
-        elif group == "integer":
-            append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
-            continue
         elif group == "env":
             name = m.group("env_name")
             if name is not None:
@@ -251,7 +251,7 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
             )
         else:
             sink.error("E002", f"illegal character {text!r}", Span(file, line, column, 1))
-        if sink.full:
+        if sink.full:  # stop at the cap; EOF goes right after the token that hit it
             end = m.end()
             break
     else:
