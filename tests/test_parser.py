@@ -16,6 +16,9 @@ from dsx import (
 from conftest import fixture_text
 
 
+FLAGSHIPS = ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
+
+
 def kinds(tokens):
     return [t.kind for t in tokens]
 
@@ -453,6 +456,35 @@ class TestParseProperties:
                 best[index] = min(best[index], time.perf_counter() - start)
                 assert result.model is not None
         assert best[1] / best[0] < 8
+
+    def test_roles_parse_in_linear_time(self):
+        def source(n):
+            entries = "".join(f"      role r{i} {{ permissions: [READ] }}\n" for i in range(n))
+            return fixture_text("production-machine.dsx").replace(
+                "    roles {\n", "    roles {\n" + entries, 1
+            )
+
+        texts = [source(1000), source(4000)]
+        best = [float("inf"), float("inf")]
+        for _ in range(3):
+            for index, text in enumerate(texts):
+                start = time.perf_counter()
+                result = parse(text, "roles.dsx")
+                best[index] = min(best[index], time.perf_counter() - start)
+                assert result.model is not None
+        assert best[1] / best[0] < 8
+
+    @pytest.mark.parametrize("name", FLAGSHIPS)
+    def test_every_prefix_parses_within_bounds(self, name):
+        # Each cut ends the token stream at a different point of the entry
+        # parsers, so none of them may read past EOF.
+        text = fixture_text(name)
+        for end in range(len(text) + 1):
+            result = parse(text[:end], name)
+            for d in result.diagnostics:
+                assert d.span.line >= 1 and d.span.column >= 1, (end, d)
+            has_errors = any(d.severity is Severity.ERROR for d in result.diagnostics)
+            assert (result.model is None) == has_errors, end
 
     @pytest.mark.parametrize(
         "source",
