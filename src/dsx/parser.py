@@ -13,6 +13,12 @@ The lexer is one compiled master regex with a named group per token class;
 line and column are derived from newline offsets, and each :class:`Token`
 builds its :class:`~dsx.model.Span` on first access to ``span``.
 
+Blocks are parsed in two steps.  The entry parsers read ``key: value``
+entries, lists and sub-blocks into raw blocks on one token cursor
+(``self.tokens[self.pos]``), keeping each field's key token; a key's span
+is built only when a diagnostic needs it.  The binder then checks each
+raw block against the model's field table.
+
 ``parse`` never raises on malformed input: every problem becomes a
 :class:`~dsx.model.Diagnostic` and the parser resynchronizes at block
 boundaries so several errors can be reported per run.  A model is only
@@ -151,6 +157,27 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
+
+# The parser compares kinds as module globals: an enum class attribute
+# lookup costs about ten times as much in its loops.
+_IDENT, _STRING, _DATE, _KEYWORD, _ENV_REF, _EOF = (
+    TokenKind.IDENT,
+    TokenKind.STRING,
+    TokenKind.DATE,
+    TokenKind.KEYWORD,
+    TokenKind.ENV_REF,
+    TokenKind.EOF,
+)
+_LBRACE, _RBRACE, _LBRACKET, _RBRACKET, _COLON, _COMMA = (
+    TokenKind.LBRACE,
+    TokenKind.RBRACE,
+    TokenKind.LBRACKET,
+    TokenKind.RBRACKET,
+    TokenKind.COLON,
+    TokenKind.COMMA,
+)
+# Scalars whose token value is the parsed value as it is (a DATE is checked).
+_PLAIN_SCALARS = frozenset({_STRING, TokenKind.INTEGER, TokenKind.BOOLEAN, _IDENT})
 
 _PUNCT = {
     "{": TokenKind.LBRACE,
@@ -297,23 +324,29 @@ class ParseResult:
     source_map: SourceMap
 
 
-@dataclass
 class _Scalar:
-    kind: TokenKind
-    value: object
-    span: Span
+    __slots__ = ("kind", "value", "span")
+
+    def __init__(self, kind: TokenKind, value: object, span: Span) -> None:
+        self.kind = kind
+        self.value = value
+        self.span = span
 
 
-@dataclass
 class _List:
-    items: list[_Scalar]
-    span: Span
+    __slots__ = ("items", "span")
+
+    def __init__(self, items: list[_Scalar], span: Span) -> None:
+        self.items = items
+        self.span = span
 
 
-@dataclass
 class _EnvRef:
-    name: str
-    span: Span
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span) -> None:
+        self.name = name
+        self.span = span
 
 
 _Value = Union[_Scalar, _List, _EnvRef]
@@ -323,10 +356,10 @@ _Value = Union[_Scalar, _List, _EnvRef]
 class _RawBlock:
     label: str
     keyword_span: Span
-    fields: dict[str, tuple[Span, _Value]] = field(default_factory=dict)
+    fields: dict[str, tuple[Token, _Value]] = field(default_factory=dict)  # key token, value
     blocks: dict[str, "_RawBlock"] = field(default_factory=dict)
     roles: list[tuple[str, Span, "_RawBlock"]] = field(default_factory=list)
-    contract: dict[str, tuple[Span, _Scalar]] = field(default_factory=dict)
+    contract: dict[str, _Scalar] = field(default_factory=dict)
 
 
 class _Abort(Exception):
@@ -410,164 +443,164 @@ class _Parser:
 
     def parse_raw_block(self, label: str, keyword_span: Span) -> _RawBlock:
         raw = _RawBlock(label, keyword_span)
-        if not self.at(TokenKind.LBRACE):
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind is not _LBRACE:
             self.error(
-                "E003",
-                f"expected '{{' to open the {label} block, got {self.peek().describe()}",
-                self.peek().span,
+                "E003", f"expected '{{' to open the {label} block, got {tok.describe()}", tok.span
             )
             self.sync()
             return raw
-        self.advance()
+        self.pos += 1
         allowed = _SUBBLOCKS.get(label, frozenset())
+        contract = label == "contract"
         while True:
-            tok = self.peek()
-            if tok.kind is TokenKind.RBRACE:
-                self.advance()
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _IDENT and not contract:  # most entries are `key: value`
+                self.parse_field_entry(raw)
+                continue
+            if kind is _RBRACE:
+                self.pos += 1
                 return raw
-            if tok.kind is TokenKind.EOF:
+            if kind is _EOF:
                 self.error("E003", f"unexpected end of file inside {label} block", tok.span)
                 return raw
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in _STRUCTURAL:
-                self.error("E003", f"missing '}}' before {tok.describe()}", tok.span)
-                return raw
-            if tok.kind is TokenKind.KEYWORD and label == "roles" and tok.lexeme == "role":
-                self.advance()
-                self.parse_role_entry(raw)
-                continue
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in allowed:
-                self.advance()
-                sub = self.parse_raw_block(tok.lexeme, tok.span)
-                if tok.lexeme in raw.blocks:
-                    self.error("E015", f"duplicate {tok.lexeme} block", tok.span)
-                else:
-                    raw.blocks[tok.lexeme] = sub
-                continue
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in _SUBBLOCKS:
-                self.error("E010", f"unknown block '{tok.lexeme}' in {label} block", tok.span)
-                self.advance()
-                self.skip_balanced_block()
-                continue
-            if label == "contract":
-                if tok.kind is TokenKind.STRING:
+            if kind is _KEYWORD:
+                word = tok.lexeme
+                if word in _STRUCTURAL:
+                    self.error("E003", f"missing '}}' before {tok.describe()}", tok.span)
+                    return raw
+                if word == "role" and label == "roles":
+                    self.pos += 1
+                    self.parse_role_entry(raw)
+                    continue
+                if word in allowed:
+                    self.pos += 1
+                    sub = self.parse_raw_block(word, tok.span)
+                    if word in raw.blocks:
+                        self.error("E015", f"duplicate {word} block", tok.span)
+                    else:
+                        raw.blocks[word] = sub
+                    continue
+                if word in _SUBBLOCKS:
+                    self.error("E010", f"unknown block '{word}' in {label} block", tok.span)
+                    self.pos += 1
+                    self.skip_balanced_block()
+                    continue
+            if contract:
+                if kind is _STRING:
                     self.parse_contract_entry(raw)
                     continue
                 self.error(
+                    "E003", f"expected a quoted contract key or '}}', got {tok.describe()}", tok.span
+                )
+            else:
+                self.error(
                     "E003",
-                    f"expected a quoted contract key or '}}', got {tok.describe()}",
+                    f"expected a field name or '}}' in {label} block, got {tok.describe()}",
                     tok.span,
                 )
-                self.advance()
-                continue
-            if tok.kind is TokenKind.IDENT:
-                self.parse_field_entry(raw)
-                continue
-            self.error(
-                "E003",
-                f"expected a field name or '}}' in {label} block, got {tok.describe()}",
-                tok.span,
-            )
-            self.advance()
+            self.pos += 1
+
+    # The entry parsers below start on a token that is not EOF, and move
+    # ``pos`` past a token only after checking that it is not EOF either.
 
     def parse_field_entry(self, raw: _RawBlock) -> None:
-        key_tok = self.advance()
-        if not self.at(TokenKind.COLON):
-            self.error(
-                "E003",
-                f"expected ':' after field name '{key_tok.lexeme}'",
-                self.peek().span,
-            )
+        key_tok = self.tokens[self.pos]
+        self.pos += 1
+        tok = self.tokens[self.pos]
+        if tok.kind is not _COLON:
+            self.error("E003", f"expected ':' after field name '{key_tok.lexeme}'", tok.span)
             return
-        self.advance()
+        self.pos += 1
         value = self.parse_value()
         if value is None:
             return
-        if key_tok.lexeme in raw.fields:
-            self.error("E015", f"duplicate field '{key_tok.lexeme}'", key_tok.span)
+        key = key_tok.lexeme
+        if key in raw.fields:
+            self.error("E015", f"duplicate field '{key}'", key_tok.span)
             return
-        raw.fields[key_tok.lexeme] = (key_tok.span, value)
+        raw.fields[key] = (key_tok, value)
 
     def parse_contract_entry(self, raw: _RawBlock) -> None:
-        key_tok = self.advance()
-        if not self.at(TokenKind.COLON):
-            self.error("E003", "expected ':' after contract key", self.peek().span)
+        key_tok = self.tokens[self.pos]
+        self.pos += 1
+        tok = self.tokens[self.pos]
+        if tok.kind is not _COLON:
+            self.error("E003", "expected ':' after contract key", tok.span)
             return
-        self.advance()
+        self.pos += 1
         value = self.parse_scalar()
         if value is None:
             return
-        if self.at(TokenKind.COMMA):
-            self.advance()
+        if self.tokens[self.pos].kind is _COMMA:
+            self.pos += 1
         key = key_tok.value
         if key in raw.contract:
             self.error("E015", f"duplicate contract key \"{key}\"", key_tok.span)
             return
-        raw.contract[key] = (key_tok.span, value)
+        raw.contract[key] = value
 
     def parse_role_entry(self, raw: _RawBlock) -> None:
-        name_tok = self.peek()
-        if name_tok.kind is not TokenKind.IDENT:
+        name_tok = self.tokens[self.pos]
+        if name_tok.kind is not _IDENT:
             self.error(
                 "E003", f"expected a role name, got {name_tok.describe()}", name_tok.span
             )
             self.skip_balanced_block()
             return
-        self.advance()
+        self.pos += 1
         body = self.parse_raw_block("role", name_tok.span)
         raw.roles.append((name_tok.lexeme, name_tok.span, body))
 
     def parse_value(self) -> _Value | None:
-        tok = self.peek()
-        if tok.kind in (
-            TokenKind.STRING,
-            TokenKind.INTEGER,
-            TokenKind.DATE,
-            TokenKind.BOOLEAN,
-            TokenKind.IDENT,
-        ):
-            return self.parse_scalar()
-        if tok.kind is TokenKind.ENV_REF:
-            self.advance()
-            return _EnvRef(str(tok.value), tok.span)
-        if tok.kind is TokenKind.LBRACKET:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _LBRACKET:
             return self.parse_list()
-        self.error("E003", f"expected a value, got {tok.describe()}", tok.span)
-        return None
+        if kind is _ENV_REF:
+            self.pos += 1
+            return _EnvRef(tok.value, tok.span)
+        return self.parse_scalar()
 
     def parse_scalar(self) -> _Scalar | None:
-        tok = self.peek()
-        if tok.kind is TokenKind.DATE:
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind in _PLAIN_SCALARS:
+            self.pos += 1
+            return _Scalar(kind, tok.value, tok.span)
+        if kind is _DATE:
+            self.pos += 1
             try:
-                value: object = date.fromisoformat(str(tok.value))
+                value: object = date.fromisoformat(tok.value)
             except ValueError:
                 self.error("E014", f"invalid calendar date '{tok.lexeme}'", tok.span)
                 value = None
-            return _Scalar(TokenKind.DATE, value, tok.span)
-        if tok.kind in (TokenKind.STRING, TokenKind.INTEGER, TokenKind.BOOLEAN, TokenKind.IDENT):
-            self.advance()
-            return _Scalar(tok.kind, tok.value, tok.span)
+            return _Scalar(kind, value, tok.span)
         self.error("E003", f"expected a value, got {tok.describe()}", tok.span)
         return None
 
     def parse_list(self) -> _List | None:
-        open_tok = self.advance()
+        tokens = self.tokens
+        span = tokens[self.pos].span
+        self.pos += 1
         items: list[_Scalar] = []
         while True:
-            tok = self.peek()
-            if tok.kind is TokenKind.RBRACKET:
-                self.advance()
-                return _List(items, open_tok.span)
-            if tok.kind in (TokenKind.EOF, TokenKind.RBRACE):
-                self.error("E003", "unterminated list (missing ']')", open_tok.span)
-                return _List(items, open_tok.span)
+            kind = tokens[self.pos].kind
+            if kind is _RBRACKET:
+                self.pos += 1
+                return _List(items, span)
+            if kind is _EOF or kind is _RBRACE:
+                self.error("E003", "unterminated list (missing ']')", span)
+                return _List(items, span)
             scalar = self.parse_scalar()
             if scalar is None:
-                self.advance()
+                self.pos += 1
                 continue
             items.append(scalar)
-            if self.at(TokenKind.COMMA):
-                self.advance()
+            if tokens[self.pos].kind is _COMMA:
+                self.pos += 1
 
     # --- document ---------------------------------------------------------
 
@@ -848,7 +881,7 @@ class _Binder:
 
     def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
         offers: dict[str, ContractValue] = {}
-        for key, (_, scalar) in raw.contract.items():
+        for key, scalar in raw.contract.items():
             if scalar.kind is TokenKind.IDENT:
                 self._fail(
                     "E014",
@@ -877,16 +910,16 @@ class _Binder:
             else:
                 roles.append(role)
         # A roles block holds only `role NAME { ... }` entries.
-        for key, (key_span, _) in raw.fields.items():
-            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_span)
+        for key, (key_tok, _) in raw.fields.items():
+            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_tok.span)
         self.values[spec.attr] = tuple(roles)
 
     def report_unknown(self) -> None:
         blocks = {spec.key for spec in self.rows if spec.kind in BLOCK_KINDS}
         fields = {spec.key for spec in self.rows} - blocks
-        for key, (key_span, _) in self.raw.fields.items():
+        for key, (key_tok, _) in self.raw.fields.items():
             if key not in fields:
-                self._fail("E010", f"unknown field '{key}' in {self.label} block", key_span)
+                self._fail("E010", f"unknown field '{key}' in {self.label} block", key_tok.span)
         for name, sub in self.raw.blocks.items():
             if name not in blocks:
                 self._fail(
