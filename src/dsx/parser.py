@@ -439,6 +439,18 @@ class _Parser:
                 if depth == 0:
                     return
 
+    def skip_line(self, line: int) -> None:
+        """Skip the rest of ``line``, stopping before '}', a structural keyword
+        or end of input."""
+        tokens = self.tokens
+        while True:
+            self.pos += 1
+            tok = tokens[self.pos]
+            if tok.line != line or tok.kind is _RBRACE or tok.kind is _EOF:
+                return
+            if tok.kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
+                return
+
     # --- raw block parsing ------------------------------------------------
 
     def parse_raw_block(self, label: str, keyword_span: Span) -> _RawBlock:
@@ -495,12 +507,13 @@ class _Parser:
                 self.error(
                     "E003", f"expected a quoted contract key or '}}', got {tok.describe()}", tok.span
                 )
-            else:
-                self.error(
-                    "E003",
-                    f"expected a field name or '}}' in {label} block, got {tok.describe()}",
-                    tok.span,
-                )
+                self.skip_line(tok.line)
+                continue
+            self.error(
+                "E003",
+                f"expected a field name or '}}' in {label} block, got {tok.describe()}",
+                tok.span,
+            )
             self.pos += 1
 
     # The entry parsers below start on a token that is not EOF, and move

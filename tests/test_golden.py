@@ -55,19 +55,19 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "5173fd63cff65c6d3249560c851116147f402c57642ee6e1e881e27fa1ec759c",
-    "production-machine:duplicate-token": "e67615b6bced9ec58043df7e779a7d2f43395fbb0bf5635aa35a2da17f2b4da6",
-    "production-machine:replace-token": "778044848b3978332ffb504c872ddf4dc40ddb5d30b7e96765dd711950488097",
+    "production-machine:delete-token": "17300222883c66a0b54249a55693ee4fb2bbe45c966ffb472339cf90294944e0",
+    "production-machine:duplicate-token": "cf78fdd11230211a30263df3153c9bca1d3419bd4ba32fc19083576ba2b52211",
+    "production-machine:replace-token": "5b85375c8cc7781fd38d39039dd56e9d4db53c60b5b2246ca36dc15ee0b49d16",
     "production-machine:drop-line": "57e3f028a9442a5b8dd92ec310921465f6cb6838f194259fe9bb846aef549050",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "e6f52be0dbb4982ea5c76e9854ef64d1529698208c18c4d78701aefb10ff48bc",
-    "machine-opcua:duplicate-token": "cc5492f49d7b823dfa5d3da1f74b14c2737f3c3b54fe56a615e425030883dd92",
-    "machine-opcua:replace-token": "4202ac696f9abc72a63ff0123b96975243284010a0901c87c54b331b3ae11fea",
+    "machine-opcua:delete-token": "4a3929e390b933f377075f26029fb83c219f12666c1065bf74747771b1603861",
+    "machine-opcua:duplicate-token": "c8db4d390d91044d316750071a341156e5ddf5877548eaabf425b0ca77c0f19d",
+    "machine-opcua:replace-token": "b20096bb6de6755868a511996cebde58eb68c19682c97c880b341edeaf6d02cf",
     "machine-opcua:drop-line": "37d028b24aea8813907cc30faa77e5f1c586519ea4ad742f265c5888791e929f",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "7b7f9788a7748f34221896a544b8db8ded996e0cd5de809a98c6ca1d52831243",
-    "sensor-idlink:duplicate-token": "eb28c2b0895a93965ce9145c91dcbbcc74547b9cb730fd10096ac19f39f4b1b6",
-    "sensor-idlink:replace-token": "2183fa704992dd44e3ee37bcd28e5d9e6791f7db85c01d2d4c73e13f19727a00",
+    "sensor-idlink:delete-token": "1635eb4befcfe282663f5c75b1d85ba82f0a7fe7ac9caa02aba45f1ca7fbe5e6",
+    "sensor-idlink:duplicate-token": "812ca52edcc99004cffd77e7297c581824f9586024674b16489b0f05c76967c5",
+    "sensor-idlink:replace-token": "f313d43e3aa05b7e668ad2c4a1af30a22238a1e1e6992ec9d32b28da7f2b67ec",
     "sensor-idlink:drop-line": "deabe32cfc488b927c7129eb575283bc6c858d192a5d250277467da871e5cb07",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }

@@ -341,6 +341,23 @@ class TestParseErrors:
         assert line[span.column - 1 :].startswith("bogus")
         assert span.length == len("bogus")
 
+    def test_stray_line_in_contract_block_is_one_error(self):
+        text = fixture_text("production-machine.dsx").replace(
+            "contract {\n", 'contract {\n      bogus: "x"\n', 1
+        )
+        result = parse(text, "contract.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", "expected a quoted contract key or '}', got 'bogus'")
+        ]
+
+    def test_contract_recovery_stops_at_closing_brace(self):
+        text = fixture_text("production-machine.dsx").replace(
+            '"validUntil": "2026-12-31",\n    }', '"validUntil": "2026-12-31", bogus }', 1
+        )
+        result = parse(text, "contract.dsx")
+        assert [d.code for d in result.diagnostics] == ["E003"]
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
