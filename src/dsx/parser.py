@@ -155,6 +155,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+# int() refuses long digit strings above sys.get_int_max_str_digits(), which
+# can be set as low as 640; a literal with more digits is an E002 instead.
+_MAX_INT_DIGITS = 640
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
 
@@ -245,9 +248,11 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
             append(Token(TokenKind.DATE, text, text, file, line, column))
             continue
         if group == "integer":
-            append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
-            continue
-        if group == "string":
+            if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
+                append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
+                continue
+            sink.error("E002", "integer literal too long", Span(file, line, column, len(text)))
+        elif group == "string":
             printable = text.isprintable()  # false for every control character
             if not printable:
                 for bad in _CONTROL_RE.finditer(text):

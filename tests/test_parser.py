@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -157,6 +158,16 @@ LEX_CASES = {
             ("E002", "illegal character '\U0001f600'", 1, 5, 1),
         ],
     ),
+    # Integers longer than the lexer's digit bound are reported, not converted.
+    "integer-longer-than-the-digit-bound": (
+        "x: " + "9" * 641 + " -" + "1" * 640,
+        _X_COLON
+        + [
+            ("INTEGER", "-" + "1" * 640, -int("1" * 640), 1, 646, 641),
+            ("EOF", "", None, 1, 1287, 0),
+        ],
+        [("E002", "integer literal too long", 1, 4, 641)],
+    ),
     # 99 control characters fill the budget, the 100th becomes E099, the
     # rest of the string is still read and nothing after it is.
     "e099-cap-reached-inside-one-string": (
@@ -239,6 +250,16 @@ class TestTokenize:
             TokenKind.KEYWORD,
             TokenKind.IDENT,
         ]
+
+    def test_integer_bound_holds_under_the_lowest_conversion_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the lowest nonzero limit Python accepts
+        try:
+            tokens, diagnostics = tokenize("x: " + "7" * 640 + " " + "7" * 641)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert tokens[2].value == int("7" * 640)
+        assert [(d.code, d.span.column) for d in diagnostics] == [("E002", 645)]
 
     def test_booleans(self):
         tokens, _ = tokenize("cloudPush: true x: false")
@@ -515,6 +536,7 @@ class TestParseProperties:
             'connector "x" { usage edc { push { } } }',
             '// only a comment',
             'connector "x" { discovery { a: [1, } }',
+            pytest.param("x: " + "1" * 5000, id="integer-of-5000-digits"),
         ],
     )
     def test_span_soundness_and_exclusivity(self, source):
