@@ -53,6 +53,8 @@ DID_RE = re.compile(r"did:[a-z0-9]+:.+")
 
 _IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:\S+")
 _LANGUAGE_RE = re.compile(r"[a-z]{2}")
+# For str patterns, \s matches exactly the characters for which str.isspace() is true.
+_SPACE_RE = re.compile(r"\s")
 
 WEB_SCHEMES = ("http", "https")
 OPC_SCHEMES = ("opc.tcp",)
@@ -90,7 +92,7 @@ class _Context:
 
 
 def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:
-    if any(ch.isspace() for ch in value):
+    if _SPACE_RE.search(value):
         return False
     parts = urlsplit(value)
     return parts.scheme in schemes and bool(parts.netloc)

@@ -156,3 +156,11 @@ class TestReportShape:
         report = validate(model, today=FIXTURE_TODAY)
         assert [d.code for d in report.diagnostics] == ["E203"]
         assert report.diagnostics[0].span.file == "<model>"
+
+
+def test_space_pattern_matches_str_isspace_on_every_code_point():
+    from dsx.validator import _SPACE_RE
+
+    text = "".join(map(chr, range(0x110000)))
+    matched = {m.start() for m in _SPACE_RE.finditer(text)}
+    assert matched == {index for index, ch in enumerate(text) if ch.isspace()}
