@@ -444,10 +444,11 @@ class _Parser:
                 if depth == 0:
                     return
 
-    def skip_line(self, line: int) -> None:
-        """Skip the rest of ``line``, stopping before '}', a structural keyword
-        or end of input."""
+    def skip_line(self) -> None:
+        """Skip the current token and the rest of its line, stopping before
+        '}', a structural keyword or end of input."""
         tokens = self.tokens
+        line = tokens[self.pos].line
         while True:
             self.pos += 1
             tok = tokens[self.pos]
@@ -512,7 +513,7 @@ class _Parser:
                 self.error(
                     "E003", f"expected a quoted contract key or '}}', got {tok.describe()}", tok.span
                 )
-                self.skip_line(tok.line)
+                self.skip_line()
                 continue
             self.error(
                 "E003",
@@ -521,8 +522,9 @@ class _Parser:
             )
             self.pos += 1
 
-    # The entry parsers below start on a token that is not EOF, and move
-    # ``pos`` past a token only after checking that it is not EOF either.
+    # The entry parsers move ``pos`` past a token only once its kind is known
+    # (checked by the caller or here) and is not EOF, so the cursor never runs
+    # past the EOF token.
 
     def parse_field_entry(self, raw: _RawBlock) -> None:
         key_tok = self.tokens[self.pos]
