@@ -3,6 +3,8 @@ from datetime import date
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsx import (
     AccessPolicy,
@@ -257,6 +259,26 @@ class TestDeterminismAndSchemas:
         assert sentinel.encode() not in blob
         assert b"${EDC_API_KEY}" in blob
         assert b"${IDP_CLIENT_SECRET}" in blob
+
+
+# Strings mix arbitrary text with the characters JSON escapes or passes through.
+_json_strings = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\t\n\r\b\f", "caf\u00e9", "\U0001f600", "\u2028"]
+)
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_documents)
+    def test_dump_matches_json_dumps(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
 
 
 class TestArtifactInvariants:
