@@ -21,10 +21,10 @@ generated artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path, PurePosixPath
 
 from .model import (
@@ -113,9 +113,53 @@ def schema_path_for(artifact: GeneratedArtifact) -> Path | None:
 
 
 def _dump(document: object) -> bytes:
-    return (json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode(
-        "utf-8"
-    )
+    """``json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, as UTF-8, for documents of str-keyed dicts, lists, str,
+    bool, int and None; any other value raises TypeError."""
+    out: list[str] = []
+    _encode(document, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _encode(value: object, indent: str, out: list[str]) -> None:
+    # ``indent`` is the newline plus the indentation of ``value``'s own line.
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _encode_str(key) + ": ")
+            _encode(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _encode(item, inner, out)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _secret(ref: SecretRef) -> str:

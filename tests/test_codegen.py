@@ -280,6 +280,15 @@ class TestJsonEncoding:
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert codegen._dump(document) == expected.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "document",
+        [1.5, {"a": [date(2026, 1, 1)]}, ("a", "b"), {1: "a"}, {"a": {None: 1}}],
+        ids=["float", "date", "tuple", "int-key", "none-key"],
+    )
+    def test_other_types_raise_type_error(self, document):
+        with pytest.raises(TypeError):
+            codegen._dump(document)
+
 
 class TestArtifactInvariants:
     def test_paths_must_be_relative(self):
