@@ -83,8 +83,8 @@ class GeneratedArtifact:
     target: Target
 
     def __post_init__(self) -> None:
-        path = PurePosixPath(self.relative_path)
-        if path.is_absolute() or ".." in path.parts:
+        path = self.relative_path
+        if path.startswith("/") or ".." in path.split("/"):
             raise ValueError(f"artifact path must be relative: {self.relative_path!r}")
         self.content.decode("utf-8")  # artifacts are UTF-8 text by contract
 
@@ -187,6 +187,39 @@ def generate_edc(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:
     """Emit the asset/policy/contract triple for an EDC-backed connector."""
+    return _bundle(model, Target.EDC, _edc_files(model, report))
+
+
+def generate_opcua(
+    model: ConnectorModel, report: ValidationReport | None = None
+) -> GenerationBundle:
+    """Emit catalog/resource/roles documents for an OPC UA endpoint."""
+    return _bundle(model, Target.OPCUA, _opcua_files(model, report))
+
+
+def generate_idlink_aas(
+    model: ConnectorModel, report: ValidationReport | None = None
+) -> GenerationBundle:
+    """Emit the resolved ID-Link URL plus the AAS security configuration."""
+    return _bundle(model, Target.IDLINK_AAS, _idlink_aas_files(model, report))
+
+
+def _bundle(
+    model: ConnectorModel, target: Target, files: list[tuple[str, bytes]]
+) -> GenerationBundle:
+    return GenerationBundle(
+        artifacts=tuple(GeneratedArtifact(name, content, target) for name, content in files),
+        source_model=model.name,
+    )
+
+
+# Each target's builder returns its files as (name, content) pairs, in
+# artifact order; the public generators and generate_all wrap them.
+
+
+def _edc_files(
+    model: ConnectorModel, report: ValidationReport | None
+) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     if not isinstance(ext, EdcUsage):
         raise GenerationError(
@@ -265,20 +298,16 @@ def generate_edc(
             "cloudPush": ext.push_endpoints.cloud_push,
         }
 
-    return GenerationBundle(
-        artifacts=(
-            GeneratedArtifact("asset.json", _dump(asset), Target.EDC),
-            GeneratedArtifact("policy.json", _dump(policy), Target.EDC),
-            GeneratedArtifact("contract.json", _dump(contract), Target.EDC),
-        ),
-        source_model=model.name,
-    )
+    return [
+        ("asset.json", _dump(asset)),
+        ("policy.json", _dump(policy)),
+        ("contract.json", _dump(contract)),
+    ]
 
 
-def generate_opcua(
-    model: ConnectorModel, report: ValidationReport | None = None
-) -> GenerationBundle:
-    """Emit catalog/resource/roles documents for an OPC UA endpoint."""
+def _opcua_files(
+    model: ConnectorModel, report: ValidationReport | None
+) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     if not isinstance(ext, OpcUaUsage):
         raise GenerationError(
@@ -317,20 +346,16 @@ def generate_opcua(
 
     roles = _access_document(model)
 
-    return GenerationBundle(
-        artifacts=(
-            GeneratedArtifact("catalog.json", _dump(catalog), Target.OPCUA),
-            GeneratedArtifact("resource.json", _dump(resource), Target.OPCUA),
-            GeneratedArtifact("roles.json", _dump(roles), Target.OPCUA),
-        ),
-        source_model=model.name,
-    )
+    return [
+        ("catalog.json", _dump(catalog)),
+        ("resource.json", _dump(resource)),
+        ("roles.json", _dump(roles)),
+    ]
 
 
-def generate_idlink_aas(
-    model: ConnectorModel, report: ValidationReport | None = None
-) -> GenerationBundle:
-    """Emit the resolved ID-Link URL plus the AAS security configuration."""
+def _idlink_aas_files(
+    model: ConnectorModel, report: ValidationReport | None
+) -> list[tuple[str, bytes]]:
     if model.access.identity_provider is None:
         raise GenerationError(
             f"aas security requires an identity provider: model '{model.name}' "
@@ -346,13 +371,10 @@ def generate_idlink_aas(
         "identifierType": model.identification.identifier_type.value,
     }
 
-    return GenerationBundle(
-        artifacts=(
-            GeneratedArtifact("idlink.txt", (url + "\n").encode("utf-8"), Target.IDLINK_AAS),
-            GeneratedArtifact("aas-security.json", _dump(security), Target.IDLINK_AAS),
-        ),
-        source_model=model.name,
-    )
+    return [
+        ("idlink.txt", (url + "\n").encode("utf-8")),
+        ("aas-security.json", _dump(security)),
+    ]
 
 
 def _access_document(model: ConnectorModel) -> dict[str, object]:
@@ -406,10 +428,10 @@ def _metadata_json(meta: AssetMetaData) -> dict[str, object]:
     return document
 
 
-_GENERATORS = {
-    Target.EDC: generate_edc,
-    Target.OPCUA: generate_opcua,
-    Target.IDLINK_AAS: generate_idlink_aas,
+_BUILDERS = {
+    Target.EDC: _edc_files,
+    Target.OPCUA: _opcua_files,
+    Target.IDLINK_AAS: _idlink_aas_files,
 }
 
 
@@ -434,13 +456,13 @@ def generate_all(
         if target not in targets:
             continue
         try:
-            bundle = _GENERATORS[target](model, report)
+            files = _BUILDERS[target](model, report)
         except GenerationError as exc:
             failures.extend(exc.messages)
             continue
+        prefix = target.value + "/"
         artifacts.extend(
-            GeneratedArtifact(f"{target.value}/{a.relative_path}", a.content, a.target)
-            for a in bundle.artifacts
+            GeneratedArtifact(prefix + name, content, target) for name, content in files
         )
     if failures:
         raise GenerationError(*failures)

@@ -1,5 +1,6 @@
 import json
 from datetime import date
+from pathlib import PurePosixPath
 
 import jsonschema
 import pytest
@@ -203,6 +204,18 @@ class TestGenerateAll:
         generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
         assert calls == [production_machine.model]
 
+    def test_builds_each_artifact_once(self, production_machine, monkeypatch):
+        checked = []
+        check = GeneratedArtifact.__post_init__
+
+        def counting_check(artifact):
+            checked.append(artifact.relative_path)
+            check(artifact)
+
+        monkeypatch.setattr(GeneratedArtifact, "__post_init__", counting_check)
+        bundle = generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
+        assert sorted(checked) == [a.relative_path for a in bundle.artifacts]
+
     def test_accepts_prevalidated_report(self, production_machine):
         report = validate(
             production_machine.model, production_machine.source_map, today=FIXTURE_TODAY
@@ -296,6 +309,17 @@ class TestArtifactInvariants:
             GeneratedArtifact("/abs/path.json", b"{}", Target.EDC)
         with pytest.raises(ValueError):
             GeneratedArtifact("a/../b.json", b"{}", Target.EDC)
+
+    @pytest.mark.parametrize(
+        "path", ["", ".", "..", "a/..", "/a", "//a", "a//b", "./a", "..a", "a..", "a/..b", "a/"]
+    )
+    def test_path_check_matches_the_pure_posix_rule(self, path):
+        pure = PurePosixPath(path)
+        if pure.is_absolute() or ".." in pure.parts:
+            with pytest.raises(ValueError):
+                GeneratedArtifact(path, b"", Target.EDC)
+        else:
+            assert GeneratedArtifact(path, b"", Target.EDC).relative_path == path
 
     def test_bundle_paths_unique_and_nonempty(self):
         artifact = GeneratedArtifact("a.json", b"{}\n", Target.EDC)
