@@ -520,7 +520,7 @@ class _Parser:
                 f"expected a field name or '}}' in {label} block, got {tok.describe()}",
                 tok.span,
             )
-            self.pos += 1
+            self.skip_line()
 
     # The entry parsers move ``pos`` past a token only once its kind is known
     # (checked by the caller or here) and is not EOF, so the cursor never runs

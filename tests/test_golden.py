@@ -55,20 +55,20 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "17300222883c66a0b54249a55693ee4fb2bbe45c966ffb472339cf90294944e0",
-    "production-machine:duplicate-token": "cf78fdd11230211a30263df3153c9bca1d3419bd4ba32fc19083576ba2b52211",
-    "production-machine:replace-token": "5b85375c8cc7781fd38d39039dd56e9d4db53c60b5b2246ca36dc15ee0b49d16",
-    "production-machine:drop-line": "57e3f028a9442a5b8dd92ec310921465f6cb6838f194259fe9bb846aef549050",
+    "production-machine:delete-token": "8cbe1e6d3a1c10edcdf10afa7050cafb144b921d3e35ce030cf26e1146da6d94",
+    "production-machine:duplicate-token": "369288203c59d90f1e07e14e2e0c6382330c1bf0759c447004910d8203b5f41f",
+    "production-machine:replace-token": "52d433fd7c220a72e6886920ed60988a4181435318f610a55cc7060688a5059d",
+    "production-machine:drop-line": "cd0b52f8eee7001fd118a67daff85f51d91d89c38feaf07d0d433eb1ebea9904",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "4a3929e390b933f377075f26029fb83c219f12666c1065bf74747771b1603861",
-    "machine-opcua:duplicate-token": "c8db4d390d91044d316750071a341156e5ddf5877548eaabf425b0ca77c0f19d",
-    "machine-opcua:replace-token": "b20096bb6de6755868a511996cebde58eb68c19682c97c880b341edeaf6d02cf",
-    "machine-opcua:drop-line": "37d028b24aea8813907cc30faa77e5f1c586519ea4ad742f265c5888791e929f",
+    "machine-opcua:delete-token": "941e0ddba8ef24b2a4748cf7ff58d647a484f4299e733d1088dddb8e03bc09ac",
+    "machine-opcua:duplicate-token": "9f1e91d9d1b0b43278f00c2fdc714b95fcff6474c4b2d46205c168676c9395b8",
+    "machine-opcua:replace-token": "f847b4229d66e4f747774d26d64b37d0dbef0dc568ddbfb112a4dfe2f078cdc4",
+    "machine-opcua:drop-line": "f51603c43b0a65ee2f6e08ab70a727a9de4444b72cb6cbef7174be9beab20dc5",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "1635eb4befcfe282663f5c75b1d85ba82f0a7fe7ac9caa02aba45f1ca7fbe5e6",
-    "sensor-idlink:duplicate-token": "812ca52edcc99004cffd77e7297c581824f9586024674b16489b0f05c76967c5",
-    "sensor-idlink:replace-token": "f313d43e3aa05b7e668ad2c4a1af30a22238a1e1e6992ec9d32b28da7f2b67ec",
-    "sensor-idlink:drop-line": "deabe32cfc488b927c7129eb575283bc6c858d192a5d250277467da871e5cb07",
+    "sensor-idlink:delete-token": "2d180749a5f0bacf460536092b08a7756f715b3b8aee6a53610ca07a361b9d34",
+    "sensor-idlink:duplicate-token": "02e5b351e050d6940c9d4545370d522252b3629e000506fddf1eb387d1516db1",
+    "sensor-idlink:replace-token": "ae994b70c7774a2edd1bfd3ca2f9fc9c8d1fafca3e1852d5e4d97f8ba406ac9f",
+    "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }
 

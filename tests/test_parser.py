@@ -379,6 +379,16 @@ class TestParseErrors:
         result = parse(text, "contract.dsx")
         assert [d.code for d in result.diagnostics] == ["E003"]
 
+    def test_stray_line_in_field_block_is_one_error(self):
+        text = fixture_text("production-machine.dsx").replace(
+            "access {\n", 'access {\n    "k": "v",\n', 1
+        )
+        result = parse(text, "access.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", "expected a field name or '}' in access block, got string")
+        ]
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
