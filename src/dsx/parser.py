@@ -445,16 +445,24 @@ class _Parser:
                     return
 
     def skip_line(self) -> None:
-        """Skip the current token and the rest of its line, stopping before
-        '}', a structural keyword or end of input."""
+        """Skip the current token and the rest of its line, stopping before a
+        '}' that closes no '{' skipped on that line, a structural keyword or
+        end of input.  The current token is neither '}' nor end of input."""
         tokens = self.tokens
-        line = tokens[self.pos].line
+        tok = tokens[self.pos]
+        line = tok.line
+        depth = 0
         while True:
+            if tok.kind is _LBRACE:
+                depth += 1
+            elif tok.kind is _RBRACE:
+                depth -= 1
             self.pos += 1
             tok = tokens[self.pos]
-            if tok.line != line or tok.kind is _RBRACE or tok.kind is _EOF:
+            kind = tok.kind
+            if tok.line != line or kind is _EOF or (kind is _RBRACE and not depth):
                 return
-            if tok.kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
+            if kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
                 return
 
     # --- raw block parsing ------------------------------------------------

@@ -379,6 +379,16 @@ class TestParseErrors:
         result = parse(text, "contract.dsx")
         assert [d.code for d in result.diagnostics] == ["E003"]
 
+    def test_contract_recovery_skips_braces_opened_on_the_line(self):
+        text = fixture_text("production-machine.dsx").replace(
+            "contract {\n", 'contract {\n      bogus { "a": 1 }\n', 1
+        )
+        result = parse(text, "contract.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", "expected a quoted contract key or '}', got 'bogus'")
+        ]
+
     def test_stray_line_in_field_block_is_one_error(self):
         text = fixture_text("production-machine.dsx").replace(
             "access {\n", 'access {\n    "k": "v",\n', 1
