@@ -14,6 +14,13 @@ Output is byte-deterministic: UTF-8, 2-space indent, lexicographically
 sorted keys, LF endings, trailing newline.  Environment-variable secrets
 are emitted as ``${NAME}`` placeholders and never resolved.
 
+A JSON file's bytes equal ``json.dumps(document, indent=2, sort_keys=True,
+ensure_ascii=False)`` plus a newline, encoded as UTF-8.  ``_dump`` writes
+them itself, because ``json.dumps`` falls back to its pure-Python encoder
+whenever ``indent`` is set: the specialised encoder handles only the types
+generated documents hold and escapes strings with the C
+``json.encoder.encode_basestring``, and is about twice as fast.
+
 Protocol identifiers map to lowercase wire names: ``OPC_TCP -> opc.tcp``,
 ``MQTT -> mqtt``, ``HTTPS -> https``.  This table is normative for all
 generated artifacts.
@@ -85,7 +92,7 @@ class GeneratedArtifact:
     def __post_init__(self) -> None:
         path = self.relative_path
         if path.startswith("/") or ".." in path.split("/"):
-            raise ValueError(f"artifact path must be relative: {self.relative_path!r}")
+            raise ValueError(f"artifact path must be relative: {path!r}")
         self.content.decode("utf-8")  # artifacts are UTF-8 text by contract
 
     @property
@@ -213,8 +220,9 @@ def _bundle(
     )
 
 
-# Each target's builder returns its files as (name, content) pairs, in
-# artifact order; the public generators and generate_all wrap them.
+# Each target's builder returns its files as (name, content) pairs in
+# artifact order; the public generators and generate_all wrap each pair in
+# a GeneratedArtifact once.
 
 
 def _edc_files(
