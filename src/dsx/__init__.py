@@ -6,18 +6,6 @@ validates such models and generates deployable configuration for EDC,
 OPC UA, and ID-Link/AAS targets.
 """
 
-from .codegen import (
-    GeneratedArtifact,
-    GenerationBundle,
-    GenerationError,
-    PROTOCOL_WIRE_NAMES,
-    Target,
-    generate_all,
-    generate_edc,
-    generate_idlink_aas,
-    generate_opcua,
-    schema_path_for,
-)
 from .model import (
     AccessPolicy,
     AssetMetaData,
@@ -102,3 +90,14 @@ __all__ = [
     "tokenize",
     "validate",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # The names in __all__ not imported above come from codegen, which loads on
+    # first use (PEP 562), so that `dsx check` and `dsx fmt` never load it.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import codegen
+
+    value = globals()[name] = getattr(codegen, name)
+    return value

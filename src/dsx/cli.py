@@ -17,32 +17,39 @@ import argparse
 import glob
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codegen import GenerationError, Target, generate_all
-from .model import Diagnostic, Severity, print_canonical
+from .model import Diagnostic, Record, Severity, print_canonical
 from .parser import parse
 from .validator import validate
+
+# Type checkers read this as typing.TYPE_CHECKING; importing typing would slow start-up.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .codegen import Target
 
 _GLOB_CHARS = set("*?[")
 
 
-@dataclass
-class CliConfig:
-    input_paths: list[str]
-    out_dir: Path | None = None
-    targets: frozenset[Target] = frozenset()
-    report_format: str = "text"
-    fail_on_warning: bool = False
-    fmt_check: bool = False
+class CliConfig(Record):
+    ATTRS = (
+        "input_paths",
+        "out_dir",
+        "targets",
+        "report_format",
+        "fail_on_warning",
+        "fmt_check",
+    )
+    DEFAULTS = (None, frozenset(), "text", False, False)
 
 
-@dataclass
 class _Report:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    generation_errors: list[tuple[str, str]] = field(default_factory=list)
-    written: list[str] = field(default_factory=list)
+    __slots__ = ("diagnostics", "generation_errors", "written")
+
+    def __init__(self) -> None:
+        self.diagnostics: list[Diagnostic] = []
+        self.generation_errors: list[tuple[str, str]] = []
+        self.written: list[str] = []
 
     def to_json(self) -> str:
         doc = {
@@ -129,6 +136,8 @@ def cmd_check(config: CliConfig) -> int:
 
 
 def cmd_gen(config: CliConfig) -> int:
+    from .codegen import GenerationError, generate_all
+
     files, code = _resolve_inputs(config.input_paths)
     worst = code
     report = _Report()
@@ -202,6 +211,8 @@ def cmd_fmt(config: CliConfig) -> int:
 
 
 def _parse_targets(raw: str) -> frozenset[Target]:
+    from .codegen import Target
+
     targets = set()
     for part in raw.split(","):
         name = part.strip()
@@ -224,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="parse and validate models")
     check.add_argument("inputs", nargs="+", metavar="FILE_OR_GLOB")
-    check.add_argument("--report", choices=("text", "json"), default="text")
-    check.add_argument("--fail-on-warning", action="store_true")
 
     gen = sub.add_parser("gen", help="generate deployment artifacts for valid models")
     gen.add_argument("inputs", nargs="+", metavar="FILE_OR_GLOB")
@@ -237,8 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated: edc,opcua,idlink-aas",
     )
-    gen.add_argument("--report", choices=("text", "json"), default="text")
-    gen.add_argument("--fail-on-warning", action="store_true")
+
+    for command in (check, gen):
+        command.add_argument("--report", choices=("text", "json"), default="text")
+        command.add_argument("--fail-on-warning", action="store_true")
 
     fmt = sub.add_parser("fmt", help="rewrite models in canonical form")
     fmt.add_argument("inputs", nargs="+", metavar="FILE_OR_GLOB")
@@ -253,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.command == "fmt":
+        return cmd_fmt(CliConfig(input_paths=args.inputs, fmt_check=args.check))
     if args.command == "check":
         config = CliConfig(
             input_paths=args.inputs,
@@ -260,20 +273,17 @@ def main(argv: list[str] | None = None) -> int:
             fail_on_warning=args.fail_on_warning,
         )
         return cmd_check(config)
-    if args.command == "gen":
-        if not args.targets:
-            print("dsx: at least one target is required", file=sys.stderr)
-            return 2
-        config = CliConfig(
-            input_paths=args.inputs,
-            out_dir=Path(args.out),
-            targets=args.targets,
-            report_format=args.report,
-            fail_on_warning=args.fail_on_warning,
-        )
-        return cmd_gen(config)
-    config = CliConfig(input_paths=args.inputs, fmt_check=args.check)
-    return cmd_fmt(config)
+    if not args.targets:
+        print("dsx: at least one target is required", file=sys.stderr)
+        return 2
+    config = CliConfig(
+        input_paths=args.inputs,
+        out_dir=Path(args.out),
+        targets=args.targets,
+        report_format=args.report,
+        fail_on_warning=args.fail_on_warning,
+    )
+    return cmd_gen(config)
 
 
 if __name__ == "__main__":

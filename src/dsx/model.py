@@ -15,10 +15,8 @@ defects remain constructible and printable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Union
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 ENV_NAME_RE = re.compile(r"[A-Z][A-Z0-9_]*")
@@ -87,65 +85,153 @@ def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
         raise ValueError(f"{what} must not contain control characters")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+def _check_fields(obj: Record) -> None:
+    """Enforce the table rows of ``obj``'s class on a freshly built instance."""
+    for spec in obj.FIELDS:
+        value = getattr(obj, spec.attr)
+        if value is None and not spec.required:
+            continue
+        _CHECKS[spec.kind](spec, value)
+
+
+class _RecordType(type):
+    """Builds each record class from its own declaration.
+
+    A table-driven class declares its ``FIELDS`` rows, and in ``ATTRS`` the
+    attributes that have no row.  Its constructor is keyword-only.  ``ATTRS``
+    and required rows must be given; an optional row defaults to ``()`` for
+    lists and roles, to a fresh ``{}`` for a contract, and to None otherwise.
+    Any other record lists its attributes in ``ATTRS`` in positional order,
+    with ``DEFAULTS`` for the last of them, as ``collections.namedtuple``
+    does.
+
+    From that declaration the type makes ``__slots__`` and compiles an
+    ``__init__`` that stores each argument through its slot's own setter,
+    which skips the frozen ``__setattr__``.  It then runs the class's
+    ``_check``, if it has one, and ``_check_fields`` on a table-driven class.
+    """
+
+    def __new__(mcls, name: str, bases: tuple[type, ...], ns: dict[str, object]) -> type:
+        if not bases:
+            return super().__new__(mcls, name, bases, ns)
+        rows = ns.get("FIELDS")
+        attrs = ns.get("ATTRS", ())
+        if rows is not None:
+            attrs += tuple(spec.attr for spec in rows)
+        ns["__slots__"] = attrs
+        cls = super().__new__(mcls, name, bases, ns)
+        params = ", ".join(attrs)
+        lines = [
+            f"def __init__(self, {'*, ' if rows is not None and attrs else ''}{params}):",
+            *(
+                f"    if {spec.attr} is None: {spec.attr} = {{}}"
+                for spec in rows or ()
+                if spec.kind == "contract"
+            ),
+            *(f"    _set_{attr}(self, {attr})" for attr in attrs),
+            *(["    self._check()"] if "_check" in ns else []),
+            *(["    _check_fields(self)"] if rows is not None else []),
+        ]
+        scope = {f"_set_{attr}": getattr(cls, attr).__set__ for attr in attrs}
+        scope["_check_fields"] = _check_fields
+        exec("\n".join(lines), scope)
+        init = cls.__init__ = scope["__init__"]
+        if rows is None:
+            init.__defaults__ = ns.get("DEFAULTS")
+        else:
+            init.__kwdefaults__ = {
+                spec.attr: () if spec.kind in _SEQUENCE_KINDS else None
+                for spec in rows
+                if not spec.required
+            }
+        return cls
+
+
+_SEQUENCE_KINDS = frozenset({"str-list", "enum-list", "roles"})
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value object; see :class:`_RecordType` for how to declare one."""
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple[object, ...]:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple[object, ...]) -> None:
+        # copy and pickle make a bare instance, then restore its attributes here.
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self.__getstate__())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Record):
     """One field of a model class, as the DSL spells it and the model holds it.
 
     ``kind`` is one of: str, date, int, bool, enum, str-list, enum-list,
     secret, sub-block, contract, roles.  ``cls`` is the enum class of enum
     and enum-list rows, and the model class of sub-block and roles rows.
-    Binding, unknown-field detection, canonical printing and constructor
-    checks all read these rows, in this order.
+    A class's rows declare its attributes; binding, unknown-field
+    detection, canonical printing and constructor checks all read them, in
+    this order.
     """
 
-    key: str
-    attr: str
-    kind: str
-    required: bool = True
-    nonempty: bool = False
-    minimum: int | None = None
-    unique: bool = False
-    cls: type | None = None
+    ATTRS = ("key", "attr", "kind", "required", "nonempty", "minimum", "unique", "cls")
+    DEFAULTS = (True, False, None, False, None)
 
+
+_F = FieldSpec
 
 # Rows of these kinds are keyword blocks in the DSL rather than `key: value` fields.
 BLOCK_KINDS = frozenset({"sub-block", "contract", "roles"})
 
 
-@dataclass(frozen=True)
-class SecretLiteral:
+class SecretLiteral(Record):
     """Inline secret value, committed verbatim with the model."""
 
-    value: str
+    ATTRS = ("value",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_text(self.value, "secret literal")
 
 
-@dataclass(frozen=True)
-class SecretEnvVar:
+class SecretEnvVar(Record):
     """Reference to an environment variable; generators emit ``${NAME}``."""
 
-    name: str
+    ATTRS = ("name",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not ENV_NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid environment variable name: {self.name!r}")
 
 
-SecretRef = Union[SecretLiteral, SecretEnvVar]
+SecretRef = SecretLiteral | SecretEnvVar
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """Half-open source region: 1-based line/column plus length in chars."""
 
-    file: str
-    line: int
-    column: int
-    length: int = 0
+    ATTRS = ("file", "line", "column", "length")
+    DEFAULTS = (0,)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.line < 1 or self.column < 1:
             raise ValueError("span line and column are 1-based")
 
@@ -153,14 +239,10 @@ class Span:
         return (self.line, self.column)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One parser/validator finding with a stable machine-readable code."""
 
-    severity: Severity
-    code: str
-    message: str
-    span: Span
+    ATTRS = ("severity", "code", "message", "span")
 
     def render(self) -> str:
         return (
@@ -169,182 +251,17 @@ class Diagnostic:
         )
 
 
-@dataclass(frozen=True)
-class IdentificationData:
-    linked_asset_id: str
-    base_url: str
-    endpoint: str
-    identifier_type: IdentifierType
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class AssetMetaData:
-    title: str
-    description: str
-    publisher: str
-    version: str
-    created: date
-    modified: date
-    semantic_ids: tuple[str, ...] = ()
-    language: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class PushEndpointsConfig:
-    callback_url: str
-    cloud_push: bool
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class EdcUsage:
-    edc_address: str
-    x_api_key: SecretRef
-    remote_address: str
-    remote_id: str
-    sts_service_address: str | None = None
-    trusted_did_registries: tuple[str, ...] = ()
-    push_endpoints: PushEndpointsConfig | None = None
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-    @property
-    def direct_dsp(self) -> bool:
-        """True when the model talks DSP directly instead of via a hosted EDC."""
-        return self.sts_service_address is not None
-
-
-@dataclass(frozen=True)
-class QosMetrics:
-    sampling_rate_ms: int
-    max_subscriptions: int
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class OpcUaUsage:
-    endpoint_url: str
-    security_policy: SecurityPolicy
-    message_security_mode: MessageSecurityMode
-    authentication_mode: AuthenticationMode
-    protocols: tuple[Protocol, ...]
-    address_space: str
-    companion_specs: tuple[str, ...] = ()
-    qos: QosMetrics | None = None
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class PlainUsage:
-    """ID-Link connectors need nothing beyond the shared usage fields."""
-
-
-UsageExtension = Union[EdcUsage, OpcUaUsage, PlainUsage]
-
-
-@dataclass(frozen=True)
-class UsageConfig:
-    data_address: str
-    extension: UsageExtension
-    schema_address: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-        if not isinstance(self.extension, (EdcUsage, OpcUaUsage, PlainUsage)):
-            raise TypeError("usage extension must be one of EdcUsage, OpcUaUsage, PlainUsage")
-
-
-ContractValue = Union[str, int, bool, date]
-
-
-@dataclass(frozen=True)
-class Role:
-    role_name: str
-    permissions: tuple[Permission, ...]
-
-    def __post_init__(self) -> None:
-        if not NAME_RE.fullmatch(self.role_name):
-            raise ValueError(f"invalid role name: {self.role_name!r}")
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class IdentityProviderConfig:
-    endpoint: str
-    client_id: str
-    grant_type: GrantType
-    secret: SecretRef
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class OAuthInfo:
-    identifier: str
-    secret: SecretRef
-    grant_type: str
-    scope: str
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class AccessPolicy:
-    usage_policy: str
-    contract_offers: dict[str, ContractValue] = field(default_factory=dict)
-    roles: tuple[Role, ...] = ()
-    identity_provider: IdentityProviderConfig | None = None
-    oauth: OAuthInfo | None = None
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class ConnectorModel:
-    name: str
-    identification: IdentificationData
-    metadata: AssetMetaData
-    usage: UsageConfig
-    access: AccessPolicy
-
-    def __post_init__(self) -> None:
-        if not NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid connector name: {self.name!r}")
-        _check_fields(self)
-
-
-_F = FieldSpec
-
-FIELDS: dict[type, tuple[FieldSpec, ...]] = {
-    ConnectorModel: (
-        _F("discovery", "identification", "sub-block", cls=IdentificationData),
-        _F("metadata", "metadata", "sub-block", cls=AssetMetaData),
-        _F("usage", "usage", "sub-block", cls=UsageConfig),
-        _F("access", "access", "sub-block", cls=AccessPolicy),
-    ),
-    IdentificationData: (
+class IdentificationData(Record):
+    FIELDS = (
         _F("linkedAssetId", "linked_asset_id", "str", nonempty=True),
         _F("baseUrl", "base_url", "str"),
         _F("endpoint", "endpoint", "str"),
         _F("identifierType", "identifier_type", "enum", cls=IdentifierType),
-    ),
-    AssetMetaData: (
+    )
+
+
+class AssetMetaData(Record):
+    FIELDS = (
         _F("title", "title", "str", nonempty=True),
         _F("description", "description", "str"),
         _F("publisher", "publisher", "str", nonempty=True),
@@ -353,12 +270,18 @@ FIELDS: dict[type, tuple[FieldSpec, ...]] = {
         _F("created", "created", "date"),
         _F("modified", "modified", "date"),
         _F("language", "language", "str", required=False),
-    ),
-    UsageConfig: (
-        _F("dataAddress", "data_address", "str"),
-        _F("schemaAddress", "schema_address", "str", required=False),
-    ),
-    EdcUsage: (
+    )
+
+
+class PushEndpointsConfig(Record):
+    FIELDS = (
+        _F("callbackUrl", "callback_url", "str"),
+        _F("cloudPush", "cloud_push", "bool"),
+    )
+
+
+class EdcUsage(Record):
+    FIELDS = (
         _F("edcAddress", "edc_address", "str"),
         _F("xApiKey", "x_api_key", "secret"),
         _F("remoteAddress", "remote_address", "str"),
@@ -366,12 +289,23 @@ FIELDS: dict[type, tuple[FieldSpec, ...]] = {
         _F("stsServiceAddress", "sts_service_address", "str", required=False),
         _F("trustedDidRegistries", "trusted_did_registries", "str-list", required=False),
         _F("push", "push_endpoints", "sub-block", required=False, cls=PushEndpointsConfig),
-    ),
-    PushEndpointsConfig: (
-        _F("callbackUrl", "callback_url", "str"),
-        _F("cloudPush", "cloud_push", "bool"),
-    ),
-    OpcUaUsage: (
+    )
+
+    @property
+    def direct_dsp(self) -> bool:
+        """True when the model talks DSP directly instead of via a hosted EDC."""
+        return self.sts_service_address is not None
+
+
+class QosMetrics(Record):
+    FIELDS = (
+        _F("samplingRateMs", "sampling_rate_ms", "int", minimum=1),
+        _F("maxSubscriptions", "max_subscriptions", "int", minimum=1),
+    )
+
+
+class OpcUaUsage(Record):
+    FIELDS = (
         _F("endpointUrl", "endpoint_url", "str"),
         _F("securityPolicy", "security_policy", "enum", cls=SecurityPolicy),
         _F("messageSecurityMode", "message_security_mode", "enum", cls=MessageSecurityMode),
@@ -380,13 +314,66 @@ FIELDS: dict[type, tuple[FieldSpec, ...]] = {
         _F("companionSpecs", "companion_specs", "str-list", required=False),
         _F("addressSpace", "address_space", "str"),
         _F("qos", "qos", "sub-block", required=False, cls=QosMetrics),
-    ),
-    QosMetrics: (
-        _F("samplingRateMs", "sampling_rate_ms", "int", minimum=1),
-        _F("maxSubscriptions", "max_subscriptions", "int", minimum=1),
-    ),
-    PlainUsage: (),
-    AccessPolicy: (
+    )
+
+
+class PlainUsage(Record):
+    """ID-Link connectors need nothing beyond the shared usage fields."""
+
+    FIELDS = ()
+
+
+UsageExtension = EdcUsage | OpcUaUsage | PlainUsage
+
+
+class UsageConfig(Record):
+    ATTRS = ("extension",)
+    FIELDS = (
+        _F("dataAddress", "data_address", "str"),
+        _F("schemaAddress", "schema_address", "str", required=False),
+    )
+
+    def _check(self) -> None:
+        if not isinstance(self.extension, (EdcUsage, OpcUaUsage, PlainUsage)):
+            raise TypeError("usage extension must be one of EdcUsage, OpcUaUsage, PlainUsage")
+
+
+ContractValue = str | int | bool | date
+
+
+class Role(Record):
+    ATTRS = ("role_name",)
+    FIELDS = (
+        # Emptiness and duplicates are validator findings (E205), not
+        # construction errors, so defective models stay representable.
+        _F("permissions", "permissions", "enum-list", cls=Permission),
+    )
+
+    def _check(self) -> None:
+        if not NAME_RE.fullmatch(self.role_name):
+            raise ValueError(f"invalid role name: {self.role_name!r}")
+
+
+class IdentityProviderConfig(Record):
+    FIELDS = (
+        _F("endpoint", "endpoint", "str"),
+        _F("clientId", "client_id", "str", nonempty=True),
+        _F("grantType", "grant_type", "enum", cls=GrantType),
+        _F("secret", "secret", "secret"),
+    )
+
+
+class OAuthInfo(Record):
+    FIELDS = (
+        _F("identifier", "identifier", "str", nonempty=True),
+        _F("secret", "secret", "secret"),
+        _F("grantType", "grant_type", "str"),
+        _F("scope", "scope", "str"),
+    )
+
+
+class AccessPolicy(Record):
+    FIELDS = (
         _F("usagePolicy", "usage_policy", "str", nonempty=True),
         _F("contract", "contract_offers", "contract", required=False),
         _F("roles", "roles", "roles", required=False, cls=Role),
@@ -394,25 +381,22 @@ FIELDS: dict[type, tuple[FieldSpec, ...]] = {
             "identity", "identity_provider", "sub-block", required=False, cls=IdentityProviderConfig
         ),
         _F("oauth", "oauth", "sub-block", required=False, cls=OAuthInfo),
-    ),
-    Role: (
-        # Emptiness and duplicates are validator findings (E205), not
-        # construction errors, so defective models stay representable.
-        _F("permissions", "permissions", "enum-list", cls=Permission),
-    ),
-    IdentityProviderConfig: (
-        _F("endpoint", "endpoint", "str"),
-        _F("clientId", "client_id", "str", nonempty=True),
-        _F("grantType", "grant_type", "enum", cls=GrantType),
-        _F("secret", "secret", "secret"),
-    ),
-    OAuthInfo: (
-        _F("identifier", "identifier", "str", nonempty=True),
-        _F("secret", "secret", "secret"),
-        _F("grantType", "grant_type", "str"),
-        _F("scope", "scope", "str"),
-    ),
-}
+    )
+
+
+class ConnectorModel(Record):
+    ATTRS = ("name",)
+    FIELDS = (
+        _F("discovery", "identification", "sub-block", cls=IdentificationData),
+        _F("metadata", "metadata", "sub-block", cls=AssetMetaData),
+        _F("usage", "usage", "sub-block", cls=UsageConfig),
+        _F("access", "access", "sub-block", cls=AccessPolicy),
+    )
+
+    def _check(self) -> None:
+        if not NAME_RE.fullmatch(self.name):
+            raise ValueError(f"invalid connector name: {self.name!r}")
+
 
 VARIANTS: dict[str, type] = {"edc": EdcUsage, "opcua": OpcUaUsage, "plain": PlainUsage}
 
@@ -420,15 +404,6 @@ VARIANTS: dict[str, type] = {"edc": EdcUsage, "opcua": OpcUaUsage, "plain": Plai
 def variant_name(extension: UsageExtension) -> str:
     """The DSL keyword (``edc``, ``opcua``, ``plain``) of a usage extension."""
     return next(name for name, cls in VARIANTS.items() if isinstance(extension, cls))
-
-
-def _check_fields(obj: object) -> None:
-    """Enforce the table rows of ``obj``'s class on a freshly built instance."""
-    for spec in FIELDS[type(obj)]:
-        value = getattr(obj, spec.attr)
-        if value is None and not spec.required:
-            continue
-        _CHECKS[spec.kind](spec, value)
 
 
 def _check_str(spec: FieldSpec, value: object) -> None:
@@ -579,7 +554,7 @@ _FORMATS = {
 
 
 def _print_fields(w: _Writer, obj: object) -> None:
-    for spec in FIELDS[type(obj)]:
+    for spec in obj.FIELDS:
         value = getattr(obj, spec.attr)
         # Absent optionals are omitted; an optional string is printed even when empty.
         if value is None or (not value and not spec.required and spec.kind != "str"):

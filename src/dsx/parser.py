@@ -32,20 +32,18 @@ source spans, which the validator uses to anchor its findings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Union
 
 from .model import (
     BLOCK_KINDS,
-    FIELDS,
     NAME_RE,
     VARIANTS,
     ConnectorModel,
     ContractValue,
     Diagnostic,
     FieldSpec,
+    Record,
     Role,
     SecretEnvVar,
     SecretLiteral,
@@ -112,17 +110,21 @@ class Token:
 def _subblock_table() -> dict[str, frozenset[str]]:
     """Which keyword blocks each block label accepts, from the table's block rows."""
     table: dict[str, frozenset[str]] = {}
-    pending = [(spec.key, spec.cls) for spec in FIELDS[ConnectorModel]]
+    pending = [(spec.key, spec.cls) for spec in ConnectorModel.FIELDS]
     while pending:
         label, cls = pending.pop()
         classes = (UsageConfig, *VARIANTS.values()) if cls is UsageConfig else (cls,)
-        rows = [row for c in classes for row in FIELDS.get(c, ()) if row.kind in BLOCK_KINDS]
+        rows = [row for c in classes for row in c.FIELDS if row.kind in BLOCK_KINDS]
         table[label] = frozenset(row.key for row in rows)
         for row in rows:
-            if row.kind == "roles":  # a roles block holds only `role NAME { ... }` entries
-                pending += [(row.key, None), ("role", row.cls)]
-            else:
+            if row.kind == "sub-block":
                 pending.append((row.key, row.cls))
+                continue
+            # A contract block holds `"key": value` entries, a roles block only
+            # `role NAME { ... }` entries.
+            table[row.key] = frozenset()
+            if row.kind == "roles":
+                pending.append(("role", row.cls))
     return table
 
 
@@ -131,7 +133,7 @@ _SUBBLOCKS = _subblock_table()
 # Block labels, the connector header and usage variants are reserved words.
 KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
 
-SECTION_KEYWORDS = tuple(spec.key for spec in FIELDS[ConnectorModel])
+SECTION_KEYWORDS = tuple(spec.key for spec in ConnectorModel.FIELDS)
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
 # The lexer: one alternative per token class, tried in order at each offset.
@@ -299,12 +301,14 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
     return tokens, sink.diagnostics
 
 
-@dataclass
 class SourceMap:
     """Maps model paths to the source spans they were parsed from."""
 
-    file: str
-    spans: dict[str, Span] = field(default_factory=dict)
+    __slots__ = ("file", "spans")
+
+    def __init__(self, file: str, spans: dict[str, Span] | None = None) -> None:
+        self.file = file
+        self.spans = {} if spans is None else spans
 
     def record(self, path: str, span: Span) -> None:
         self.spans[path] = span
@@ -322,11 +326,8 @@ class SourceMap:
         return self.spans.get("", Span(self.file, 1, 1, 0))
 
 
-@dataclass
-class ParseResult:
-    model: ConnectorModel | None
-    diagnostics: list[Diagnostic]
-    source_map: SourceMap
+class ParseResult(Record):
+    ATTRS = ("model", "diagnostics", "source_map")
 
 
 class _Scalar:
@@ -354,17 +355,19 @@ class _EnvRef:
         self.span = span
 
 
-_Value = Union[_Scalar, _List, _EnvRef]
+_Value = _Scalar | _List | _EnvRef
 
 
-@dataclass
 class _RawBlock:
-    label: str
-    keyword_span: Span
-    fields: dict[str, tuple[Token, _Value]] = field(default_factory=dict)  # key token, value
-    blocks: dict[str, "_RawBlock"] = field(default_factory=dict)
-    roles: list[tuple[str, Span, "_RawBlock"]] = field(default_factory=list)
-    contract: dict[str, _Scalar] = field(default_factory=dict)
+    __slots__ = ("label", "keyword_span", "fields", "blocks", "roles", "contract")
+
+    def __init__(self, label: str, keyword_span: Span) -> None:
+        self.label = label
+        self.keyword_span = keyword_span
+        self.fields: dict[str, tuple[Token, _Value]] = {}  # key token, value
+        self.blocks: dict[str, _RawBlock] = {}
+        self.roles: list[tuple[str, Span, _RawBlock]] = []
+        self.contract: dict[str, _Scalar] = {}
 
 
 class _Abort(Exception):
@@ -723,7 +726,7 @@ class _Parser:
                 self.error("E011", f"missing required section '{section}'", connector_span)
 
         values: dict[str, object] = {}
-        for spec in FIELDS[ConnectorModel]:
+        for spec in ConnectorModel.FIELDS:
             if spec.key not in sections:
                 continue
             _, raw, variant = sections[spec.key]
@@ -740,19 +743,19 @@ class _Parser:
 
     def bind(self, cls: type, raw: _RawBlock, label: str, path: str, **extra: object) -> object:
         """Bind a raw block against the table rows of ``cls``; None on any error."""
-        values = _Binder(self, raw, label, path, FIELDS[cls]).bind()
+        values = _Binder(self, raw, label, path, cls.FIELDS).bind()
         return None if values is None else cls(**extra, **values)
 
     def bind_usage(self, raw: _RawBlock, variant: str | None) -> UsageConfig | None:
         if variant is None:
             return None
         extension = VARIANTS[variant]
-        rows = FIELDS[UsageConfig] + FIELDS[extension]
+        rows = UsageConfig.FIELDS + extension.FIELDS
         values = _Binder(self, raw, f"{variant} usage", "usage", rows).bind()
         if values is None:
             return None
         ext_values = {
-            spec.attr: values.pop(spec.attr) for spec in FIELDS[extension] if spec.attr in values
+            spec.attr: values.pop(spec.attr) for spec in extension.FIELDS if spec.attr in values
         }
         return UsageConfig(extension=extension(**ext_values), **values)
 

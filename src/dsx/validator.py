@@ -27,9 +27,8 @@ model (W204 compares against an injectable ``today``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from datetime import date
-from typing import Callable
 from urllib.parse import urlsplit
 
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     MessageSecurityMode,
     OpcUaUsage,
     Permission,
+    Record,
     SecurityPolicy,
     Severity,
     Span,
@@ -60,10 +60,10 @@ WEB_SCHEMES = ("http", "https")
 OPC_SCHEMES = ("opc.tcp",)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    diagnostics: tuple[Diagnostic, ...]
-    valid: bool
+class ValidationReport(Record):
+    """Findings ordered by span, and whether none of them is an error."""
+
+    ATTRS = ("diagnostics", "valid")
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:

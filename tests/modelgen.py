@@ -133,7 +133,9 @@ def build_model(index: int) -> ConnectorModel:
                 else ()
             ),
             push_endpoints=(
-                PushEndpointsConfig(_url(rng, "push"), rng.random() < 0.5) if present(9) else None
+                PushEndpointsConfig(callback_url=_url(rng, "push"), cloud_push=rng.random() < 0.5)
+                if present(9)
+                else None
             ),
         )
     elif variant == 1:
@@ -155,7 +157,12 @@ def build_model(index: int) -> ConnectorModel:
                 else ()
             ),
             qos=(
-                QosMetrics(rng.randrange(1, 5000), rng.randrange(1, 200)) if present(8) else None
+                QosMetrics(
+                    sampling_rate_ms=rng.randrange(1, 5000),
+                    max_subscriptions=rng.randrange(1, 200),
+                )
+                if present(8)
+                else None
             ),
         )
     else:
@@ -178,8 +185,8 @@ def build_model(index: int) -> ConnectorModel:
     if present(4):
         roles = tuple(
             Role(
-                f"{rng.choice(_WORDS)}-{n}",
-                tuple(rng.sample(list(Permission), rng.randrange(1, 4))),
+                role_name=f"{rng.choice(_WORDS)}-{n}",
+                permissions=tuple(rng.sample(list(Permission), rng.randrange(1, 4))),
             )
             for n in range(rng.randrange(1, 4))
         )

@@ -134,7 +134,10 @@ class TestOpcUaGeneration:
 class TestIdlinkAasGeneration:
     def test_join_example(self):
         ident = IdentificationData(
-            "SN-0042", "https://id.example.com", "assets/m1", IdentifierType.SIDI
+            linked_asset_id="SN-0042",
+            base_url="https://id.example.com",
+            endpoint="assets/m1",
+            identifier_type=IdentifierType.SIDI,
         )
         model = minimal_model(
             identification=ident,

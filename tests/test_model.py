@@ -1,6 +1,6 @@
-import dataclasses
+import copy
+import pickle
 import re
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -29,15 +29,23 @@ from dsx import (
     parse,
     print_canonical,
 )
-from dsx.model import FIELDS
+from dsx import model as model_module
 from modelgen import build_model
+
+
+def replace(record, **changes):
+    """A copy of a model record with some attributes changed."""
+    return type(record)(**{name: getattr(record, name) for name in record.__slots__} | changes)
 
 
 def minimal_model(**overrides) -> ConnectorModel:
     fields = dict(
         name="demo",
         identification=IdentificationData(
-            "urn:asset:1", "https://id.example.com", "assets/m1", IdentifierType.URN
+            linked_asset_id="urn:asset:1",
+            base_url="https://id.example.com",
+            endpoint="assets/m1",
+            identifier_type=IdentifierType.URN,
         ),
         metadata=AssetMetaData(
             title="Demo",
@@ -91,23 +99,73 @@ class TestConstructionInvariants:
 
     def test_table_rows_drive_constructor_checks(self):
         with pytest.raises(ValueError):  # the remoteId row is non-empty
-            EdcUsage("https://edc.example", SecretEnvVar("KEY"), "https://dsp.example", "")
+            EdcUsage(
+                edc_address="https://edc.example",
+                x_api_key=SecretEnvVar("KEY"),
+                remote_address="https://dsp.example",
+                remote_id="",
+            )
         with pytest.raises(TypeError):  # enum rows check the enum class
             IdentityProviderConfig(
-                "https://idp.example", "client", "CLIENT_CREDENTIALS", SecretEnvVar("KEY")
+                endpoint="https://idp.example",
+                client_id="client",
+                grant_type="CLIENT_CREDENTIALS",
+                secret=SecretEnvVar("KEY"),
             )
+
+    def test_table_driven_constructors_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            QosMetrics(100, 10)
+        with pytest.raises(TypeError):  # a required row has no default
+            QosMetrics(sampling_rate_ms=100)
+
+    def test_optional_rows_default_by_kind(self):
+        access = AccessPolicy(usage_policy="https://policies.example/p")
+        assert access.roles == () and access.identity_provider is None
+        assert access.contract_offers == {}
+        # Each instance gets its own contract dict.
+        assert access.contract_offers is not AccessPolicy(usage_policy="x").contract_offers
+
+    def test_records_are_frozen(self):
+        m = minimal_model()
+        with pytest.raises(AttributeError):
+            m.name = "other"
+        with pytest.raises(AttributeError):
+            del m.metadata.title
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_parsed_model_survives_copying(self, production_machine, clone):
+        original = production_machine.model
+        cloned = clone(original)
+        assert cloned == original and cloned is not original
+        assert print_canonical(cloned) == print_canonical(original)
+        with pytest.raises(AttributeError):
+            cloned.name = "other"
 
 
 class TestFieldTable:
     def test_every_model_field_has_exactly_one_row(self):
         # Connector and role names and the usage variant are not `key: value` fields.
         outside = {(ConnectorModel, "name"), (Role, "role_name"), (UsageConfig, "extension")}
-        for cls, rows in FIELDS.items():
-            attrs = [spec.attr for spec in rows]
+        tables = [
+            cls
+            for cls in vars(model_module).values()
+            if isinstance(cls, type) and "FIELDS" in vars(cls)
+        ]
+        assert len(tables) == 13
+        for cls in tables:
+            attrs = [spec.attr for spec in cls.FIELDS]
             assert len(attrs) == len(set(attrs)), cls
-            declared = {f.name for f in dataclasses.fields(cls)}
-            expected = declared - {attr for c, attr in outside if c is cls}
-            assert set(attrs) == expected, cls
+            declared = set(cls.__slots__)
+            assert declared - set(attrs) == {attr for c, attr in outside if c is cls}, cls
 
 
 class TestModelEquals:
@@ -141,7 +199,10 @@ class TestModelEquals:
 class TestJoinIdlink:
     def test_plain_join(self):
         ident = IdentificationData(
-            "urn:x", "https://id.example.com", "assets/m1", IdentifierType.URN
+            linked_asset_id="urn:x",
+            base_url="https://id.example.com",
+            endpoint="assets/m1",
+            identifier_type=IdentifierType.URN,
         )
         assert join_idlink(ident) == "https://id.example.com/assets/m1"
 
@@ -215,5 +276,5 @@ class TestSpanAndDiagnosticTypes:
     def test_metamodel_roles_allow_defective_values_for_validation(self):
         # Duplicate/empty permissions are validator findings, not construction
         # errors, so seeded-defect fixtures stay constructible.
-        assert Role("operator", ()).permissions == ()
-        assert Role("operator", (Permission.READ, Permission.READ))
+        assert Role(role_name="operator", permissions=()).permissions == ()
+        assert Role(role_name="operator", permissions=(Permission.READ, Permission.READ))

@@ -94,7 +94,7 @@ def edc_usages(draw):
         sts_service_address=draw(st.none() | urls),
         trusted_did_registries=tuple(draw(st.lists(urls, max_size=2))),
         push_endpoints=draw(
-            st.none() | st.builds(PushEndpointsConfig, urls, st.booleans())
+            st.none() | st.builds(PushEndpointsConfig, callback_url=urls, cloud_push=st.booleans())
         ),
     )
 
@@ -115,8 +115,8 @@ def opcua_usages(draw):
             st.none()
             | st.builds(
                 QosMetrics,
-                st.integers(min_value=1, max_value=60_000),
-                st.integers(min_value=1, max_value=10_000),
+                sampling_rate_ms=st.integers(min_value=1, max_value=60_000),
+                max_subscriptions=st.integers(min_value=1, max_value=10_000),
             )
         ),
     )
@@ -136,10 +136,10 @@ def accesses(draw):
         st.lists(
             st.builds(
                 Role,
-                names,
-                st.lists(st.sampled_from(Permission), min_size=1, max_size=5, unique=True).map(
-                    tuple
-                ),
+                role_name=names,
+                permissions=st.lists(
+                    st.sampled_from(Permission), min_size=1, max_size=5, unique=True
+                ).map(tuple),
             ),
             max_size=3,
             unique_by=lambda role: role.role_name,
