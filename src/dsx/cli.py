@@ -9,6 +9,11 @@ Exit codes form a stable contract for CI pipelines:
 Batches keep going past per-file failures and exit with the worst code
 observed.  Environment variables referenced by models are never resolved
 here; generated artifacts carry ``${NAME}`` placeholders.
+
+``check`` and ``gen`` compare contract expiry dates (W204) against
+``--today YYYY-MM-DD``; without the flag, against ``SOURCE_DATE_EPOCH``
+(https://reproducible-builds.org/specs/source-date-epoch/) read as a UTC
+date; and only when neither is set, against the system clock.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .model import Diagnostic, Record, Severity, print_canonical
@@ -39,8 +46,9 @@ class CliConfig(Record):
         "report_format",
         "fail_on_warning",
         "fmt_check",
+        "today",  # reference date for W204; None reads the system clock
     )
-    DEFAULTS = (None, frozenset(), "text", False, False)
+    DEFAULTS = (None, frozenset(), "text", False, False, None)
 
 
 class _Report:
@@ -127,7 +135,9 @@ def cmd_check(config: CliConfig) -> int:
         result = parse(source, str(path))
         diagnostics = list(result.diagnostics)
         if result.model is not None:
-            diagnostics.extend(validate(result.model, result.source_map).diagnostics)
+            diagnostics.extend(
+                validate(result.model, result.source_map, today=config.today).diagnostics
+            )
         _emit_diagnostics(diagnostics, config, report)
         worst = max(worst, _exit_code_for(diagnostics, config))
     if config.report_format == "json":
@@ -150,7 +160,7 @@ def cmd_gen(config: CliConfig) -> int:
         validation = None
         diagnostics = list(result.diagnostics)
         if result.model is not None:
-            validation = validate(result.model, result.source_map)
+            validation = validate(result.model, result.source_map, today=config.today)
             diagnostics.extend(validation.diagnostics)
         _emit_diagnostics(diagnostics, config, report)
         worst = max(worst, _exit_code_for(diagnostics, config))
@@ -226,6 +236,26 @@ def _parse_targets(raw: str) -> frozenset[Target]:
     return frozenset(targets)
 
 
+def _parse_today(raw: str) -> date:
+    try:
+        today = date.fromisoformat(raw)
+        if today.isoformat() == raw:
+            return today
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid date {raw!r} (expected YYYY-MM-DD)")
+
+
+def _epoch_date(raw: str) -> date | None:
+    """The UTC date of a SOURCE_DATE_EPOCH value, or None when it is malformed."""
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    try:
+        return datetime.fromtimestamp(int(raw), timezone.utc).date()
+    except (OverflowError, OSError, ValueError):
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsx",
@@ -250,6 +280,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in (check, gen):
         command.add_argument("--report", choices=("text", "json"), default="text")
         command.add_argument("--fail-on-warning", action="store_true")
+        command.add_argument(
+            "--today",
+            type=_parse_today,
+            metavar="YYYY-MM-DD",
+            help="reference date for contract expiry (default: SOURCE_DATE_EPOCH, "
+            "else the system clock)",
+        )
 
     fmt = sub.add_parser("fmt", help="rewrite models in canonical form")
     fmt.add_argument("inputs", nargs="+", metavar="FILE_OR_GLOB")
@@ -266,11 +303,22 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "fmt":
         return cmd_fmt(CliConfig(input_paths=args.inputs, fmt_check=args.check))
+    today = args.today
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if today is None and epoch is not None:
+        today = _epoch_date(epoch)
+        if today is None:
+            print(
+                f"dsx: SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}",
+                file=sys.stderr,
+            )
+            return 2
     if args.command == "check":
         config = CliConfig(
             input_paths=args.inputs,
             report_format=args.report,
             fail_on_warning=args.fail_on_warning,
+            today=today,
         )
         return cmd_check(config)
     if not args.targets:
@@ -282,6 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         targets=args.targets,
         report_format=args.report,
         fail_on_warning=args.fail_on_warning,
+        today=today,
     )
     return cmd_gen(config)
 

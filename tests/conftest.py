@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, datetime, time, timezone
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,8 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 # Reference date for expiry checks: keeps fixture assertions stable no
 # matter when the suite runs (the flagship contract ends 2026-12-31).
 FIXTURE_TODAY = date(2026, 6, 1)
+# The same date as a SOURCE_DATE_EPOCH value, which pins the CLI's reference date.
+FIXTURE_EPOCH = str(int(datetime.combine(FIXTURE_TODAY, time(), timezone.utc).timestamp()))
 
 
 def fixture_text(name: str) -> str:

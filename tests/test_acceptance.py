@@ -28,7 +28,7 @@ from dsx import (
 from dsx.cli import main
 from modelgen import build_model
 
-from conftest import FIXTURES, FIXTURE_TODAY, fixture_text, parse_fixture
+from conftest import FIXTURE_EPOCH, FIXTURES, FIXTURE_TODAY, fixture_text, parse_fixture
 
 pytestmark = pytest.mark.acceptance
 
@@ -269,6 +269,7 @@ def test_parser_fuzz_robustness():
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     """End-to-end check/gen/fmt contract on valid, invalid, and mixed batches."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", FIXTURE_EPOCH)
     valid = tmp_path / "production-machine.dsx"
     shutil.copy(FIXTURES / "production-machine.dsx", valid)
     invalid = tmp_path / "bad.dsx"

@@ -1,5 +1,6 @@
 import json
 import shutil
+from datetime import datetime
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +9,19 @@ import pytest
 from dsx.cli import main
 from dsx.codegen import SCHEMAS_DIR
 
-from conftest import FIXTURES
+from conftest import FIXTURE_EPOCH, FIXTURES
+
+
+def epoch(day: str, clock: str = "00:00:00") -> str:
+    """A SOURCE_DATE_EPOCH value for a UTC date and time of day."""
+    moment = datetime.fromisoformat(f"{day}T{clock}+00:00")
+    return str(int(moment.timestamp()))
+
+
+@pytest.fixture(autouse=True)
+def pinned_date(monkeypatch):
+    """W204 compares against FIXTURE_TODAY here, never the system clock."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", FIXTURE_EPOCH)
 
 
 @pytest.fixture
@@ -183,6 +196,59 @@ class TestFmt:
         assert main(["fmt", "--check", str(path)]) == 1
         assert main(["fmt", str(path)]) == 0
         assert path.read_bytes() == lf_bytes
+
+
+class TestReferenceDate:
+    """production-machine.dsx's contract has validUntil "2026-12-31"."""
+
+    @pytest.mark.parametrize("command", ["check", "gen"])
+    def test_today_flag_turns_w204_on_and_off(self, workdir, capsys, command):
+        path = copy_fixture("production-machine.dsx", workdir)
+        args = [command, str(path), "--fail-on-warning"]
+        if command == "gen":
+            args += ["--out", "out", "--targets", "edc"]
+        assert main([*args, "--today", "2026-12-31"]) == 0
+        assert "W204" not in capsys.readouterr().out
+        assert main([*args, "--today", "2027-01-01"]) == 1
+        assert "warning[W204]: contract expired on 2026-12-31" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "gen"])
+    def test_source_date_epoch_turns_w204_on_and_off(
+        self, workdir, capsys, monkeypatch, command
+    ):
+        path = copy_fixture("production-machine.dsx", workdir)
+        args = [command, str(path), "--fail-on-warning"]
+        if command == "gen":
+            args += ["--out", "out", "--targets", "edc"]
+        # The epoch is read as a UTC date: the last second of 2026 is not past it.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch("2026-12-31", "23:59:59"))
+        assert main(args) == 0
+        assert "W204" not in capsys.readouterr().out
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch("2027-01-01"))
+        assert main(args) == 1
+        assert "warning[W204]" in capsys.readouterr().out
+
+    def test_flag_wins_over_the_environment(self, workdir, capsys, monkeypatch):
+        path = copy_fixture("production-machine.dsx", workdir)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch("2027-01-01"))
+        assert main(["check", str(path), "--fail-on-warning", "--today", "2026-06-01"]) == 0
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "malformed")
+        assert main(["check", str(path), "--fail-on-warning", "--today", "2026-06-01"]) == 0
+
+    @pytest.mark.parametrize("value", ["2026-13-01", "20261231", "2026-12-31T00:00", ""])
+    def test_malformed_today_flag_exits_two(self, workdir, capsys, value):
+        path = copy_fixture("production-machine.dsx", workdir)
+        assert main(["check", str(path), "--today", value]) == 2
+        assert "invalid date" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", "soon", "1.5", "-1", " 1", "9" * 30])
+    def test_malformed_source_date_epoch_exits_two(self, workdir, capsys, monkeypatch, value):
+        path = copy_fixture("production-machine.dsx", workdir)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        assert main(["check", str(path)]) == 2
+        assert main(["gen", str(path), "--out", "out", "--targets", "edc"]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
 
 class TestUsage:
