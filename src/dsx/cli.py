@@ -151,6 +151,7 @@ def cmd_gen(config: CliConfig) -> int:
     files, code = _resolve_inputs(config.input_paths)
     worst = code
     report = _Report()
+    made_dirs: set[Path] = set()
     for path in files:
         source = _read(path)
         if source is None:
@@ -177,7 +178,9 @@ def cmd_gen(config: CliConfig) -> int:
         try:
             for artifact in bundle.artifacts:
                 target_path = config.out_dir / result.model.name / artifact.relative_path
-                target_path.parent.mkdir(parents=True, exist_ok=True)
+                if target_path.parent not in made_dirs:
+                    target_path.parent.mkdir(parents=True, exist_ok=True)
+                    made_dirs.add(target_path.parent)
                 target_path.write_bytes(artifact.content)
                 report.written.append(str(target_path))
                 if config.report_format == "text":

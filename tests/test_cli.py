@@ -134,6 +134,33 @@ class TestGen:
             second = workdir / "b" / first.relative_to(workdir / "a")
             assert first.read_bytes() == second.read_bytes()
 
+    def test_each_output_directory_is_made_once(self, workdir, capsys, monkeypatch):
+        first = copy_fixture("production-machine.dsx", workdir)
+        second = workdir / "second.dsx"
+        second.write_text(first.read_text().replace('"production-machine"', '"second-machine"'))
+        made = []
+        depth = 0  # Path.mkdir(parents=True) calls itself for missing parents
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            nonlocal depth
+            if not depth:
+                made.append(self)
+            depth += 1
+            try:
+                return real_mkdir(self, *args, **kwargs)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        args = ["gen", str(first), str(second), "--out", "out", "--targets", "edc,idlink-aas"]
+        assert main([*args, "--report", "json"]) == 0
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert len(written) == 10
+        parents = {Path(file).parent for file in written}
+        assert len(parents) == 4
+        assert sorted(made) == sorted(parents)
+
     def test_json_report_lists_written_files(self, workdir, capsys):
         path = copy_fixture("sensor-idlink.dsx", workdir)
         code = main(
