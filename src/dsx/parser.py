@@ -181,6 +181,8 @@ _LBRACE, _RBRACE, _LBRACKET, _RBRACKET, _COLON, _COMMA = (
     TokenKind.COLON,
     TokenKind.COMMA,
 )
+# Tokens the block loop resumes at after an error in a field entry.
+_RESUME_KINDS = frozenset({_IDENT, _KEYWORD, _RBRACE, _EOF})
 # Scalars whose token value is the parsed value as it is (a DATE is checked).
 _PLAIN_SCALARS = frozenset({_STRING, TokenKind.INTEGER, TokenKind.BOOLEAN, _IDENT})
 
@@ -468,6 +470,14 @@ class _Parser:
             if kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
                 return
 
+    def skip_stray(self) -> None:
+        """After an error in a field entry, skip the line of the token it
+        stopped at, unless the block loop can resume there: at a field name,
+        a keyword, '}' or end of input.  At any other token the loop would
+        only report a second E003 and skip that line itself."""
+        if self.tokens[self.pos].kind not in _RESUME_KINDS:
+            self.skip_line()
+
     # --- raw block parsing ------------------------------------------------
 
     def parse_raw_block(self, label: str, keyword_span: Span) -> _RawBlock:
@@ -543,10 +553,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind is not _COLON:
             self.error("E003", f"expected ':' after field name '{key_tok.lexeme}'", tok.span)
+            self.skip_stray()
             return
         self.pos += 1
         value = self.parse_value()
         if value is None:
+            self.skip_stray()
             return
         key = key_tok.lexeme
         if key in raw.fields:

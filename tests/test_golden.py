@@ -55,19 +55,19 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "8cbe1e6d3a1c10edcdf10afa7050cafb144b921d3e35ce030cf26e1146da6d94",
-    "production-machine:duplicate-token": "369288203c59d90f1e07e14e2e0c6382330c1bf0759c447004910d8203b5f41f",
-    "production-machine:replace-token": "52d433fd7c220a72e6886920ed60988a4181435318f610a55cc7060688a5059d",
+    "production-machine:delete-token": "9b1bafed5e9d83f89f18fdf2476aa6d08ba6765b0ab24458d1d9a93b5ca702cc",
+    "production-machine:duplicate-token": "74a72f800dc95fd6e05488be1970b77da9330e7640d7a8b110ad007ed669c393",
+    "production-machine:replace-token": "6880f9e9f405f4ff07c3e313af5030e67432e0511dbaff97317bd5a85a56ff00",
     "production-machine:drop-line": "cd0b52f8eee7001fd118a67daff85f51d91d89c38feaf07d0d433eb1ebea9904",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "941e0ddba8ef24b2a4748cf7ff58d647a484f4299e733d1088dddb8e03bc09ac",
-    "machine-opcua:duplicate-token": "9f1e91d9d1b0b43278f00c2fdc714b95fcff6474c4b2d46205c168676c9395b8",
-    "machine-opcua:replace-token": "f847b4229d66e4f747774d26d64b37d0dbef0dc568ddbfb112a4dfe2f078cdc4",
+    "machine-opcua:delete-token": "c78bd3438ba18ce6c6c375db3b2308c02731bfdaf30c50d944fedba45ec848aa",
+    "machine-opcua:duplicate-token": "a7feb61ffc34cb9f82a6a1e845c3947eb8816f89566c5ed87b7579e85dcdd28d",
+    "machine-opcua:replace-token": "8e6ee4cc1146d98dc8a2829349bd7f9796af6837ab3956bde9be86de5d9f6bfd",
     "machine-opcua:drop-line": "f51603c43b0a65ee2f6e08ab70a727a9de4444b72cb6cbef7174be9beab20dc5",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "2d180749a5f0bacf460536092b08a7756f715b3b8aee6a53610ca07a361b9d34",
-    "sensor-idlink:duplicate-token": "02e5b351e050d6940c9d4545370d522252b3629e000506fddf1eb387d1516db1",
-    "sensor-idlink:replace-token": "ae994b70c7774a2edd1bfd3ca2f9fc9c8d1fafca3e1852d5e4d97f8ba406ac9f",
+    "sensor-idlink:delete-token": "07a8896d747076350e0353b2c0b11a2eb5184d731632dd599a897d20a588a1eb",
+    "sensor-idlink:duplicate-token": "01dc013fee98f123bd526d2f5645d24942bdf4a3ac710387f6ff430295ed1d6b",
+    "sensor-idlink:replace-token": "9dee396241088b82f06ce46daf9e79807434d3840d48097e9ed103442fc43fe7",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }

@@ -399,6 +399,22 @@ class TestParseErrors:
             ("E003", "expected a field name or '}' in access block, got string")
         ]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('bogus "x"', "expected ':' after field name 'bogus'"),
+            ('usagePolicy "https://a.example/p"', "expected ':' after field name 'usagePolicy'"),
+            ("bogus: ]", "expected a value, got ']'"),
+        ],
+    )
+    def test_bad_field_entry_is_one_error(self, line, message):
+        text = fixture_text("production-machine.dsx").replace(
+            "access {\n", f"access {{\n    {line}\n", 1
+        )
+        result = parse(text, "access.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [("E003", message)]
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
