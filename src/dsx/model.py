@@ -94,6 +94,10 @@ def _check_fields(obj: Record) -> None:
         _CHECKS[spec.kind](spec, value)
 
 
+# Optional rows of these kinds default to (), a contract row to {}, any other to None.
+_SEQUENCE_KINDS = frozenset({"str-list", "enum-list", "roles"})
+
+
 class _RecordType(type):
     """Builds each record class from its own declaration.
 
@@ -136,6 +140,7 @@ class _RecordType(type):
         scope["_check_fields"] = _check_fields
         exec("\n".join(lines), scope)
         init = cls.__init__ = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"  # as named in argument errors
         if rows is None:
             init.__defaults__ = ns.get("DEFAULTS")
         else:
@@ -145,9 +150,6 @@ class _RecordType(type):
                 if not spec.required
             }
         return cls
-
-
-_SEQUENCE_KINDS = frozenset({"str-list", "enum-list", "roles"})
 
 
 class Record(metaclass=_RecordType):
