@@ -312,6 +312,11 @@ class SourceMap:
         self.file = file
         self.spans = {} if spans is None else spans
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SourceMap:
+            return NotImplemented
+        return self.file == other.file and self.spans == other.spans
+
     def record(self, path: str, span: Span) -> None:
         self.spans[path] = span
 

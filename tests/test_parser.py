@@ -503,6 +503,7 @@ class TestParseProperties:
         second = parse(text, "a.dsx")
         assert first.diagnostics == second.diagnostics
         assert first.model == second.model
+        assert first == second  # the source maps too
 
     def test_diagnostics_in_source_order(self):
         text = fixture_text("sensor-idlink.dsx").replace(
