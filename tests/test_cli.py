@@ -161,6 +161,12 @@ class TestGen:
         assert len(parents) == 4
         assert sorted(made) == sorted(parents)
 
+    def test_unwritable_out_dir_exits_two(self, workdir, capsys):
+        path = copy_fixture("production-machine.dsx", workdir)
+        (workdir / "out").write_text("a regular file")
+        assert main(["gen", str(path), "--out", "out", "--targets", "edc"]) == 2
+        assert "cannot write under out" in capsys.readouterr().err
+
     def test_json_report_lists_written_files(self, workdir, capsys):
         path = copy_fixture("sensor-idlink.dsx", workdir)
         code = main(
@@ -205,6 +211,19 @@ class TestFmt:
         assert main(["fmt", str(path)]) == 1
         assert path.read_text() == 'connector "x" { discovery {'
         assert "error[" in capsys.readouterr().out
+
+    def test_write_failure_exits_two(self, workdir, capsys, monkeypatch):
+        path = copy_fixture("production-machine.dsx", workdir)
+        noisy = path.read_text().replace("  discovery {", "  discovery   {")
+        path.write_text(noisy)
+
+        def failing_write(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        assert main(["fmt", str(path)]) == 2
+        assert f"cannot write {path}: disk full" in capsys.readouterr().err
+        assert path.read_text() == noisy
 
     def test_reordered_sections_are_canonicalized(self, workdir):
         path = copy_fixture("sensor-idlink.dsx", workdir)

@@ -470,6 +470,38 @@ class TestParseErrors:
         assert result.diagnostics[-1].code == "E099"
         assert result.model is None
 
+    def test_parser_error_budget_caps_at_e099(self):
+        lines = "".join(f'    bogus{i} "x"\n' for i in range(150))
+        text = fixture_text("production-machine.dsx").replace("access {\n", "access {\n" + lines)
+        result = parse(text, "spam.dsx")
+        assert tokenize(text)[1] == []  # every diagnostic comes from the parser
+        assert len(result.diagnostics) == 100
+        assert result.diagnostics[-1].code == "E099"
+        assert result.model is None
+
+    def test_duplicate_block_is_one_error(self):
+        text = fixture_text("production-machine.dsx")
+        oauth = text[text.index("    oauth {") : text.index("  }\n}")]
+        text = text.replace(oauth, oauth + oauth)
+        result = parse(text, "dupblock.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E015", "duplicate oauth block")
+        ]
+        second = text.rindex("    oauth {")
+        span = result.diagnostics[0].span
+        assert (span.line, span.column) == (text.count("\n", 0, second) + 1, 5)
+
+    def test_invalid_calendar_date_in_contract_is_one_error(self):
+        text = fixture_text("production-machine.dsx").replace(
+            '"validUntil": "2026-12-31",', '"validUntil": "2026-12-31",\n      "bad": 2025-02-30,'
+        )
+        result = parse(text, "baddate.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E014", "invalid calendar date '2025-02-30'")
+        ]
+
     def test_missing_value(self):
         result = parse('connector "x" {\n  discovery {\n    baseUrl:\n  }\n}', "novalue.dsx")
         assert result.model is None
