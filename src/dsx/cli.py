@@ -26,29 +26,24 @@ import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .model import Diagnostic, Record, Severity, print_canonical
+from .model import Diagnostic, Severity, print_canonical
 from .parser import parse
 from .validator import validate
 
 # Type checkers read this as typing.TYPE_CHECKING; importing typing would slow start-up.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .codegen import Target
+    from .model import ConnectorModel
+    from .validator import ValidationReport
+
+    # A generation step: (path, valid model, its validation, report) -> exit code.
+    _Generate = Callable[[Path, ConnectorModel, ValidationReport, "_Report"], int]
+
 
 _GLOB_CHARS = set("*?[")
-
-
-class CliConfig(Record):
-    ATTRS = (
-        "input_paths",
-        "out_dir",
-        "targets",
-        "report_format",
-        "fail_on_warning",
-        "fmt_check",
-        "today",  # reference date for W204; None reads the system clock
-    )
-    DEFAULTS = (None, frozenset(), "text", False, False, None)
 
 
 class _Report:
@@ -81,8 +76,9 @@ class _Report:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _resolve_inputs(patterns: list[str]) -> tuple[list[Path], int]:
-    """Expand glob patterns and literal paths, keeping command-line order."""
+def _each_input(patterns: list[str], handle: Callable[[Path, str], int]) -> int:
+    """Run ``handle(path, source)`` on every input file, glob patterns expanded
+    and command-line order kept; return the worst exit code."""
     files: dict[Path, None] = {}
     for pattern in patterns:
         if _GLOB_CHARS & set(pattern):
@@ -94,133 +90,105 @@ def _resolve_inputs(patterns: list[str]) -> tuple[list[Path], int]:
             files[Path(pattern)] = None
     if not files:
         print("dsx: no input files", file=sys.stderr)
-        return [], 2
-    return list(files), 0
-
-
-def _read(path: Path) -> str | None:
-    # Raw bytes, not universal newlines: fmt must see CRLF files as
-    # non-canonical, and the parser accepts both endings anyway.
-    try:
-        return path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"dsx: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _emit_diagnostics(diagnostics: list[Diagnostic], config: CliConfig, report: _Report) -> None:
-    report.diagnostics.extend(diagnostics)
-    if config.report_format == "text":
-        for diagnostic in diagnostics:
-            print(diagnostic.render())
-
-
-def _exit_code_for(diagnostics: list[Diagnostic], config: CliConfig) -> int:
-    if any(d.severity is Severity.ERROR for d in diagnostics):
-        return 1
-    if config.fail_on_warning and diagnostics:
-        return 1
-    return 0
-
-
-def cmd_check(config: CliConfig) -> int:
-    files, code = _resolve_inputs(config.input_paths)
-    worst = code
-    report = _Report()
+        return 2
+    worst = 0
     for path in files:
-        source = _read(path)
-        if source is None:
-            worst = max(worst, 2)
+        # Raw bytes, not universal newlines: fmt must see CRLF files as
+        # non-canonical, and the parser accepts both endings anyway.
+        try:
+            source = path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"dsx: cannot read {path}: {exc}", file=sys.stderr)
+            worst = 2
             continue
+        worst = max(worst, handle(path, source))
+    return worst
+
+
+def cmd_check(args: argparse.Namespace, generate: _Generate | None = None) -> int:
+    """Parse and validate each input; ``generate`` runs on each valid model."""
+    report = _Report()
+    text = args.report == "text"
+
+    def check(path: Path, source: str) -> int:
         result = parse(source, str(path))
         diagnostics = list(result.diagnostics)
+        validation = None
         if result.model is not None:
-            diagnostics.extend(
-                validate(result.model, result.source_map, today=config.today).diagnostics
-            )
-        _emit_diagnostics(diagnostics, config, report)
-        worst = max(worst, _exit_code_for(diagnostics, config))
-    if config.report_format == "json":
+            validation = validate(result.model, result.source_map, today=args.today)
+            diagnostics.extend(validation.diagnostics)
+        report.diagnostics.extend(diagnostics)
+        if text:
+            for diagnostic in diagnostics:
+                print(diagnostic.render())
+        errors = any(d.severity is Severity.ERROR for d in diagnostics)
+        code = 1 if errors or (args.fail_on_warning and diagnostics) else 0
+        if generate is not None and validation is not None and validation.valid:
+            code = max(code, generate(path, result.model, validation, report))
+        return code
+
+    worst = _each_input(args.inputs, check)
+    if not text:
         print(report.to_json())
     return worst
 
 
-def cmd_gen(config: CliConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     from .codegen import GenerationError, generate_all
 
-    files, code = _resolve_inputs(config.input_paths)
-    worst = code
-    report = _Report()
+    out = Path(args.out)
     made_dirs: set[Path] = set()
-    for path in files:
-        source = _read(path)
-        if source is None:
-            worst = max(worst, 2)
-            continue
-        result = parse(source, str(path))
-        validation = None
-        diagnostics = list(result.diagnostics)
-        if result.model is not None:
-            validation = validate(result.model, result.source_map, today=config.today)
-            diagnostics.extend(validation.diagnostics)
-        _emit_diagnostics(diagnostics, config, report)
-        worst = max(worst, _exit_code_for(diagnostics, config))
-        if result.model is None or not validation.valid:
-            continue
+
+    def generate(
+        path: Path, model: ConnectorModel, validation: ValidationReport, report: _Report
+    ) -> int:
         try:
-            bundle = generate_all(result.model, set(config.targets), validation)
+            bundle = generate_all(model, args.targets, validation)
         except GenerationError as exc:
             for message in exc.messages:
                 print(f"dsx: gen error: {path}: {message}", file=sys.stderr)
                 report.generation_errors.append((str(path), message))
-            worst = max(worst, 1)
-            continue
+            return 1
         try:
             for artifact in bundle.artifacts:
-                target_path = config.out_dir / result.model.name / artifact.relative_path
+                target_path = out / model.name / artifact.relative_path
                 if target_path.parent not in made_dirs:
                     target_path.parent.mkdir(parents=True, exist_ok=True)
                     made_dirs.add(target_path.parent)
                 target_path.write_bytes(artifact.content)
                 report.written.append(str(target_path))
-                if config.report_format == "text":
+                if args.report == "text":
                     print(f"wrote {target_path}")
         except OSError as exc:
-            print(f"dsx: cannot write under {config.out_dir}: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-    if config.report_format == "json":
-        print(report.to_json())
-    return worst
+            print(f"dsx: cannot write under {out}: {exc}", file=sys.stderr)
+            return 2
+        return 0
+
+    return cmd_check(args, generate)
 
 
-def cmd_fmt(config: CliConfig) -> int:
-    files, code = _resolve_inputs(config.input_paths)
-    worst = code
-    for path in files:
-        source = _read(path)
-        if source is None:
-            worst = max(worst, 2)
-            continue
+def cmd_fmt(args: argparse.Namespace) -> int:
+    def fmt(path: Path, source: str) -> int:
         result = parse(source, str(path))
         if result.model is None:
             for diagnostic in result.diagnostics:
                 print(diagnostic.render())
-            worst = max(worst, 1)
-            continue
+            return 1
         canonical = print_canonical(result.model)
         if canonical == source:
-            continue
-        if config.fmt_check:
+            return 0
+        if args.check:
             print(f"would reformat {path}")
-            worst = max(worst, 1)
-            continue
+            return 1
         try:
             path.write_text(canonical, encoding="utf-8", newline="")
             print(f"reformatted {path}")
         except OSError as exc:
             print(f"dsx: cannot write {path}: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-    return worst
+            return 2
+        return 0
+
+    return _each_input(args.inputs, fmt)
 
 
 def _parse_targets(raw: str) -> frozenset[Target]:
@@ -305,37 +273,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "fmt":
-        return cmd_fmt(CliConfig(input_paths=args.inputs, fmt_check=args.check))
-    today = args.today
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if today is None and epoch is not None:
-        today = _epoch_date(epoch)
-        if today is None:
+        return cmd_fmt(args)
+    if args.today is None:
+        epoch = os.environ.get("SOURCE_DATE_EPOCH")
+        args.today = date.today() if epoch is None else _epoch_date(epoch)
+        if args.today is None:
             print(
                 f"dsx: SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}",
                 file=sys.stderr,
             )
             return 2
     if args.command == "check":
-        config = CliConfig(
-            input_paths=args.inputs,
-            report_format=args.report,
-            fail_on_warning=args.fail_on_warning,
-            today=today,
-        )
-        return cmd_check(config)
+        return cmd_check(args)
     if not args.targets:
         print("dsx: at least one target is required", file=sys.stderr)
         return 2
-    config = CliConfig(
-        input_paths=args.inputs,
-        out_dir=Path(args.out),
-        targets=args.targets,
-        report_format=args.report,
-        fail_on_warning=args.fail_on_warning,
-        today=today,
-    )
-    return cmd_gen(config)
+    return cmd_gen(args)
 
 
 if __name__ == "__main__":
