@@ -138,17 +138,26 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     made_dirs: set[Path] = set()
+    generated: dict[str, Path] = {}  # connector name -> input
 
     def generate(
         path: Path, model: ConnectorModel, validation: ValidationReport, report: _Report
     ) -> int:
+        # Outputs go to out/<connector name>/, so a second input with a name
+        # already generated would overwrite the first input's files.
+        first = generated.get(model.name)
         try:
+            if first is not None:
+                raise GenerationError(
+                    f"connector name '{model.name}' already generated from {first}"
+                )
             bundle = generate_all(model, args.targets, validation)
         except GenerationError as exc:
             for message in exc.messages:
                 print(f"dsx: gen error: {path}: {message}", file=sys.stderr)
                 report.generation_errors.append((str(path), message))
             return 1
+        generated[model.name] = path
         try:
             for artifact in bundle.artifacts:
                 target_path = out / model.name / artifact.relative_path

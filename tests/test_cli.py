@@ -161,6 +161,23 @@ class TestGen:
         assert len(parents) == 4
         assert sorted(made) == sorted(parents)
 
+    def test_colliding_connector_names_are_rejected(self, workdir, capsys):
+        first = copy_fixture("production-machine.dsx", workdir, "a.dsx")
+        second = workdir / "b.dsx"
+        second.write_text(first.read_text().replace("monitoring-only", "research-only"))
+        args = ["gen", str(first), str(second), "--targets", "edc", "--report", "json"]
+        assert main([*args, "--out", "out"]) == 1
+        captured = capsys.readouterr()
+        message = f"connector name 'production-machine' already generated from {first}"
+        assert captured.err == f"dsx: gen error: {second}: {message}\n"
+        report = json.loads(captured.out)
+        assert report["errors"] == [{"file": str(second), "message": message}]
+        assert len(report["written"]) == len(set(report["written"])) == 3
+        assert main(["gen", str(first), "--out", "alone", "--targets", "edc"]) == 0
+        for written in (workdir / "alone").rglob("*.json"):
+            kept = workdir / "out" / written.relative_to(workdir / "alone")
+            assert kept.read_bytes() == written.read_bytes()
+
     def test_unwritable_out_dir_exits_two(self, workdir, capsys):
         path = copy_fixture("production-machine.dsx", workdir)
         (workdir / "out").write_text("a regular file")
