@@ -28,7 +28,6 @@ generated artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str
@@ -42,6 +41,7 @@ from .model import (
     EdcUsage,
     OpcUaUsage,
     Protocol,
+    Record,
     SecretEnvVar,
     SecretRef,
     join_idlink,
@@ -83,13 +83,10 @@ class GenerationError(Exception):
         self.messages = tuple(messages)
 
 
-@dataclass(frozen=True)
-class GeneratedArtifact:
-    relative_path: str
-    content: bytes
-    target: Target
+class GeneratedArtifact(Record):
+    ATTRS = ("relative_path", "content", "target")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         path = self.relative_path
         if path.startswith("/") or ".." in path.split("/"):
             raise ValueError(f"artifact path must be relative: {path!r}")
@@ -100,12 +97,10 @@ class GeneratedArtifact:
         return self.content.decode("utf-8")
 
 
-@dataclass(frozen=True)
-class GenerationBundle:
-    artifacts: tuple[GeneratedArtifact, ...]
-    source_model: str
+class GenerationBundle(Record):
+    ATTRS = ("artifacts", "source_model")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.artifacts:
             raise ValueError("a generation bundle must contain at least one artifact")
         paths = [a.relative_path for a in self.artifacts]

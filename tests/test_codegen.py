@@ -209,13 +209,13 @@ class TestGenerateAll:
 
     def test_builds_each_artifact_once(self, production_machine, monkeypatch):
         checked = []
-        check = GeneratedArtifact.__post_init__
+        check = GeneratedArtifact._check
 
         def counting_check(artifact):
             checked.append(artifact.relative_path)
             check(artifact)
 
-        monkeypatch.setattr(GeneratedArtifact, "__post_init__", counting_check)
+        monkeypatch.setattr(GeneratedArtifact, "_check", counting_check)
         bundle = generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
         assert sorted(checked) == [a.relative_path for a in bundle.artifacts]
 
