@@ -183,6 +183,8 @@ _LBRACE, _RBRACE, _LBRACKET, _RBRACKET, _COLON, _COMMA = (
 )
 # Tokens the block loop resumes at after an error in a field entry.
 _RESUME_KINDS = frozenset({_IDENT, _KEYWORD, _RBRACE, _EOF})
+# Tokens the contract loop resumes at, on the line of a bad entry's key.
+_CONTRACT_RESUME_KINDS = frozenset({_KEYWORD, _RBRACE, _EOF})
 # Scalars whose token value is the parsed value as it is (a DATE is checked).
 _PLAIN_SCALARS = frozenset({_STRING, TokenKind.INTEGER, TokenKind.BOOLEAN, _IDENT})
 
@@ -483,6 +485,15 @@ class _Parser:
         if self.tokens[self.pos].kind not in _RESUME_KINDS:
             self.skip_line()
 
+    def skip_contract_stray(self, key_line: int) -> None:
+        """After an error in a contract entry, skip the rest of its key's line,
+        unless the entry stopped at a later line, '}', a keyword or end of
+        input.  A contract key is a string, and a string left on the key's
+        line would only start a second bad entry."""
+        tok = self.tokens[self.pos]
+        if tok.line == key_line and tok.kind not in _CONTRACT_RESUME_KINDS:
+            self.skip_line()
+
     # --- raw block parsing ------------------------------------------------
 
     def parse_raw_block(self, label: str, keyword_span: Span) -> _RawBlock:
@@ -577,10 +588,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind is not _COLON:
             self.error("E003", "expected ':' after contract key", tok.span)
+            self.skip_contract_stray(key_tok.line)
             return
         self.pos += 1
         value = self.parse_scalar()
         if value is None:
+            self.skip_contract_stray(key_tok.line)
             return
         if self.tokens[self.pos].kind is _COMMA:
             self.pos += 1

@@ -55,19 +55,19 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "9b1bafed5e9d83f89f18fdf2476aa6d08ba6765b0ab24458d1d9a93b5ca702cc",
-    "production-machine:duplicate-token": "74a72f800dc95fd6e05488be1970b77da9330e7640d7a8b110ad007ed669c393",
-    "production-machine:replace-token": "6880f9e9f405f4ff07c3e313af5030e67432e0511dbaff97317bd5a85a56ff00",
+    "production-machine:delete-token": "a382621de144cf2f833376da3cc64b1f9041ea751c3a298724c0774b85f43462",
+    "production-machine:duplicate-token": "3685fc4afb51759627740d22839c90e1abdff890d17de80cbf0cc6e373748a3c",
+    "production-machine:replace-token": "290003fb829c734ce5ebc798b241fa89655c8781d48fdffb98a59b76897c46c4",
     "production-machine:drop-line": "cd0b52f8eee7001fd118a67daff85f51d91d89c38feaf07d0d433eb1ebea9904",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "c78bd3438ba18ce6c6c375db3b2308c02731bfdaf30c50d944fedba45ec848aa",
-    "machine-opcua:duplicate-token": "a7feb61ffc34cb9f82a6a1e845c3947eb8816f89566c5ed87b7579e85dcdd28d",
-    "machine-opcua:replace-token": "8e6ee4cc1146d98dc8a2829349bd7f9796af6837ab3956bde9be86de5d9f6bfd",
+    "machine-opcua:delete-token": "367b351a441631a929072820f13ba92d6f33c81cad0028033702cb56e483f885",
+    "machine-opcua:duplicate-token": "206c3693a0e99d3e8fab2b4be0e44be192efdc6e9a60bf2a7c4e8d148df1494f",
+    "machine-opcua:replace-token": "bc05224a179f0d1ec08cac0b395d9f5206967e5b346535d61a35018a1d2dd72f",
     "machine-opcua:drop-line": "f51603c43b0a65ee2f6e08ab70a727a9de4444b72cb6cbef7174be9beab20dc5",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "07a8896d747076350e0353b2c0b11a2eb5184d731632dd599a897d20a588a1eb",
-    "sensor-idlink:duplicate-token": "01dc013fee98f123bd526d2f5645d24942bdf4a3ac710387f6ff430295ed1d6b",
-    "sensor-idlink:replace-token": "9dee396241088b82f06ce46daf9e79807434d3840d48097e9ed103442fc43fe7",
+    "sensor-idlink:delete-token": "c426b0309c19283f31a1c54de683a162804406d393eb2e674d0f283634c3c2e9",
+    "sensor-idlink:duplicate-token": "f2f5b0c98991ccf760ebc2164c28aca6355f485dfb34da2f1e4827fb74265be8",
+    "sensor-idlink:replace-token": "207b2567b428851234ba56e0f08a7226edb050e7db70bc11a7c3b9d1342f669d",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }

@@ -389,6 +389,27 @@ class TestParseErrors:
             ("E003", "expected a quoted contract key or '}', got 'bogus'")
         ]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"k" "x",', "expected ':' after contract key"),
+            ('"k": ]', "expected a value, got ']'"),
+            ('"k": {', "expected a value, got '{'"),
+        ],
+    )
+    def test_bad_contract_entry_is_one_error(self, line, message):
+        # The entry on the next line is still read: it makes the fixture's own
+        # "maxRetentionDays" a duplicate.
+        text = fixture_text("production-machine.dsx").replace(
+            "contract {\n", f'contract {{\n      {line}\n      "maxRetentionDays": 7,\n', 1
+        )
+        result = parse(text, "contract.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", message),
+            ("E015", 'duplicate contract key "maxRetentionDays"'),
+        ]
+
     def test_stray_line_in_field_block_is_one_error(self):
         text = fixture_text("production-machine.dsx").replace(
             "access {\n", 'access {\n    "k": "v",\n', 1
