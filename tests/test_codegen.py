@@ -28,6 +28,7 @@ from dsx import (
     schema_path_for,
     validate,
 )
+from modelgen import build_model
 from test_model import minimal_model
 
 from conftest import FIXTURE_TODAY, fixture_text, parse_fixture
@@ -265,6 +266,37 @@ class TestDeterminismAndSchemas:
                     jsonschema.validate(json.loads(artifact.text), schema)
                 else:
                     assert schema_path is None
+
+    def test_modelgen_corpus_artifacts_match_their_schemas(self):
+        """Every member a generator emits, optional ones included, is in its schema."""
+        validators = {}
+        artifacts = 0
+        for index in range(600):
+            model = build_model(index)
+            report = validate(model, today=FIXTURE_TODAY)
+            if not report.valid:
+                continue
+            targets = {
+                EdcUsage: {Target.EDC},
+                OpcUaUsage: {Target.OPCUA},
+            }.get(type(model.usage.extension), set())
+            if model.access.identity_provider is not None:
+                targets.add(Target.IDLINK_AAS)
+            for target in targets:
+                for artifact in generate_all(model, {target}, report).artifacts:
+                    schema_path = schema_path_for(artifact)
+                    if schema_path is None:
+                        continue
+                    if schema_path not in validators:
+                        schema = json.loads(schema_path.read_text(encoding="utf-8"))
+                        validators[schema_path] = jsonschema.validators.validator_for(schema)(
+                            schema
+                        )
+                    errors = list(validators[schema_path].iter_errors(json.loads(artifact.text)))
+                    assert not errors, (index, artifact.relative_path, errors[0].message)
+                    artifacts += 1
+        assert len(validators) == 7
+        assert artifacts == 1508
 
     def test_env_secret_values_never_leak(self, production_machine, monkeypatch):
         sentinel = "super-secret-sentinel-value"
