@@ -35,7 +35,6 @@ from pathlib import Path, PurePosixPath
 
 from .model import (
     AccessPolicy,
-    AssetMetaData,
     ConnectorModel,
     ContractValue,
     EdcUsage,
@@ -176,6 +175,29 @@ def _json_scalar(value: ContractValue) -> object:
     return value
 
 
+def _members(record: Record) -> dict[str, object]:
+    """A block's JSON object: each row's DSL key mapped to its value, absent
+    optional values left out, so a new row reaches every document mirroring it."""
+    members: dict[str, object] = {}
+    for spec in record.FIELDS:
+        value = getattr(record, spec.attr)
+        if value is not None:
+            convert = _TO_JSON.get(spec.kind)
+            members[spec.key] = value if convert is None else convert(value)
+    return members
+
+
+# Row kinds whose values are not already JSON; str, int and bool pass through.
+_TO_JSON = {
+    "date": date.isoformat,
+    "enum": lambda value: value.value,
+    "str-list": list,
+    "enum-list": lambda value: [member.value for member in value],
+    "secret": _secret,
+    "sub-block": _members,
+}
+
+
 def _ensure_clean(model: ConnectorModel, report: ValidationReport | None) -> None:
     effective = report if report is not None else validate(model)
     if not effective.valid:
@@ -231,7 +253,8 @@ def _edc_files(
         )
     _ensure_clean(model, report)
 
-    asset_id = model.identification.linked_asset_id
+    identification = _members(model.identification)
+    asset_id = identification.pop("linkedAssetId")
     policy_id = f"{model.name}-policy"
 
     data_address: dict[str, object] = {
@@ -243,12 +266,8 @@ def _edc_files(
     asset = {
         "dataAddress": data_address,
         "id": asset_id,
-        "identification": {
-            "baseUrl": model.identification.base_url,
-            "endpoint": model.identification.endpoint,
-            "identifierType": model.identification.identifier_type.value,
-        },
-        "properties": _metadata_json(model.metadata),
+        "identification": identification,
+        "properties": _members(model.metadata),
     }
 
     constraints: list[dict[str, object]] = [
@@ -277,29 +296,19 @@ def _edc_files(
         **_credentials_json(model.access),
     }
 
-    connection: dict[str, object] = {
-        "edcAddress": ext.edc_address,
-        "mode": "direct-dsp" if ext.direct_dsp else "hosted-client",
-        "trustedDidRegistries": list(ext.trusted_did_registries),
-        "xApiKey": _secret(ext.x_api_key),
-    }
-    if ext.sts_service_address is not None:
-        connection["stsServiceAddress"] = ext.sts_service_address
+    connection = _members(ext)
+    counterparty = {key: connection.pop(key) for key in ("remoteAddress", "remoteId")}
+    push = connection.pop("push", None)
+    connection["mode"] = "direct-dsp" if ext.direct_dsp else "hosted-client"
     contract: dict[str, object] = {
         "assetId": asset_id,
         "connection": connection,
-        "counterparty": {
-            "remoteAddress": ext.remote_address,
-            "remoteId": ext.remote_id,
-        },
+        "counterparty": counterparty,
         "id": f"{model.name}-contract",
         "policyId": policy_id,
     }
-    if ext.push_endpoints is not None:
-        contract["pushEndpoints"] = {
-            "callbackUrl": ext.push_endpoints.callback_url,
-            "cloudPush": ext.push_endpoints.cloud_push,
-        }
+    if push is not None:
+        contract["pushEndpoints"] = push
 
     return [
         ("asset.json", _dump(asset)),
@@ -319,33 +328,15 @@ def _opcua_files(
         )
     _ensure_clean(model, report)
 
-    catalog: dict[str, object] = {
-        "asset": {
-            "baseUrl": model.identification.base_url,
-            "endpoint": model.identification.endpoint,
-            "id": model.identification.linked_asset_id,
-            "identifierType": model.identification.identifier_type.value,
-        },
-        **_metadata_json(model.metadata),
-    }
+    asset = _members(model.identification)
+    asset["id"] = asset.pop("linkedAssetId")
+    catalog = {"asset": asset, **_members(model.metadata)}
 
-    resource: dict[str, object] = {
-        "addressSpace": ext.address_space,
-        "authenticationMode": ext.authentication_mode.value,
-        "companionSpecs": list(ext.companion_specs),
-        "dataAddress": model.usage.data_address,
-        "endpointUrl": ext.endpoint_url,
-        "messageSecurityMode": ext.message_security_mode.value,
+    resource = {
+        **_members(model.usage),
+        **_members(ext),
         "protocols": [PROTOCOL_WIRE_NAMES[p] for p in ext.protocols],
-        "securityPolicy": ext.security_policy.value,
     }
-    if model.usage.schema_address is not None:
-        resource["schemaAddress"] = model.usage.schema_address
-    if ext.qos is not None:
-        resource["qos"] = {
-            "maxSubscriptions": ext.qos.max_subscriptions,
-            "samplingRateMs": ext.qos.sampling_rate_ms,
-        }
 
     roles = _access_document(model)
 
@@ -397,38 +388,11 @@ def _access_document(model: ConnectorModel) -> dict[str, object]:
 def _credentials_json(access: AccessPolicy) -> dict[str, object]:
     """The identityProvider and oauth members, each present when the model has it."""
     members: dict[str, object] = {}
-    idp = access.identity_provider
-    if idp is not None:
-        members["identityProvider"] = {
-            "clientId": idp.client_id,
-            "endpoint": idp.endpoint,
-            "grantType": idp.grant_type.value,
-            "secret": _secret(idp.secret),
-        }
+    if access.identity_provider is not None:
+        members["identityProvider"] = _members(access.identity_provider)
     if access.oauth is not None:
-        members["oauth"] = {
-            "grantType": access.oauth.grant_type,
-            "identifier": access.oauth.identifier,
-            "scope": access.oauth.scope,
-            "secret": _secret(access.oauth.secret),
-        }
+        members["oauth"] = _members(access.oauth)
     return members
-
-
-def _metadata_json(meta: AssetMetaData) -> dict[str, object]:
-    """Catalog metadata, shared by the EDC asset properties and the OPC UA catalog."""
-    document: dict[str, object] = {
-        "created": meta.created.isoformat(),
-        "description": meta.description,
-        "modified": meta.modified.isoformat(),
-        "publisher": meta.publisher,
-        "semanticIds": list(meta.semantic_ids),
-        "title": meta.title,
-        "version": meta.version,
-    }
-    if meta.language is not None:
-        document["language"] = meta.language
-    return document
 
 
 _BUILDERS = {
