@@ -207,52 +207,65 @@ def _ensure_clean(model: ConnectorModel, report: ValidationReport | None) -> Non
         )
 
 
+def _check_supported(model: ConnectorModel, target: Target) -> None:
+    """Raise when the model lacks what the target's generator needs."""
+    if target is Target.IDLINK_AAS:
+        if model.access.identity_provider is None:
+            raise GenerationError(
+                f"aas security requires an identity provider: model '{model.name}' "
+                "has no access identity block"
+            )
+        return
+    ext = model.usage.extension
+    if not isinstance(ext, EdcUsage if target is Target.EDC else OpcUaUsage):
+        raise GenerationError(
+            f"generator/usage mismatch: {target.value} generator requires "
+            f"{target.value} usage, model '{model.name}' has {variant_name(ext)} usage"
+        )
+
+
 def generate_edc(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:
     """Emit the asset/policy/contract triple for an EDC-backed connector."""
-    return _bundle(model, Target.EDC, _edc_files(model, report))
+    return _generate(model, Target.EDC, report)
 
 
 def generate_opcua(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:
     """Emit catalog/resource/roles documents for an OPC UA endpoint."""
-    return _bundle(model, Target.OPCUA, _opcua_files(model, report))
+    return _generate(model, Target.OPCUA, report)
 
 
 def generate_idlink_aas(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:
     """Emit the resolved ID-Link URL plus the AAS security configuration."""
-    return _bundle(model, Target.IDLINK_AAS, _idlink_aas_files(model, report))
+    return _generate(model, Target.IDLINK_AAS, report)
 
 
-def _bundle(
-    model: ConnectorModel, target: Target, files: list[tuple[str, bytes]]
+def _generate(
+    model: ConnectorModel, target: Target, report: ValidationReport | None
 ) -> GenerationBundle:
+    _check_supported(model, target)
+    _ensure_clean(model, report)
     return GenerationBundle(
-        artifacts=tuple(GeneratedArtifact(name, content, target) for name, content in files),
+        artifacts=tuple(
+            GeneratedArtifact(name, content, target)
+            for name, content in _BUILDERS[target](model)
+        ),
         source_model=model.name,
     )
 
 
-# Each target's builder returns its files as (name, content) pairs in
-# artifact order; the public generators and generate_all wrap each pair in
-# a GeneratedArtifact once.
+# Each target's builder takes a clean model the target supports and returns
+# its files as (name, content) pairs in artifact order; the public
+# generators and generate_all wrap each pair in a GeneratedArtifact once.
 
 
-def _edc_files(
-    model: ConnectorModel, report: ValidationReport | None
-) -> list[tuple[str, bytes]]:
+def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
-    if not isinstance(ext, EdcUsage):
-        raise GenerationError(
-            f"generator/usage mismatch: edc generator requires edc usage, "
-            f"model '{model.name}' has {variant_name(ext)} usage"
-        )
-    _ensure_clean(model, report)
-
     identification = _members(model.identification)
     asset_id = identification.pop("linkedAssetId")
     policy_id = f"{model.name}-policy"
@@ -317,17 +330,8 @@ def _edc_files(
     ]
 
 
-def _opcua_files(
-    model: ConnectorModel, report: ValidationReport | None
-) -> list[tuple[str, bytes]]:
+def _opcua_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
-    if not isinstance(ext, OpcUaUsage):
-        raise GenerationError(
-            f"generator/usage mismatch: opcua generator requires opcua usage, "
-            f"model '{model.name}' has {variant_name(ext)} usage"
-        )
-    _ensure_clean(model, report)
-
     asset = _members(model.identification)
     asset["id"] = asset.pop("linkedAssetId")
     catalog = {"asset": asset, **_members(model.metadata)}
@@ -347,16 +351,7 @@ def _opcua_files(
     ]
 
 
-def _idlink_aas_files(
-    model: ConnectorModel, report: ValidationReport | None
-) -> list[tuple[str, bytes]]:
-    if model.access.identity_provider is None:
-        raise GenerationError(
-            f"aas security requires an identity provider: model '{model.name}' "
-            "has no access identity block"
-        )
-    _ensure_clean(model, report)
-
+def _idlink_aas_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     url = join_idlink(model.identification)
     security = _access_document(model)
     security["asset"] = {
@@ -409,27 +404,28 @@ def generate_all(
 ) -> GenerationBundle:
     """Generate every requested target, nesting artifacts per target directory.
 
-    All per-target failures are collected and reported together rather
-    than stopping at the first one.  Without a ``report`` the model is
-    validated here, once for all targets.
+    A model with validation errors is refused once, whatever the targets.
+    Otherwise every target the model does not support is reported together
+    rather than stopping at the first one.  Without a ``report`` the model
+    is validated here, once for all targets.
     """
     if not targets:
         raise GenerationError("no targets requested")
-    if report is None:
-        report = validate(model)
+    _ensure_clean(model, report)
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
     for target in Target:
         if target not in targets:
             continue
         try:
-            files = _BUILDERS[target](model, report)
+            _check_supported(model, target)
         except GenerationError as exc:
             failures.extend(exc.messages)
             continue
         prefix = target.value + "/"
         artifacts.extend(
-            GeneratedArtifact(prefix + name, content, target) for name, content in files
+            GeneratedArtifact(prefix + name, content, target)
+            for name, content in _BUILDERS[target](model)
         )
     if failures:
         raise GenerationError(*failures)

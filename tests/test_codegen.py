@@ -197,6 +197,32 @@ class TestGenerateAll:
         with pytest.raises(GenerationError, match="E203"):
             generate_all(result.model, {Target.EDC})
 
+    @pytest.mark.parametrize(
+        "targets",
+        [{Target.EDC, Target.IDLINK_AAS}, set(Target), {Target.OPCUA}],
+        ids=["edc,idlink-aas", "all", "opcua"],
+    )
+    def test_refused_model_is_reported_once(self, targets):
+        text = fixture_text("production-machine.dsx").replace(
+            'remoteId: "BPNL000000000MB7"', 'remoteId: "bad"'
+        )
+        model = parse(text, "bad.dsx").model
+        with pytest.raises(GenerationError) as excinfo:
+            generate_all(model, targets)
+        assert excinfo.value.messages == (
+            "refusing to generate from a model with validation errors (E202)",
+        )
+
+    def test_single_target_generators_check_support_before_validity(self):
+        text = fixture_text("production-machine.dsx").replace(
+            'remoteId: "BPNL000000000MB7"', 'remoteId: "bad"'
+        )
+        model = parse(text, "bad.dsx").model
+        with pytest.raises(GenerationError, match="usage mismatch"):
+            generate_opcua(model)
+        with pytest.raises(GenerationError, match=r"refusing .* \(E202\)"):
+            generate_edc(model)
+
     def test_validates_once_without_report(self, production_machine, monkeypatch):
         calls = []
 

@@ -48,26 +48,26 @@ REPLACEMENTS = (
 )
 
 GOLDEN = {
-    "fixtures": "19ae1cc84c8e70f08ee2372194a1946e464247feafb735a0cd24a125305101fa",
+    "fixtures": "b2e9559f98a056a8501865c96686d045dfe78e4ffc072f1b6faefefe6cfedc82",
     "modelgen[0:100]": "c24f1f4359a655c10e5930628971ceb77bc52d6f1cf4872971862fda8359b7ad",
     "modelgen[100:200]": "1c82bb163c1015cb387bca2b750db9cc34b0043eca897ac1d31333d02b7de408",
     "modelgen[200:300]": "b3b679252bcdfbf269b0a178447150a0cbfb7f8a722f0dd751ebaf39949e07c3",
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "a382621de144cf2f833376da3cc64b1f9041ea751c3a298724c0774b85f43462",
-    "production-machine:duplicate-token": "3685fc4afb51759627740d22839c90e1abdff890d17de80cbf0cc6e373748a3c",
-    "production-machine:replace-token": "290003fb829c734ce5ebc798b241fa89655c8781d48fdffb98a59b76897c46c4",
+    "production-machine:delete-token": "2492a2b18a35658a399bc14d18e8dba590c1a0c58907644c3f20c2a28151ce9e",
+    "production-machine:duplicate-token": "da6d37e4cb74556c5ad29159f0d2a4cbbcc293bbaae12fbc0f1b8b5c9106849d",
+    "production-machine:replace-token": "4273e804820080d250287bc8fd8bc60fc98779012cb006b058d5a8081301d5ca",
     "production-machine:drop-line": "cd0b52f8eee7001fd118a67daff85f51d91d89c38feaf07d0d433eb1ebea9904",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
     "machine-opcua:delete-token": "367b351a441631a929072820f13ba92d6f33c81cad0028033702cb56e483f885",
-    "machine-opcua:duplicate-token": "206c3693a0e99d3e8fab2b4be0e44be192efdc6e9a60bf2a7c4e8d148df1494f",
-    "machine-opcua:replace-token": "bc05224a179f0d1ec08cac0b395d9f5206967e5b346535d61a35018a1d2dd72f",
+    "machine-opcua:duplicate-token": "7f560099bc2c647e975be14b94169aac9328be74689e7663d12f798e9e511cf4",
+    "machine-opcua:replace-token": "9bc0065efcdd3a0c853e814b480798261a4e4d571e722098ca90c51334f67134",
     "machine-opcua:drop-line": "f51603c43b0a65ee2f6e08ab70a727a9de4444b72cb6cbef7174be9beab20dc5",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
     "sensor-idlink:delete-token": "c426b0309c19283f31a1c54de683a162804406d393eb2e674d0f283634c3c2e9",
-    "sensor-idlink:duplicate-token": "f2f5b0c98991ccf760ebc2164c28aca6355f485dfb34da2f1e4827fb74265be8",
-    "sensor-idlink:replace-token": "207b2567b428851234ba56e0f08a7226edb050e7db70bc11a7c3b9d1342f669d",
+    "sensor-idlink:duplicate-token": "fa53ab468f3d55e45d925dd18688d7633fcd35c09e1d281593df6c55699f5b6b",
+    "sensor-idlink:replace-token": "9229f3c1c05974ad30b3984318d3c7b823c8ae7018392822ba634fd7829814af",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }
