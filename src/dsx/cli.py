@@ -78,21 +78,21 @@ class _Report:
 
 def _each_input(patterns: list[str], handle: Callable[[Path, str], int]) -> int:
     """Run ``handle(path, source)`` on every input file, glob patterns expanded
-    and command-line order kept; return the worst exit code."""
-    files: dict[Path, None] = {}
+    and command-line order kept; return the worst exit code.  A file named
+    more than once is handled once, under the first name given for it."""
+    files: dict[str, Path] = {}  # resolved path -> first spelling
     for pattern in patterns:
         if _GLOB_CHARS & set(pattern):
             for match in sorted(glob.glob(pattern, recursive=True)):
-                path = Path(match)
-                if path.is_file():
-                    files[path] = None
+                if os.path.isfile(match):
+                    files.setdefault(os.path.realpath(match), Path(match))
         else:
-            files[Path(pattern)] = None
+            files.setdefault(os.path.realpath(pattern), Path(pattern))
     if not files:
         print("dsx: no input files", file=sys.stderr)
         return 2
     worst = 0
-    for path in files:
+    for path in files.values():
         # Raw bytes, not universal newlines: fmt must see CRLF files as
         # non-canonical, and the parser accepts both endings anyway.
         try:

@@ -77,6 +77,13 @@ class TestCheck:
         assert [d["code"] for d in report["diagnostics"]] == ["E202"]
         assert report["diagnostics"][0]["severity"] == "error"
 
+    def test_file_named_twice_is_checked_once(self, workdir, capsys):
+        copy_fixture("invalid/e202-bad-bpn.dsx", workdir, "bad.dsx")
+        assert main(["check", "bad.dsx", str(workdir / "bad.dsx"), "*.dsx"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith("bad.dsx:")
+
     def test_batch_aggregates_worst_exit(self, workdir):
         good = copy_fixture("production-machine.dsx", workdir)
         bad = copy_fixture("invalid/e203-date-order.dsx", workdir)
@@ -177,6 +184,14 @@ class TestGen:
         for written in (workdir / "alone").rglob("*.json"):
             kept = workdir / "out" / written.relative_to(workdir / "alone")
             assert kept.read_bytes() == written.read_bytes()
+
+    def test_file_named_twice_is_generated_once(self, workdir, capsys):
+        copy_fixture("production-machine.dsx", workdir)
+        args = ["production-machine.dsx", str(workdir / "production-machine.dsx")]
+        assert main(["gen", *args, "--out", "out", "--targets", "edc"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("wrote ") == 3
 
     def test_unwritable_out_dir_exits_two(self, workdir, capsys):
         path = copy_fixture("production-machine.dsx", workdir)
