@@ -190,7 +190,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
             print(f"would reformat {path}")
             return 1
         try:
-            path.write_text(canonical, encoding="utf-8", newline="")
+            _replace_text(path, canonical)
             print(f"reformatted {path}")
         except OSError as exc:
             print(f"dsx: cannot write {path}: {exc}", file=sys.stderr)
@@ -198,6 +198,27 @@ def cmd_fmt(args: argparse.Namespace) -> int:
         return 0
 
     return _each_input(args.inputs, fmt)
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Rewrite the file at ``path`` atomically: write ``text`` to a temporary
+    sibling with the original's permission bits, then rename it over the
+    original, so a failure at any step leaves the original untouched."""
+    import tempfile  # only a rewriting fmt needs it; keeps start-up lean
+
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    fd, temporary = tempfile.mkstemp(prefix=".dsx-", dir=os.path.dirname(target))
+    os.close(fd)
+    try:
+        Path(temporary).write_text(text, encoding="utf-8", newline="")
+        os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+        os.replace(temporary, target)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
 
 
 def _parse_targets(raw: str) -> frozenset[Target]:

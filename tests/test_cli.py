@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from datetime import datetime
 from pathlib import Path
@@ -256,6 +257,35 @@ class TestFmt:
         assert main(["fmt", str(path)]) == 2
         assert f"cannot write {path}: disk full" in capsys.readouterr().err
         assert path.read_text() == noisy
+
+    def test_failed_replace_leaves_original_and_no_stray_file(
+        self, workdir, capsys, monkeypatch
+    ):
+        path = copy_fixture("production-machine.dsx", workdir)
+        noisy = path.read_bytes().replace(b"  discovery {", b"  discovery   {")
+        path.write_bytes(noisy)
+
+        def failing_replace(source, destination):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["fmt", str(path)]) == 2
+        assert f"cannot write {path}: rename failed" in capsys.readouterr().err
+        assert path.read_bytes() == noisy
+        assert list(workdir.iterdir()) == [path]
+
+    def test_rewrite_keeps_permissions_and_symlinks(self, workdir):
+        path = copy_fixture("production-machine.dsx", workdir)
+        canonical = path.read_text()
+        path.write_text(canonical.replace("  discovery {", "  discovery   {"))
+        path.chmod(0o640)
+        link = workdir / "link.dsx"
+        link.symlink_to(path.name)
+        assert main(["fmt", str(link)]) == 0
+        assert link.is_symlink()
+        assert path.read_text() == canonical
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert sorted(workdir.iterdir()) == [link, path]
 
     def test_reordered_sections_are_canonicalized(self, workdir):
         path = copy_fixture("sensor-idlink.dsx", workdir)
