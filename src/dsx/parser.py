@@ -10,14 +10,16 @@ The surface syntax is block-structured::
     }
 
 The lexer is one compiled master regex with a named group per token class;
-line and column are derived from newline offsets, and each :class:`Token`
-builds its :class:`~dsx.model.Span` on first access to ``span``.
+line and column are derived from newline offsets.  Each :class:`Token`
+carries its decoded value, dates included (``None`` for an impossible
+calendar date such as ``2025-02-30``), and builds its
+:class:`~dsx.model.Span` on first access to ``span``.
 
 Blocks are parsed in two steps.  The entry parsers read ``key: value``
-entries, lists and sub-blocks into raw blocks on one token cursor
-(``self.tokens[self.pos]``), keeping each field's key token; a key's span
-is built only when a diagnostic needs it.  The binder then checks each
-raw block against the model's field table.
+entries, lists and sub-blocks on one token cursor into raw blocks that
+hold the lexer's own tokens, so a span is built only when a diagnostic or
+the source map needs it.  The binder then checks each raw block against
+the model's field table.
 
 ``parse`` never raises on malformed input: every problem becomes a
 :class:`~dsx.model.Diagnostic` and the parser resynchronizes at block
@@ -185,8 +187,9 @@ _LBRACE, _RBRACE, _LBRACKET, _RBRACKET, _COLON, _COMMA = (
 _RESUME_KINDS = frozenset({_IDENT, _KEYWORD, _RBRACE, _EOF})
 # Tokens the contract loop resumes at, on the line of a bad entry's key.
 _CONTRACT_RESUME_KINDS = frozenset({_KEYWORD, _RBRACE, _EOF})
-# Scalars whose token value is the parsed value as it is (a DATE is checked).
-_PLAIN_SCALARS = frozenset({_STRING, TokenKind.INTEGER, TokenKind.BOOLEAN, _IDENT})
+# Tokens that are a value by themselves.  Of these only a DATE has the value
+# None, for an impossible calendar date.
+_SCALAR_KINDS = frozenset({_STRING, TokenKind.INTEGER, _DATE, TokenKind.BOOLEAN, _IDENT})
 
 _PUNCT = {
     "{": TokenKind.LBRACE,
@@ -222,10 +225,6 @@ class _Sink:
             return
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.diagnostics)
-
 
 def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
     tokens: list[Token] = []
@@ -251,7 +250,11 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
             append(Token(_PUNCT[text], text, None, file, line, column))
             continue
         if group == "date":
-            append(Token(TokenKind.DATE, text, text, file, line, column))
+            try:
+                value = date.fromisoformat(text)
+            except ValueError:  # the parser reports it where it expects a value
+                value = None
+            append(Token(TokenKind.DATE, text, value, file, line, column))
             continue
         if group == "integer":
             if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
@@ -339,32 +342,16 @@ class ParseResult(Record):
     ATTRS = ("model", "diagnostics", "source_map")
 
 
-class _Scalar:
-    __slots__ = ("kind", "value", "span")
-
-    def __init__(self, kind: TokenKind, value: object, span: Span) -> None:
-        self.kind = kind
-        self.value = value
-        self.span = span
-
-
 class _List:
+    kind = TokenKind.LBRACKET  # so the binder tells a list from a token by kind
     __slots__ = ("items", "span")
 
-    def __init__(self, items: list[_Scalar], span: Span) -> None:
+    def __init__(self, items: list[Token], span: Span) -> None:
         self.items = items
         self.span = span
 
 
-class _EnvRef:
-    __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: Span) -> None:
-        self.name = name
-        self.span = span
-
-
-_Value = _Scalar | _List | _EnvRef
+_Value = Token | _List
 
 
 class _RawBlock:
@@ -376,7 +363,7 @@ class _RawBlock:
         self.fields: dict[str, tuple[Token, _Value]] = {}  # key token, value
         self.blocks: dict[str, _RawBlock] = {}
         self.roles: list[tuple[str, Span, _RawBlock]] = []
-        self.contract: dict[str, _Scalar] = {}
+        self.contract: dict[str, Token] = {}
 
 
 class _Abort(Exception):
@@ -384,30 +371,15 @@ class _Abort(Exception):
 
 
 class _Parser:
+    # Every parser reads the cursor as ``self.tokens[self.pos]`` and moves
+    # ``pos`` past a token only once its kind is known and is not EOF, so the
+    # cursor never runs past the EOF token.
     def __init__(self, tokens: list[Token], file: str, sink: _Sink) -> None:
         self.tokens = tokens
         self.pos = 0
         self.file = file
         self.sink = sink
         self.smap = SourceMap(file)
-
-    # --- token plumbing ---------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
-
-    def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
-
-    def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok.kind is TokenKind.KEYWORD and tok.lexeme in names
 
     def error(self, code: str, message: str, span: Span) -> None:
         self.sink.error(code, message, span)
@@ -419,41 +391,43 @@ class _Parser:
     def sync(self) -> None:
         """Skip tokens until a block boundary: '}' at depth 0, a structural
         keyword, or end of input."""
+        tokens = self.tokens
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind is TokenKind.EOF:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _EOF:
                 return
-            if depth == 0:
-                if tok.kind is TokenKind.RBRACE:
-                    return
-                if tok.kind is TokenKind.KEYWORD and tok.lexeme in _STRUCTURAL:
-                    return
-            if tok.kind is TokenKind.LBRACE:
+            if not depth and (kind is _RBRACE or kind is _KEYWORD and tok.lexeme in _STRUCTURAL):
+                return
+            if kind is _LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif kind is _RBRACE:
                 depth -= 1
-            self.advance()
+            self.pos += 1
 
     def skip_balanced_block(self) -> None:
         """Consume tokens up to and including a balanced '{ ... }'."""
-        while not self.at(TokenKind.LBRACE):
-            tok = self.peek()
-            if tok.kind is TokenKind.EOF or tok.kind is TokenKind.RBRACE:
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _LBRACE:
+                break
+            if kind is _EOF or kind is _RBRACE or kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
                 return
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in _STRUCTURAL:
-                return
-            self.advance()
+            self.pos += 1
         depth = 0
         while True:
-            tok = self.advance()
-            if tok.kind is TokenKind.EOF:
+            kind = tokens[self.pos].kind
+            if kind is _EOF:
                 return
-            if tok.kind is TokenKind.LBRACE:
+            self.pos += 1
+            if kind is _LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif kind is _RBRACE:
                 depth -= 1
-                if depth == 0:
+                if not depth:
                     return
 
     def skip_line(self) -> None:
@@ -559,10 +533,6 @@ class _Parser:
             )
             self.skip_line()
 
-    # The entry parsers move ``pos`` past a token only once its kind is known
-    # (checked by the caller or here) and is not EOF, so the cursor never runs
-    # past the EOF token.
-
     def parse_field_entry(self, raw: _RawBlock) -> None:
         key_tok = self.tokens[self.pos]
         self.pos += 1
@@ -622,23 +592,16 @@ class _Parser:
             return self.parse_list()
         if kind is _ENV_REF:
             self.pos += 1
-            return _EnvRef(tok.value, tok.span)
+            return tok
         return self.parse_scalar()
 
-    def parse_scalar(self) -> _Scalar | None:
+    def parse_scalar(self) -> Token | None:
         tok = self.tokens[self.pos]
-        kind = tok.kind
-        if kind in _PLAIN_SCALARS:
+        if tok.kind in _SCALAR_KINDS:
             self.pos += 1
-            return _Scalar(kind, tok.value, tok.span)
-        if kind is _DATE:
-            self.pos += 1
-            try:
-                value: object = date.fromisoformat(tok.value)
-            except ValueError:
+            if tok.value is None:
                 self.error("E014", f"invalid calendar date '{tok.lexeme}'", tok.span)
-                value = None
-            return _Scalar(kind, value, tok.span)
+            return tok
         self.error("E003", f"expected a value, got {tok.describe()}", tok.span)
         return None
 
@@ -646,7 +609,7 @@ class _Parser:
         tokens = self.tokens
         span = tokens[self.pos].span
         self.pos += 1
-        items: list[_Scalar] = []
+        items: list[Token] = []
         while True:
             kind = tokens[self.pos].kind
             if kind is _RBRACKET:
@@ -655,76 +618,78 @@ class _Parser:
             if kind is _EOF or kind is _RBRACE:
                 self.error("E003", "unterminated list (missing ']')", span)
                 return _List(items, span)
-            scalar = self.parse_scalar()
-            if scalar is None:
+            item = self.parse_scalar()
+            if item is None:
                 self.pos += 1
                 continue
-            items.append(scalar)
+            items.append(item)
             if tokens[self.pos].kind is _COMMA:
                 self.pos += 1
 
     # --- document ---------------------------------------------------------
 
     def parse_document(self) -> ConnectorModel | None:
-        tok = self.peek()
-        if not self.at_keyword("connector"):
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind is not _KEYWORD or tok.lexeme != "connector":
             self.error("E011", "expected 'connector'", tok.span)
             return None
         connector_span = tok.span
         self.smap.record("", connector_span)
-        self.advance()
+        self.pos += 1
 
         name: str | None = None
-        if self.at(TokenKind.STRING):
-            name_tok = self.advance()
-            name = str(name_tok.value)
+        tok = tokens[self.pos]
+        if tok.kind is _STRING:
+            self.pos += 1
+            name = tok.value
             if not NAME_RE.fullmatch(name):
-                self.error("E014", f"invalid connector name {name!r}", name_tok.span)
+                self.error("E014", f"invalid connector name {name!r}", tok.span)
                 name = None
             else:
-                self.smap.record("name", name_tok.span)
+                self.smap.record("name", tok.span)
         else:
-            self.error(
-                "E003",
-                f"expected a quoted connector name, got {self.peek().describe()}",
-                self.peek().span,
-            )
+            self.error("E003", f"expected a quoted connector name, got {tok.describe()}", tok.span)
 
-        sections: dict[str, tuple[Span, _RawBlock, str | None]] = {}
-        if not self.at(TokenKind.LBRACE):
-            self.error("E003", f"expected '{{', got {self.peek().describe()}", self.peek().span)
-            self.sync()
+        sections: dict[str, tuple[_RawBlock, str | None]] = {}
+        tok = tokens[self.pos]
+        if tok.kind is _LBRACE:
+            self.pos += 1
         else:
-            self.advance()
+            self.error("E003", f"expected '{{', got {tok.describe()}", tok.span)
+            self.sync()
         closed = False
         while True:
-            tok = self.peek()
-            if tok.kind is TokenKind.RBRACE:
-                self.advance()
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind is _RBRACE:
+                self.pos += 1
                 closed = True
                 break
-            if tok.kind is TokenKind.EOF:
+            if kind is _EOF:
                 self.error("E003", "unexpected end of file inside connector block", tok.span)
                 break
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in SECTION_KEYWORDS:
-                self.advance()
+            if kind is _KEYWORD and tok.lexeme in SECTION_KEYWORDS:
+                self.pos += 1
                 variant = None
                 if tok.lexeme == "usage":
-                    if self.at_keyword(*VARIANTS):
-                        variant = self.advance().lexeme
+                    variant_tok = tokens[self.pos]
+                    if variant_tok.kind is _KEYWORD and variant_tok.lexeme in VARIANTS:
+                        self.pos += 1
+                        variant = variant_tok.lexeme
                     else:
                         self.error(
                             "E003",
                             "expected usage variant 'edc', 'opcua', or 'plain'",
-                            self.peek().span,
+                            variant_tok.span,
                         )
                 raw = self.parse_raw_block(tok.lexeme, tok.span)
                 if tok.lexeme in sections:
                     self.error("E012", f"duplicate {tok.lexeme} block", tok.span)
                 else:
-                    sections[tok.lexeme] = (tok.span, raw, variant)
+                    sections[tok.lexeme] = (raw, variant)
                 continue
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme == "connector":
+            if kind is _KEYWORD and tok.lexeme == "connector":
                 self.error("E003", "missing '}' before 'connector'", tok.span)
                 break
             self.error(
@@ -733,18 +698,18 @@ class _Parser:
                 tok.span,
             )
             self.sync()
-            if self.at(TokenKind.RBRACE):
-                self.advance()
+            if tokens[self.pos].kind is _RBRACE:
+                self.pos += 1
                 closed = True
                 break
 
         if closed:
-            trailing = self.peek()
-            if trailing.kind is TokenKind.KEYWORD and trailing.lexeme == "connector":
+            trailing = tokens[self.pos]
+            if trailing.kind is _KEYWORD and trailing.lexeme == "connector":
                 self.error(
                     "E013", "multiple connector blocks in one file (only one allowed)", trailing.span
                 )
-            elif trailing.kind is not TokenKind.EOF:
+            elif trailing.kind is not _EOF:
                 self.error(
                     "E003",
                     f"unexpected content after connector block: {trailing.describe()}",
@@ -759,7 +724,7 @@ class _Parser:
         for spec in ConnectorModel.FIELDS:
             if spec.key not in sections:
                 continue
-            _, raw, variant = sections[spec.key]
+            raw, variant = sections[spec.key]
             if spec.cls is UsageConfig:
                 values[spec.attr] = self.bind_usage(raw, variant)
             else:
@@ -842,7 +807,7 @@ class _Binder:
 
     def scalar(self, spec: FieldSpec, value: _Value) -> None:
         token_kind, expects = _SCALARS[spec.kind]
-        if not isinstance(value, _Scalar) or value.kind is not token_kind:
+        if value.kind is not token_kind:
             if spec.kind == "enum":
                 expects = f"one of: {_enum_values(spec.cls)}"
             return self._fail("E014", f"field '{spec.key}' expects {expects}", value.span)
@@ -867,7 +832,7 @@ class _Binder:
         self._set(spec, value.span, result)
 
     def string_list(self, spec: FieldSpec, value: _Value) -> None:
-        if not isinstance(value, _List):
+        if value.kind is not _LBRACKET:
             return self._fail("E014", f"field '{spec.key}' expects a list of strings", value.span)
         items: list[str] = []
         for index, item in enumerate(value.items):
@@ -880,7 +845,7 @@ class _Binder:
             self._set(spec, value.span, tuple(items))
 
     def enum_list(self, spec: FieldSpec, value: _Value) -> None:
-        if not isinstance(value, _List):
+        if value.kind is not _LBRACKET:
             return self._fail(
                 "E014",
                 f"field '{spec.key}' expects a list of: {_enum_values(spec.cls)}",
@@ -922,9 +887,9 @@ class _Binder:
             self._set(spec, value.span, tuple(members))
 
     def secret(self, spec: FieldSpec, value: _Value) -> None:
-        if isinstance(value, _EnvRef):
-            self._set(spec, value.span, SecretEnvVar(value.name))
-        elif isinstance(value, _Scalar) and value.kind is TokenKind.STRING:
+        if value.kind is _ENV_REF:
+            self._set(spec, value.span, SecretEnvVar(value.value))
+        elif value.kind is _STRING:
             self._set(spec, value.span, SecretLiteral(value.value))
         else:
             self._fail(
@@ -942,19 +907,19 @@ class _Binder:
 
     def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
         offers: dict[str, ContractValue] = {}
-        for key, scalar in raw.contract.items():
-            if scalar.kind is TokenKind.IDENT:
+        for key, tok in raw.contract.items():
+            if tok.kind is _IDENT:
                 self._fail(
                     "E014",
                     "contract values must be a string, integer, date, or boolean",
-                    scalar.span,
+                    tok.span,
                 )
                 continue
-            if scalar.value is None:  # invalid calendar date, already reported
+            if tok.value is None:  # invalid calendar date, already reported
                 self.ok = False
                 continue
-            offers[key] = scalar.value
-            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", scalar.span)
+            offers[key] = tok.value
+            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", tok.span)
         self.values[spec.attr] = offers
 
     def roles(self, spec: FieldSpec, raw: _RawBlock) -> None:
@@ -1027,7 +992,7 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
             model = parser.parse_document()
         except _Abort:
             model = None
-    if sink.has_errors:
+    if sink.diagnostics:  # the sink holds only errors
         model = None
     diagnostics = sink.diagnostics
     # Binding reports in declaration order; present findings in source order.
