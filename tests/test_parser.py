@@ -1,5 +1,6 @@
 import sys
 import time
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,14 @@ class TestTokenize:
         assert diagnostics == []
         assert tokens[2].kind is TokenKind.DATE
         assert tokens[2].lexeme == "2025-07-01"
+        assert tokens[2].value == date(2025, 7, 1)
+
+    def test_impossible_date_lexes_with_no_value(self):
+        # The parser reports E014 where it expects a value, not the lexer.
+        tokens, diagnostics = tokenize("created: 2025-02-30")
+        assert diagnostics == []
+        assert tokens[2].kind is TokenKind.DATE
+        assert (tokens[2].lexeme, tokens[2].value) == ("2025-02-30", None)
 
     def test_env_ref_lexing(self):
         tokens, diagnostics = tokenize("secret: env(IDP_SECRET)")
