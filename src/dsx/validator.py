@@ -94,7 +94,10 @@ class _Context:
 def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:
     if _SPACE_RE.search(value):
         return False
-    parts = urlsplit(value)
+    try:
+        parts = urlsplit(value)
+    except ValueError:  # an unbalanced '[' or ']', or a host invalid under NFKC
+        return False
     return parts.scheme in schemes and bool(parts.netloc)
 
 
@@ -165,9 +168,13 @@ def _check_valid_until(ctx: _Context) -> None:
     if isinstance(value, date):
         parsed = value
     elif isinstance(value, str):
+        # Exactly YYYY-MM-DD: from 3.11 on, fromisoformat also takes forms
+        # such as 20261231 and 2026-W53-1, which 3.10 refuses.
         try:
             parsed = date.fromisoformat(value)
         except ValueError:
+            parsed = None
+        if parsed is None or parsed.isoformat() != value:
             ctx.error("E204", f"\"validUntil\" value '{value}' is not an ISO 8601 date", path)
             return
     else:

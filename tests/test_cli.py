@@ -78,6 +78,23 @@ class TestCheck:
         assert [d["code"] for d in report["diagnostics"]] == ["E202"]
         assert report["diagnostics"][0]["severity"] == "error"
 
+    def test_unsplittable_url_does_not_stop_the_batch(self, workdir, capsys):
+        text = (FIXTURES / "production-machine.dsx").read_text(encoding="utf-8")
+        bad_url = workdir / "bad-url.dsx"
+        bad_url.write_text(
+            text.replace('"https://assets.machinebuilder.example"', '"https://[assets.example"'),
+            encoding="utf-8",
+        )
+        copy_fixture("invalid/e202-bad-bpn.dsx", workdir)
+        assert main(["check", "--report", "json", "bad-url.dsx", "e202-bad-bpn.dsx"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        schema = json.loads((SCHEMAS_DIR / "diagnostics-report.schema.json").read_text())
+        jsonschema.validate(report, schema)
+        assert [(d["file"], d["code"]) for d in report["diagnostics"]] == [
+            ("bad-url.dsx", "E201"),
+            ("e202-bad-bpn.dsx", "E202"),
+        ]
+
     def test_file_named_twice_is_checked_once(self, workdir, capsys):
         copy_fixture("invalid/e202-bad-bpn.dsx", workdir, "bad.dsx")
         assert main(["check", "bad.dsx", str(workdir / "bad.dsx"), "*.dsx"]) == 1

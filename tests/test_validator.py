@@ -84,12 +84,44 @@ class TestUrlCheck:
         assert [d.code for d in report.diagnostics] == ["E201"]
 
 
+    @pytest.mark.parametrize(
+        "name, field, url",
+        [
+            ("production-machine.dsx", "baseUrl", "https://[assets.example"),
+            ("production-machine.dsx", "baseUrl", "https://a]b/"),
+            ("production-machine.dsx", "baseUrl", "https://exa\uff03mple.com/x"),
+            ("machine-opcua.dsx", "endpointUrl", "opc.tcp://m[1:4840"),
+        ],
+    )
+    def test_url_that_urlsplit_refuses_is_not_absolute(self, name, field, url):
+        # urlsplit raises ValueError on an unbalanced bracket and on a host
+        # whose NFKC form holds a URL delimiter ('\uff03' becomes '#').
+        lines = fixture_text(name).splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if line.lstrip().startswith(f"{field}:"))
+        head = lines[index].partition('"')[0]
+        lines[index] = f'{head}"{url}"\n'
+        result = parse("".join(lines), "bad-url.dsx")
+        report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
+        assert [d.code for d in report.diagnostics] == ["E201"]
+        span = report.diagnostics[0].span
+        assert (span.line, span.column, span.length) == (index + 1, len(head) + 1, len(url) + 2)
+
+
 class TestValidUntil:
     def test_date_scalar_is_accepted(self, sensor_idlink):
         text = fixture_text("sensor-idlink.dsx").replace('"2030-06-30"', "2030-06-30")
         result = parse(text, "datescalar.dsx")
         report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
         assert report.diagnostics == ()
+
+    @pytest.mark.parametrize("value", ["20261231", "2026-W53-1"])
+    def test_only_the_extended_calendar_form_is_a_date(self, value):
+        # From Python 3.11 on, date.fromisoformat accepts these forms too.
+        text = fixture_text("production-machine.dsx").replace('"2026-12-31"', f'"{value}"')
+        result = parse(text, "basic-form.dsx")
+        report = validate(result.model, result.source_map, today=date(2027, 6, 1))
+        assert [d.code for d in report.diagnostics] == ["E204"]
+        assert not report.valid
 
     def test_past_date_warns_relative_to_today(self, sensor_idlink):
         report = validate(
