@@ -266,6 +266,49 @@ def test_parser_fuzz_robustness():
         assert (result.model is None) == has_errors
 
 
+def test_pipeline_survives_mutated_flagships():
+    """3,000 multi-edit mutations of the flagships: parse, print, validate and
+    generate_all stay total on whatever each mutation produces."""
+    rng = random.Random(20261018)
+    sources = [
+        fixture_text(f"{stem}.dsx")
+        for stem in ("production-machine", "machine-opcua", "sensor-idlink")
+    ]
+    # '\uff03' is a fullwidth '#', which NFKC turns into a URL delimiter.
+    punctuation = ["[", "]", "{", "}", ":", ",", '"', "/", "#", "\uff03", "-", " ", "\n"]
+    models = 0
+    for index in range(3000):
+        source = sources[index % 3]
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(source) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                source = source[:at] + rng.choice(punctuation) + source[at:]
+            elif edit == 1:
+                source = source[:at] + source[at + rng.randint(1, 12) :]
+            else:
+                start = rng.randrange(len(source))
+                source = source[:at] + source[start : start + rng.randint(1, 40)] + source[at:]
+        result = parse(source, "mutant.dsx")
+        has_errors = any(d.severity is Severity.ERROR for d in result.diagnostics)
+        assert (result.model is None) == has_errors
+        model = result.model
+        if model is None:
+            continue
+        models += 1
+        text = print_canonical(model)
+        reparsed = parse(text, "printed.dsx").model
+        assert reparsed == model
+        assert print_canonical(reparsed) == text
+        report = validate(model, result.source_map, today=FIXTURE_TODAY)
+        for target in Target:
+            try:
+                generate_all(model, {target}, report)
+            except dsx.GenerationError:
+                pass
+    assert models >= 300  # enough mutants reach validate and the generators
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     """End-to-end check/gen/fmt contract on valid, invalid, and mixed batches."""
     monkeypatch.chdir(tmp_path)
