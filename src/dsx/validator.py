@@ -2,23 +2,10 @@
 
 The grammar guarantees structure; these checks cover the rules it cannot
 express: URL schemes, participant-id formats, date ordering, policy
-coherence.  Every finding carries a stable code from the table below,
-which is a public contract for CI tooling.
-
-=====  ========  ==========================================================
-check  emits     rule
-=====  ========  ==========================================================
-E201   E201      URL fields parse as absolute URLs with an allowed scheme
-E202   E202      remoteId is a BPN (``BPNL`` + 12) or a DID
-E203   E203      metadata.modified is not before metadata.created
-E204   E204/W204 contract "validUntil" parses as an ISO date / is not past
-E205   E205      role names unique; permissions non-empty, duplicate-free
-E206   W206      direct-DSP details present without an STS address
-E207   E207/W207 security mode/policy coherent; anonymous write access
-E208   E208      language is a two-letter lowercase code
-E209   E209      semantic ids are syntactically valid IRIs
-W210   W210      usage policy reference looks like an IRI
-=====  ========  ==========================================================
+coherence.  Every finding carries a stable code, a public contract for CI
+tooling; README's "Diagnostic codes" table lists every code with its rule.
+``CHECKS`` is keyed by check family: the E206 check emits W206, and the
+E204 and E207 checks emit warnings as well as errors.
 
 No check performs network I/O; reports are deterministic for a given
 model (W204 compares against an injectable ``today``).

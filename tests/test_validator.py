@@ -1,3 +1,4 @@
+import re
 from datetime import date
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from dsx import Severity, check_single, parse, validate
 from modelgen import build_model
 
-from conftest import FIXTURE_TODAY, fixture_text, parse_fixture
+from conftest import FIXTURES, FIXTURE_TODAY, fixture_text, parse_fixture
 
 ALL_CHECKS = ["E201", "E202", "E203", "E204", "E205", "E206", "E207", "E208", "E209", "W210"]
 
@@ -196,3 +197,24 @@ def test_space_pattern_matches_str_isspace_on_every_code_point():
     text = "".join(map(chr, range(0x110000)))
     matched = {m.start() for m in _SPACE_RE.finditer(text)}
     assert matched == {index for index, ch in enumerate(text) if ch.isspace()}
+
+
+# A diagnostic is made by the parser's and the validator's error, warning and
+# _fail calls, and by the E099 Diagnostic the sink adds at its cap.
+_EMITTED_RE = re.compile(r'(?:\b(?:error|warning|_fail)\(|Diagnostic\(Severity\.\w+,)\s*"([EW]\d{3})"')
+
+
+def test_readme_code_table_lists_exactly_the_emitted_codes():
+    root = FIXTURES.parent
+    emitted = set()
+    for path in (root / "src" / "dsx").glob("*.py"):
+        emitted.update(_EMITTED_RE.findall(path.read_text(encoding="utf-8")))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        code
+        for row in table.splitlines()
+        if row.startswith("| ")
+        for code in re.findall(r"[EW]\d{3}", row.split("|")[1])
+    ]
+    assert sorted(documented) == sorted(emitted)
