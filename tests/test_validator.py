@@ -84,7 +84,6 @@ class TestUrlCheck:
         report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
         assert [d.code for d in report.diagnostics] == ["E201"]
 
-
     @pytest.mark.parametrize(
         "name, field, url",
         [
