@@ -10,16 +10,17 @@ The surface syntax is block-structured::
     }
 
 The lexer is one compiled master regex with a named group per token class;
-line and column are derived from newline offsets.  Each :class:`Token`
-carries its decoded value, dates included (``None`` for an impossible
-calendar date such as ``2025-02-30``), and builds its
-:class:`~dsx.model.Span` on first access to ``span``.
+each match is one token with the blanks and comments before it.  A
+:class:`Token` carries its decoded value, dates included (``None`` for an
+impossible calendar date such as ``2025-02-30``), and its character offset.
+Line and column are worked out, from a line table built on first use, only
+when a diagnostic or a reader of ``line``, ``column`` or ``span`` asks.
 
 Blocks are parsed in two steps.  The entry parsers read ``key: value``
 entries, lists and sub-blocks on one token cursor into raw blocks that
 hold the lexer's own tokens, so a span is built only when a diagnostic or
-the source map needs it.  The binder then checks each raw block against
-the model's field table.
+the source map's reader needs it.  The binder then checks each raw block
+against the model's field table.
 
 ``parse`` never raises on malformed input: every problem becomes a
 :class:`~dsx.model.Diagnostic` and the parser resynchronizes at block
@@ -27,15 +28,18 @@ boundaries so several errors can be reported per run.  A model is only
 returned when the file produced zero errors.
 
 Alongside the model, ``parse`` returns a :class:`SourceMap` that maps
-model paths (``"metadata.modified"``, ``"access.roles[operator]"``) to
-source spans, which the validator uses to anchor its findings.
+model paths (``"metadata.modified"``, ``"access.roles[operator]"``) to the
+tokens they were parsed from, and builds their spans when read; the
+validator uses it to anchor its findings.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from datetime import date
 from enum import Enum
+from itertools import accumulate
 
 from .model import (
     BLOCK_KINDS,
@@ -74,30 +78,62 @@ class TokenKind(Enum):
     EOF = "end of file"
 
 
-class Token:
-    """One lexeme with its kind, decoded value and source position.
+class _LineTable:
+    """One lexed file's name and text; its line starts are built on first use."""
 
-    The :class:`Span` is built on first access to ``span``, because most
-    punctuation tokens never need one.
+    __slots__ = ("file", "source", "_starts")
+
+    def __init__(self, file: str, source: str) -> None:
+        self.file = file
+        self.source = source
+        self._starts: list[int] | None = None
+
+    def span(self, offset: int, length: int) -> Span:
+        """The span of ``length`` characters from a character offset."""
+        starts = self._starts
+        if starts is None:
+            # Each line starts one past the previous line and its '\n'.
+            lengths = map((1).__add__, map(len, self.source.split("\n")))
+            starts = self._starts = list(accumulate(lengths, initial=0))
+        line = bisect_right(starts, offset)
+        return Span(self.file, line, offset - starts[line - 1] + 1, length)
+
+
+class Token:
+    """One lexeme with its kind, decoded value and character offset.
+
+    Its position is worked out when ``line``, ``column`` or ``span`` is
+    read, since only diagnostics and source-map readers need it.
     """
 
-    __slots__ = ("kind", "lexeme", "value", "file", "line", "column", "_span")
+    __slots__ = ("kind", "lexeme", "value", "offset", "lines", "_span")
 
     def __init__(
-        self, kind: TokenKind, lexeme: str, value: object, file: str, line: int, column: int
+        self, kind: TokenKind, lexeme: str, value: object, offset: int, lines: _LineTable
     ) -> None:
         self.kind = kind
         self.lexeme = lexeme
         self.value = value
-        self.file = file
-        self.line = line
-        self.column = column
+        self.offset = offset
+        self.lines = lines
         self._span: Span | None = None
+
+    @property
+    def file(self) -> str:
+        return self.lines.file
+
+    @property
+    def line(self) -> int:
+        return self.span.line
+
+    @property
+    def column(self) -> int:
+        return self.span.column
 
     @property
     def span(self) -> Span:
         if self._span is None:
-            self._span = Span(self.file, self.line, self.column, len(self.lexeme))
+            self._span = self.lines.span(self.offset, len(self.lexeme))
         return self._span
 
     def describe(self) -> str:
@@ -138,8 +174,10 @@ KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
 SECTION_KEYWORDS = tuple(spec.key for spec in ConnectorModel.FIELDS)
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
-# The lexer: one alternative per token class, tried in order at each offset.
-# Every character matches at least ``bad``, so the matches tile the source.
+# The lexer: each match is the blanks and `//` comments before a token, then
+# one alternative per token class, tried in order, or the end of input.  Every
+# character after the blanks matches at least ``bad`` (a newline is a blank),
+# so the matches tile the source.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -147,15 +185,15 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # only with '"' or '\', and stays literal before any other character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<space>[ \t\r\ufeff]+|//[^\n]*)
-    |(?P<newline>\n[ \t\r\ufeff]*)
-    |(?P<env>env\((?:(?P<env_name>[A-Z][A-Z0-9_]*)\))?)
+    (?:[ \t\r\n\ufeff]+|//[^\n]*)*
+    (?:(?P<env>env\((?:(?P<env_name>[A-Z][A-Z0-9_]*)\))?)
     |(?P<word>[A-Za-z_][A-Za-z0-9_-]*)
     |(?P<punct>[{}\[\]:,])
     |(?P<string>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*(?P<close>"?))
     |(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
     |(?P<integer>-?[0-9]+)
     |(?P<bad>.)
+    |\Z)
     """,
     re.VERBOSE,
 )
@@ -227,40 +265,35 @@ class _Sink:
 
 
 def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
+    lines = _LineTable(file, source)
     tokens: list[Token] = []
     append = tokens.append
-    line = 1
-    line_start = 0  # offset of the first character of the current line
+    end = len(source)
     for m in _TOKEN_RE.finditer(source):
         group = m.lastgroup
-        if group == "space":
-            continue
-        start = m.start()
-        if group == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        text = m.group()
-        column = start - line_start + 1
+        if group is None:  # blanks up to the end of input
+            break
+        start = m.start(group)
+        text = m.group(group)
         if group == "word":
             kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
-            append(Token(kind, text, value, file, line, column))
+            append(Token(kind, text, value, start, lines))
             continue
         if group == "punct":
-            append(Token(_PUNCT[text], text, None, file, line, column))
+            append(Token(_PUNCT[text], text, None, start, lines))
             continue
         if group == "date":
             try:
                 value = date.fromisoformat(text)
             except ValueError:  # the parser reports it where it expects a value
                 value = None
-            append(Token(TokenKind.DATE, text, value, file, line, column))
+            append(Token(TokenKind.DATE, text, value, start, lines))
             continue
         if group == "integer":
             if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
-                append(Token(TokenKind.INTEGER, text, int(text), file, line, column))
+                append(Token(TokenKind.INTEGER, text, int(text), start, lines))
                 continue
-            sink.error("E002", "integer literal too long", Span(file, line, column, len(text)))
+            sink.error("E002", "integer literal too long", lines.span(start, len(text)))
         elif group == "string":
             printable = text.isprintable()  # false for every control character
             if not printable:
@@ -268,7 +301,7 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
                     sink.error(
                         "E002",
                         "control character in string literal",
-                        Span(file, line, column + bad.start(), 1),
+                        lines.span(start + bad.start(), 1),
                     )
             if m.group("close"):
                 # The lexeme keeps the raw source slice; the decoded text is the value.
@@ -277,27 +310,25 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
                     value = _ESCAPE_RE.sub(r"\1", value)
                 if not printable:
                     value = _CONTROL_RE.sub("", value)
-                append(Token(TokenKind.STRING, text, value, file, line, column))
+                append(Token(TokenKind.STRING, text, value, start, lines))
             else:
-                sink.error("E001", "unterminated string literal", Span(file, line, column, 1))
+                sink.error("E001", "unterminated string literal", lines.span(start, 1))
         elif group == "env":
             name = m.group("env_name")
             if name is not None:
-                append(Token(TokenKind.ENV_REF, text, name, file, line, column))
+                append(Token(TokenKind.ENV_REF, text, name, start, lines))
                 continue
             sink.error(
                 "E002",
                 "malformed env() reference (expected env(UPPER_CASE_NAME))",
-                Span(file, line, column, 3),
+                lines.span(start, 3),
             )
         else:
-            sink.error("E002", f"illegal character {text!r}", Span(file, line, column, 1))
+            sink.error("E002", f"illegal character {text!r}", lines.span(start, 1))
         if sink.full:  # stop at the cap; EOF goes right after the token that hit it
             end = m.end()
             break
-    else:
-        end = len(source)
-    tokens.append(Token(TokenKind.EOF, "", None, file, line, end - line_start + 1))
+    tokens.append(Token(TokenKind.EOF, "", None, end, lines))
     return tokens
 
 
@@ -308,34 +339,45 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
     return tokens, sink.diagnostics
 
 
+# The last member or index of a model path: "access.roles[operator]" -> "access.roles".
+_LAST_STEP_RE = re.compile(r"(\.[^.\[\]]+|\[[^\[\]]*\])$")
+
+
 class SourceMap:
-    """Maps model paths to the source spans they were parsed from."""
+    """Maps model paths to the tokens they were parsed from."""
 
-    __slots__ = ("file", "spans")
+    __slots__ = ("file", "_tokens")
 
-    def __init__(self, file: str, spans: dict[str, Span] | None = None) -> None:
+    def __init__(self, file: str) -> None:
         self.file = file
-        self.spans = {} if spans is None else spans
+        self._tokens: dict[str, Token] = {}
+
+    @property
+    def spans(self) -> dict[str, Span]:
+        """A new dict of every recorded path's span, built when read."""
+        return {path: tok.span for path, tok in self._tokens.items()}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SourceMap:
             return NotImplemented
         return self.file == other.file and self.spans == other.spans
 
-    def record(self, path: str, span: Span) -> None:
-        self.spans[path] = span
+    def record(self, path: str, tok: Token) -> None:
+        self._tokens[path] = tok
 
     def span_for(self, path: str) -> Span:
         """Best span for a path, walking up to enclosing constructs."""
+        tokens = self._tokens
         current = path
         while True:
-            if current in self.spans:
-                return self.spans[current]
-            trimmed = re.sub(r"(\.[^.\[\]]+|\[[^\[\]]*\])$", "", current)
+            if current in tokens:
+                return tokens[current].span
+            trimmed = _LAST_STEP_RE.sub("", current)
             if trimmed == current:
                 break
             current = trimmed
-        return self.spans.get("", Span(self.file, 1, 1, 0))
+        root = tokens.get("")
+        return Span(self.file, 1, 1, 0) if root is None else root.span
 
 
 class ParseResult(Record):
@@ -344,25 +386,29 @@ class ParseResult(Record):
 
 class _List:
     kind = TokenKind.LBRACKET  # so the binder tells a list from a token by kind
-    __slots__ = ("items", "span")
+    __slots__ = ("items", "bracket")
 
-    def __init__(self, items: list[Token], span: Span) -> None:
+    def __init__(self, items: list[Token], bracket: Token) -> None:
         self.items = items
-        self.span = span
+        self.bracket = bracket  # the opening '['
+
+    @property
+    def span(self) -> Span:
+        return self.bracket.span
 
 
 _Value = Token | _List
 
 
 class _RawBlock:
-    __slots__ = ("label", "keyword_span", "fields", "blocks", "roles", "contract")
+    __slots__ = ("label", "keyword", "fields", "blocks", "roles", "contract")
 
-    def __init__(self, label: str, keyword_span: Span) -> None:
+    def __init__(self, label: str, keyword: Token) -> None:
         self.label = label
-        self.keyword_span = keyword_span
+        self.keyword = keyword  # the token that opens the block
         self.fields: dict[str, tuple[Token, _Value]] = {}  # key token, value
         self.blocks: dict[str, _RawBlock] = {}
-        self.roles: list[tuple[str, Span, _RawBlock]] = []
+        self.roles: list[tuple[Token, _RawBlock]] = []  # name token, body
         self.contract: dict[str, Token] = {}
 
 
@@ -470,8 +516,8 @@ class _Parser:
 
     # --- raw block parsing ------------------------------------------------
 
-    def parse_raw_block(self, label: str, keyword_span: Span) -> _RawBlock:
-        raw = _RawBlock(label, keyword_span)
+    def parse_raw_block(self, label: str, keyword: Token) -> _RawBlock:
+        raw = _RawBlock(label, keyword)
         tokens = self.tokens
         tok = tokens[self.pos]
         if tok.kind is not _LBRACE:
@@ -506,7 +552,7 @@ class _Parser:
                     continue
                 if word in allowed:
                     self.pos += 1
-                    sub = self.parse_raw_block(word, tok.span)
+                    sub = self.parse_raw_block(word, tok)
                     if word in raw.blocks:
                         self.error("E015", f"duplicate {word} block", tok.span)
                     else:
@@ -582,8 +628,8 @@ class _Parser:
             self.skip_balanced_block()
             return
         self.pos += 1
-        body = self.parse_raw_block("role", name_tok.span)
-        raw.roles.append((name_tok.lexeme, name_tok.span, body))
+        body = self.parse_raw_block("role", name_tok)
+        raw.roles.append((name_tok, body))
 
     def parse_value(self) -> _Value | None:
         tok = self.tokens[self.pos]
@@ -607,17 +653,17 @@ class _Parser:
 
     def parse_list(self) -> _List | None:
         tokens = self.tokens
-        span = tokens[self.pos].span
+        bracket = tokens[self.pos]
         self.pos += 1
         items: list[Token] = []
         while True:
             kind = tokens[self.pos].kind
             if kind is _RBRACKET:
                 self.pos += 1
-                return _List(items, span)
+                return _List(items, bracket)
             if kind is _EOF or kind is _RBRACE:
-                self.error("E003", "unterminated list (missing ']')", span)
-                return _List(items, span)
+                self.error("E003", "unterminated list (missing ']')", bracket.span)
+                return _List(items, bracket)
             item = self.parse_scalar()
             if item is None:
                 self.pos += 1
@@ -634,8 +680,8 @@ class _Parser:
         if tok.kind is not _KEYWORD or tok.lexeme != "connector":
             self.error("E011", "expected 'connector'", tok.span)
             return None
-        connector_span = tok.span
-        self.smap.record("", connector_span)
+        connector = tok
+        self.smap.record("", connector)
         self.pos += 1
 
         name: str | None = None
@@ -647,7 +693,7 @@ class _Parser:
                 self.error("E014", f"invalid connector name {name!r}", tok.span)
                 name = None
             else:
-                self.smap.record("name", tok.span)
+                self.smap.record("name", tok)
         else:
             self.error("E003", f"expected a quoted connector name, got {tok.describe()}", tok.span)
 
@@ -683,7 +729,7 @@ class _Parser:
                             "expected usage variant 'edc', 'opcua', or 'plain'",
                             variant_tok.span,
                         )
-                raw = self.parse_raw_block(tok.lexeme, tok.span)
+                raw = self.parse_raw_block(tok.lexeme, tok)
                 if tok.lexeme in sections:
                     self.error("E012", f"duplicate {tok.lexeme} block", tok.span)
                 else:
@@ -718,7 +764,7 @@ class _Parser:
 
         for section in SECTION_KEYWORDS:
             if section not in sections:
-                self.error("E011", f"missing required section '{section}'", connector_span)
+                self.error("E011", f"missing required section '{section}'", connector.span)
 
         values: dict[str, object] = {}
         for spec in ConnectorModel.FIELDS:
@@ -779,7 +825,7 @@ class _Binder:
             if spec.kind in BLOCK_KINDS:
                 entry = self.raw.blocks.get(spec.key)
                 if entry is not None:
-                    self.parser.smap.record(f"{self.path}.{spec.key}", entry.keyword_span)
+                    self.parser.smap.record(f"{self.path}.{spec.key}", entry.keyword)
             else:
                 entry = self.raw.fields.get(spec.key)
                 if entry is not None:
@@ -788,7 +834,7 @@ class _Binder:
                     self._fail(
                         "E011",
                         f"missing required field '{spec.key}' in {self.label} block",
-                        self.raw.keyword_span,
+                        self.raw.keyword.span,
                     )
             if entry is not None:
                 found += 1
@@ -801,8 +847,8 @@ class _Binder:
         self.parser.error(code, message, span)
         self.ok = False
 
-    def _set(self, spec: FieldSpec, span: Span, value: object) -> None:
-        self.parser.smap.record(f"{self.path}.{spec.key}", span)
+    def _set(self, spec: FieldSpec, tok: Token, value: object) -> None:
+        self.parser.smap.record(f"{self.path}.{spec.key}", tok)
         self.values[spec.attr] = value
 
     def scalar(self, spec: FieldSpec, value: _Value) -> None:
@@ -829,7 +875,7 @@ class _Binder:
             return self._fail("E014", f"field '{spec.key}' must be non-empty", value.span)
         if spec.minimum is not None and result < spec.minimum:
             return self._fail("E014", f"field '{spec.key}' must be >= {spec.minimum}", value.span)
-        self._set(spec, value.span, result)
+        self._set(spec, value, result)
 
     def string_list(self, spec: FieldSpec, value: _Value) -> None:
         if value.kind is not _LBRACKET:
@@ -840,9 +886,9 @@ class _Binder:
                 self._fail("E014", f"entries of '{spec.key}' must be quoted strings", item.span)
                 continue
             items.append(item.value)
-            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item.span)
+            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
         if len(items) == len(value.items):
-            self._set(spec, value.span, tuple(items))
+            self._set(spec, value.bracket, tuple(items))
 
     def enum_list(self, spec: FieldSpec, value: _Value) -> None:
         if value.kind is not _LBRACKET:
@@ -880,17 +926,17 @@ class _Binder:
                 bad = True
                 continue
             members.append(member)
-            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item.span)
+            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
         if spec.nonempty and not value.items:
             return self._fail("E014", f"field '{spec.key}' must not be empty", value.span)
         if not bad:
-            self._set(spec, value.span, tuple(members))
+            self._set(spec, value.bracket, tuple(members))
 
     def secret(self, spec: FieldSpec, value: _Value) -> None:
         if value.kind is _ENV_REF:
-            self._set(spec, value.span, SecretEnvVar(value.value))
+            self._set(spec, value, SecretEnvVar(value.value))
         elif value.kind is _STRING:
-            self._set(spec, value.span, SecretLiteral(value.value))
+            self._set(spec, value, SecretLiteral(value.value))
         else:
             self._fail(
                 "E014",
@@ -919,17 +965,18 @@ class _Binder:
                 self.ok = False
                 continue
             offers[key] = tok.value
-            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", tok.span)
+            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", tok)
         self.values[spec.attr] = offers
 
     def roles(self, spec: FieldSpec, raw: _RawBlock) -> None:
         roles: list[Role] = []
-        for name, name_span, body in raw.roles:
+        for name_tok, body in raw.roles:
+            name = name_tok.lexeme
             if not NAME_RE.fullmatch(name):
-                self._fail("E014", f"invalid role name {name!r}", name_span)
+                self._fail("E014", f"invalid role name {name!r}", name_tok.span)
                 continue
             path = f"{self.path}.{spec.key}[{name}]"
-            self.parser.smap.record(path, name_span)
+            self.parser.smap.record(path, name_tok)
             role = self.parser.bind(spec.cls, body, f"role {name}", path, role_name=name)
             if role is None:
                 self.ok = False
@@ -949,7 +996,7 @@ class _Binder:
         for name, sub in self.raw.blocks.items():
             if name not in blocks:
                 self._fail(
-                    "E010", f"unknown block '{name}' in {self.label} block", sub.keyword_span
+                    "E010", f"unknown block '{name}' in {self.label} block", sub.keyword.span
                 )
 
 
