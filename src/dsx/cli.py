@@ -26,7 +26,7 @@ import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .model import Diagnostic, Severity, print_canonical
+from .model import Diagnostic, Severity, iso_date, print_canonical
 from .parser import parse
 from .validator import validate
 
@@ -238,13 +238,10 @@ def _parse_targets(raw: str) -> frozenset[Target]:
 
 
 def _parse_today(raw: str) -> date:
-    try:
-        today = date.fromisoformat(raw)
-        if today.isoformat() == raw:
-            return today
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid date {raw!r} (expected YYYY-MM-DD)")
+    today = iso_date(raw)
+    if today is None:
+        raise argparse.ArgumentTypeError(f"invalid date {raw!r} (expected YYYY-MM-DD)")
+    return today
 
 
 def _epoch_date(raw: str) -> date | None:

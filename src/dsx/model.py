@@ -75,6 +75,19 @@ class Severity(str, Enum):
     WARNING = "WARNING"
 
 
+def iso_date(text: str) -> date | None:
+    """The date ``text`` spells exactly as ``YYYY-MM-DD``, else None.
+
+    From Python 3.11 on, ``date.fromisoformat`` also takes forms such as
+    ``20261231`` and ``2026-W53-1``, which 3.10 refuses.
+    """
+    try:
+        parsed = date.fromisoformat(text)
+    except ValueError:
+        return None
+    return parsed if parsed.isoformat() == text else None
+
+
 def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
     """Reject strings the canonical printer cannot represent on one line."""
     if not isinstance(value, str):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from datetime import date
 from enum import Enum
 from itertools import accumulate
 
@@ -56,6 +55,7 @@ from .model import (
     Severity,
     Span,
     UsageConfig,
+    iso_date,
 )
 
 MAX_DIAGNOSTICS = 100
@@ -283,11 +283,8 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
             append(Token(_PUNCT[text], text, None, start, lines))
             continue
         if group == "date":
-            try:
-                value = date.fromisoformat(text)
-            except ValueError:  # the parser reports it where it expects a value
-                value = None
-            append(Token(TokenKind.DATE, text, value, start, lines))
+            # None for an impossible date; the parser reports it where it expects a value.
+            append(Token(TokenKind.DATE, text, iso_date(text), start, lines))
             continue
         if group == "integer":
             if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:

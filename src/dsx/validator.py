@@ -30,6 +30,7 @@ from .model import (
     SecurityPolicy,
     Severity,
     Span,
+    iso_date,
 )
 from .parser import SourceMap
 
@@ -155,13 +156,8 @@ def _check_valid_until(ctx: _Context) -> None:
     if isinstance(value, date):
         parsed = value
     elif isinstance(value, str):
-        # Exactly YYYY-MM-DD: from 3.11 on, fromisoformat also takes forms
-        # such as 20261231 and 2026-W53-1, which 3.10 refuses.
-        try:
-            parsed = date.fromisoformat(value)
-        except ValueError:
-            parsed = None
-        if parsed is None or parsed.isoformat() != value:
+        parsed = iso_date(value)
+        if parsed is None:
             ctx.error("E204", f"\"validUntil\" value '{value}' is not an ISO 8601 date", path)
             return
     else:

@@ -278,3 +278,12 @@ class TestSpanAndDiagnosticTypes:
         # errors, so seeded-defect fixtures stay constructible.
         assert Role(role_name="operator", permissions=()).permissions == ()
         assert Role(role_name="operator", permissions=(Permission.READ, Permission.READ))
+
+
+class TestIsoDate:
+    def test_extended_calendar_form_is_a_date(self):
+        assert model_module.iso_date("2026-12-31") == date(2026, 12, 31)
+
+    @pytest.mark.parametrize("text", ["20261231", "2026-W53-1", "2026-02-30", " 2026-12-31"])
+    def test_any_other_spelling_is_none(self, text):
+        assert model_module.iso_date(text) is None
