@@ -10,12 +10,14 @@ from dsx import (
     EdcUsage,
     IdentifierType,
     Severity,
+    Span,
     TokenKind,
     parse,
     tokenize,
+    validate,
 )
 
-from conftest import fixture_text
+from conftest import FIXTURE_TODAY, fixture_text
 
 
 FLAGSHIPS = ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
@@ -287,6 +289,99 @@ class TestTokenize:
             (d.code, d.message, d.span.line, d.span.column, d.span.length)
             for d in got_diagnostics
         ] == diagnostics
+
+
+# Pieces of source text for the position oracle: every blank, comment and
+# quoting character the lexer treats specially, an unterminated env(, and a
+# control character.
+_PIECES = (
+    "\n", "\r", "\t", " ", "\ufeff", "//", '"', "\\", "0", "7", "-", "a", "Z", "_",
+    "{", "}", "[", "]", ":", ",", "env(", "env(X)", ")", "\x01", "$",
+)
+
+
+def _naive_position(source, offset):
+    """Line and column of an offset, counted the slow, obvious way."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _naive_offset(source, line, column):
+    lines = source.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= column <= len(lines[line - 1]) + 1
+    return sum(len(text) + 1 for text in lines[: line - 1]) + column - 1
+
+
+# What each lexer diagnostic points at: the text its span covers must satisfy this.
+_POINTS_AT = {
+    "unterminated string literal": lambda text: text == '"',
+    "control character in string literal": lambda text: len(text) == 1 and not text.isprintable(),
+    "malformed env() reference (expected env(UPPER_CASE_NAME))": lambda text: text == "env",
+    "integer literal too long": lambda text: text.lstrip("-").isdigit(),
+}
+
+
+class TestPositionsOnDemand:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join))
+    def test_positions_equal_a_naive_oracle(self, source):
+        tokens, diagnostics = tokenize(source, "p.dsx")
+        assert tokens[-1].kind is TokenKind.EOF
+        for tok in tokens:
+            assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+            assert (tok.line, tok.column) == _naive_position(source, tok.offset)
+            assert tok.span == Span("p.dsx", tok.line, tok.column, len(tok.lexeme))
+        for d in diagnostics:
+            offset = _naive_offset(source, d.span.line, d.span.column)
+            assert (d.span.line, d.span.column) == _naive_position(source, offset)
+            text = source[offset : offset + d.span.length]
+            if d.message.startswith("illegal character"):
+                assert d.message == f"illegal character {text!r}"
+            else:
+                assert _POINTS_AT[d.message](text), (d, text)
+
+    def test_eof_follows_the_token_that_hit_the_cap(self):
+        source = "a $\n" * 150
+        tokens, diagnostics = tokenize(source)
+        assert [d.code for d in diagnostics] == ["E002"] * 99 + ["E099"]
+        cap = diagnostics[-1].span  # the 100th '$', on line 100
+        assert (cap.line, cap.column) == (100, 3)
+        eof = tokens[-1]
+        assert eof.kind is TokenKind.EOF
+        assert eof.offset == 99 * 4 + 3
+        assert (eof.line, eof.column) == (100, 4)
+        assert len(tokens) == 101  # one 'a' per line up to the cap, then EOF
+
+
+class TestSpansOnDemand:
+    """A valid file builds no Span; readers build exactly the spans they read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = Span.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("name", FLAGSHIPS)
+    def test_parsing_a_flagship_builds_no_span(self, built, name):
+        result = parse(fixture_text(name), name)
+        assert result.model is not None
+        assert built == []
+        spans = result.source_map.spans
+        assert len(built) == len(spans) > 0
+
+    def test_validate_builds_only_the_spans_of_its_findings(self, built):
+        name = "invalid/w204-expired.dsx"
+        result = parse(fixture_text(name), name)
+        assert result.model is not None and built == []
+        report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
+        assert [d.code for d in report.diagnostics] == ["W204"]
+        assert built == [tuple(report.diagnostics[0].span.__getstate__())]
 
 
 class TestParseBasics:
