@@ -107,6 +107,70 @@ class TestUrlCheck:
         assert (span.line, span.column, span.length) == (index + 1, len(head) + 1, len(url) + 2)
 
 
+# One case per validator-checked field value: (row class, DSL key, flagship,
+# literal to replace, replacement, binder path of the broken value, code).
+_PM, _OPC = "production-machine.dsx", "machine-opcua.dsx"
+_PM_REGISTRY = '"https://registry.factory-x.example/did"'
+_PM_SEMANTIC_ID = '"https://admin-shell.io/idta/machinery/1/0/MachineryData"'
+VALUE_CASES = [
+    ("IdentificationData", "baseUrl", _PM, '"https://assets.machinebuilder.example"',
+     '"assets.machinebuilder.example"', "discovery.baseUrl", "E201"),
+    ("AssetMetaData", "semanticIds", _PM, _PM_SEMANTIC_ID, '"MachineryData"',
+     "metadata.semanticIds[0]", "E209"),
+    ("AssetMetaData", "semanticIds", _PM, _PM_SEMANTIC_ID, f'{_PM_SEMANTIC_ID}, "urn:x", "no iri"',
+     "metadata.semanticIds[2]", "E209"),
+    ("AssetMetaData", "language", _PM, 'language: "en"', 'language: "eng"',
+     "metadata.language", "E208"),
+    ("UsageConfig", "dataAddress", _PM, '"https://edge.machinebuilder.example/lines/7/telemetry"',
+     '"ftp://edge.machinebuilder.example/telemetry"', "usage.dataAddress", "E201"),
+    ("UsageConfig", "schemaAddress", _OPC, '"https://edge.machinebuilder.example/mill-001/schema"',
+     '"/mill-001/schema"', "usage.schemaAddress", "E201"),
+    ("EdcUsage", "edcAddress", _PM, '"https://edc.machinebuilder.example"',
+     '"https://edc machinebuilder.example"', "usage.edcAddress", "E201"),
+    ("EdcUsage", "remoteAddress", _PM, '"https://dsp.partner.example/api/dsp"',
+     '"https://"', "usage.remoteAddress", "E201"),
+    ("EdcUsage", "remoteId", _PM, '"BPNL000000000MB7"', '"BPNL000000000mb7"',
+     "usage.remoteId", "E202"),
+    ("EdcUsage", "stsServiceAddress", _PM, '"https://sts.machinebuilder.example/token"',
+     '"opc.tcp://sts.machinebuilder.example"', "usage.stsServiceAddress", "E201"),
+    ("EdcUsage", "trustedDidRegistries", _PM, _PM_REGISTRY, '"registry"',
+     "usage.trustedDidRegistries[0]", "E201"),
+    ("EdcUsage", "trustedDidRegistries", _PM, _PM_REGISTRY, f'{_PM_REGISTRY}, "http:/x"',
+     "usage.trustedDidRegistries[1]", "E201"),
+    ("PushEndpointsConfig", "callbackUrl", _PM,
+     '"https://edge.machinebuilder.example/lines/7/push"', '""', "usage.push.callbackUrl", "E201"),
+    ("OpcUaUsage", "endpointUrl", _OPC, '"opc.tcp://machine-001.factory:4840"',
+     '"http://machine-001.factory:4840"', "usage.endpointUrl", "E201"),
+    ("OpcUaUsage", "companionSpecs", _OPC, '"https://opcfoundation.org/UA/Machinery/"',
+     '"Machinery"', "usage.companionSpecs[0]", "E201"),
+    ("OpcUaUsage", "companionSpecs", _OPC, '"https://opcfoundation.org/UA/MachineTool/"',
+     '"opc.tcp://opcfoundation.org/UA/MachineTool/"', "usage.companionSpecs[1]", "E201"),
+    ("AccessPolicy", "usagePolicy", _PM, '"https://w3id.org/factory-x/policy/monitoring-only"',
+     '"monitoring only"', "access.usagePolicy", "W210"),
+    ("IdentityProviderConfig", "endpoint", _PM,
+     '"https://idp.machinebuilder.example/realms/factory/token"', '"idp/token"',
+     "access.identity.endpoint", "E201"),
+]
+
+
+@pytest.mark.parametrize(
+    "row, key, name, old, new, path, code",
+    VALUE_CASES,
+    ids=[case[5] for case in VALUE_CASES],
+)
+def test_broken_value_is_reported_at_its_binder_path(row, key, name, old, new, path, code):
+    text = fixture_text(name)
+    assert text.count(old) == 1
+    result = parse(text.replace(old, new), name)
+    assert result.model is not None, result.diagnostics
+    report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
+    assert [d.code for d in report.diagnostics] == [code]
+    assert report.diagnostics[0].span == result.source_map.spans[path]
+    assert check_single(result.model, code, result.source_map, today=FIXTURE_TODAY) == list(
+        report.diagnostics
+    )
+
+
 class TestValidUntil:
     def test_date_scalar_is_accepted(self, sensor_idlink):
         text = fixture_text("sensor-idlink.dsx").replace('"2030-06-30"', "2030-06-30")
