@@ -203,13 +203,15 @@ class FieldSpec(Record):
     ``kind`` is one of: str, date, int, bool, enum, str-list, enum-list,
     secret, sub-block, contract, roles.  ``cls`` is the enum class of enum
     and enum-list rows, and the model class of sub-block and roles rows.
-    A class's rows declare its attributes; binding, unknown-field
-    detection, canonical printing and constructor checks all read them, in
-    this order.
+    ``form`` names what a str or str-list value must look like (web-url,
+    opc-url, participant-id, language, iri, policy-iri); the validator
+    tests every value that has one.  A class's rows declare its attributes;
+    binding, unknown-field detection, canonical printing, constructor checks
+    and value-form checks all read them, in this order.
     """
 
-    ATTRS = ("key", "attr", "kind", "required", "nonempty", "minimum", "unique", "cls")
-    DEFAULTS = (True, False, None, False, None)
+    ATTRS = ("key", "attr", "kind", "required", "nonempty", "minimum", "unique", "cls", "form")
+    DEFAULTS = (True, False, None, False, None, None)
 
 
 _F = FieldSpec
@@ -269,7 +271,7 @@ class Diagnostic(Record):
 class IdentificationData(Record):
     FIELDS = (
         _F("linkedAssetId", "linked_asset_id", "str", nonempty=True),
-        _F("baseUrl", "base_url", "str"),
+        _F("baseUrl", "base_url", "str", form="web-url"),
         _F("endpoint", "endpoint", "str"),
         _F("identifierType", "identifier_type", "enum", cls=IdentifierType),
     )
@@ -280,29 +282,35 @@ class AssetMetaData(Record):
         _F("title", "title", "str", nonempty=True),
         _F("description", "description", "str"),
         _F("publisher", "publisher", "str", nonempty=True),
-        _F("semanticIds", "semantic_ids", "str-list", required=False),
+        _F("semanticIds", "semantic_ids", "str-list", required=False, form="iri"),
         _F("version", "version", "str", nonempty=True),
         _F("created", "created", "date"),
         _F("modified", "modified", "date"),
-        _F("language", "language", "str", required=False),
+        _F("language", "language", "str", required=False, form="language"),
     )
 
 
 class PushEndpointsConfig(Record):
     FIELDS = (
-        _F("callbackUrl", "callback_url", "str"),
+        _F("callbackUrl", "callback_url", "str", form="web-url"),
         _F("cloudPush", "cloud_push", "bool"),
     )
 
 
 class EdcUsage(Record):
     FIELDS = (
-        _F("edcAddress", "edc_address", "str"),
+        _F("edcAddress", "edc_address", "str", form="web-url"),
         _F("xApiKey", "x_api_key", "secret"),
-        _F("remoteAddress", "remote_address", "str"),
-        _F("remoteId", "remote_id", "str", nonempty=True),
-        _F("stsServiceAddress", "sts_service_address", "str", required=False),
-        _F("trustedDidRegistries", "trusted_did_registries", "str-list", required=False),
+        _F("remoteAddress", "remote_address", "str", form="web-url"),
+        _F("remoteId", "remote_id", "str", nonempty=True, form="participant-id"),
+        _F("stsServiceAddress", "sts_service_address", "str", required=False, form="web-url"),
+        _F(
+            "trustedDidRegistries",
+            "trusted_did_registries",
+            "str-list",
+            required=False,
+            form="web-url",
+        ),
         _F("push", "push_endpoints", "sub-block", required=False, cls=PushEndpointsConfig),
     )
 
@@ -321,12 +329,12 @@ class QosMetrics(Record):
 
 class OpcUaUsage(Record):
     FIELDS = (
-        _F("endpointUrl", "endpoint_url", "str"),
+        _F("endpointUrl", "endpoint_url", "str", form="opc-url"),
         _F("securityPolicy", "security_policy", "enum", cls=SecurityPolicy),
         _F("messageSecurityMode", "message_security_mode", "enum", cls=MessageSecurityMode),
         _F("authenticationMode", "authentication_mode", "enum", cls=AuthenticationMode),
         _F("protocols", "protocols", "enum-list", nonempty=True, unique=True, cls=Protocol),
-        _F("companionSpecs", "companion_specs", "str-list", required=False),
+        _F("companionSpecs", "companion_specs", "str-list", required=False, form="web-url"),
         _F("addressSpace", "address_space", "str"),
         _F("qos", "qos", "sub-block", required=False, cls=QosMetrics),
     )
@@ -344,8 +352,8 @@ UsageExtension = EdcUsage | OpcUaUsage | PlainUsage
 class UsageConfig(Record):
     ATTRS = ("extension",)
     FIELDS = (
-        _F("dataAddress", "data_address", "str"),
-        _F("schemaAddress", "schema_address", "str", required=False),
+        _F("dataAddress", "data_address", "str", form="web-url"),
+        _F("schemaAddress", "schema_address", "str", required=False, form="web-url"),
     )
 
     def _check(self) -> None:
@@ -371,7 +379,7 @@ class Role(Record):
 
 class IdentityProviderConfig(Record):
     FIELDS = (
-        _F("endpoint", "endpoint", "str"),
+        _F("endpoint", "endpoint", "str", form="web-url"),
         _F("clientId", "client_id", "str", nonempty=True),
         _F("grantType", "grant_type", "enum", cls=GrantType),
         _F("secret", "secret", "secret"),
@@ -389,7 +397,7 @@ class OAuthInfo(Record):
 
 class AccessPolicy(Record):
     FIELDS = (
-        _F("usagePolicy", "usage_policy", "str", nonempty=True),
+        _F("usagePolicy", "usage_policy", "str", nonempty=True, form="policy-iri"),
         _F("contract", "contract_offers", "contract", required=False),
         _F("roles", "roles", "roles", required=False, cls=Role),
         _F(

@@ -7,6 +7,9 @@ tooling; README's "Diagnostic codes" table lists every code with its rule.
 ``CHECKS`` is keyed by check family: the E206 check emits W206, and the
 E204 and E207 checks emit warnings as well as errors.
 
+A rule on one field's value is named by the ``form`` of the field's row;
+``_FORMS`` maps each form to its code, severity, test and message.
+
 No check performs network I/O; reports are deterministic for a given
 model (W204 compares against an injectable ``today``).
 """
@@ -30,6 +33,7 @@ from .model import (
     SecurityPolicy,
     Severity,
     Span,
+    UsageConfig,
     iso_date,
 )
 from .parser import SourceMap
@@ -43,9 +47,6 @@ _IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:\S+")
 _LANGUAGE_RE = re.compile(r"[a-z]{2}")
 # For str patterns, \s matches exactly the characters for which str.isspace() is true.
 _SPACE_RE = re.compile(r"\s")
-
-WEB_SCHEMES = ("http", "https")
-OPC_SCHEMES = ("opc.tcp",)
 
 
 class ValidationReport(Record):
@@ -68,9 +69,40 @@ class _Context:
         self.source_map = source_map if source_map is not None else SourceMap("<model>")
         self.today = today
         self.findings: list[Diagnostic] = []
+        self._by_form: dict[str, list[Diagnostic]] | None = None
 
     def span(self, path: str) -> Span:
         return self.source_map.span_for(path)
+
+    def form_findings(self, code: str) -> list[Diagnostic]:
+        """The value-form findings with ``code``; one pass finds those of every code."""
+        if self._by_form is None:
+            self._by_form = {}
+            self._test_forms(self.model, "")
+        return self._by_form.get(code, [])
+
+    def _test_forms(self, record: Record, prefix: str) -> None:
+        """Test each value of ``record`` and its sub-blocks whose row names a form.
+
+        ``prefix`` is the record's binder path and a dot ('' for the model); a
+        finding's path, with ``[i]`` for a list item, is built only on failure.
+        """
+        for spec in record.FIELDS:
+            value = getattr(record, spec.attr)
+            if value is None:
+                continue
+            if spec.form is not None:
+                code, severity, test, message = _FORMS[spec.form]
+                items = enumerate(value) if spec.kind == "str-list" else [(None, value)]
+                for index, item in items:
+                    if not test(item):
+                        path = prefix + spec.key + ("" if index is None else f"[{index}]")
+                        found = Diagnostic(severity, code, message.format(item), self.span(path))
+                        self._by_form.setdefault(code, []).append(found)
+            elif spec.kind == "sub-block":
+                self._test_forms(value, f"{prefix}{spec.key}.")
+                if isinstance(value, UsageConfig):
+                    self._test_forms(value.extension, f"{prefix}{spec.key}.")
 
     def error(self, code: str, message: str, path: str) -> None:
         self.findings.append(Diagnostic(Severity.ERROR, code, message, self.span(path)))
@@ -89,52 +121,52 @@ def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:
     return parts.scheme in schemes and bool(parts.netloc)
 
 
-def _url_fields(model: ConnectorModel) -> list[tuple[str, str, tuple[str, ...]]]:
-    fields: list[tuple[str, str, tuple[str, ...]]] = [
-        ("discovery.baseUrl", model.identification.base_url, WEB_SCHEMES),
-        ("usage.dataAddress", model.usage.data_address, WEB_SCHEMES),
-    ]
-    if model.usage.schema_address is not None:
-        fields.append(("usage.schemaAddress", model.usage.schema_address, WEB_SCHEMES))
-    ext = model.usage.extension
-    if isinstance(ext, EdcUsage):
-        fields.append(("usage.edcAddress", ext.edc_address, WEB_SCHEMES))
-        fields.append(("usage.remoteAddress", ext.remote_address, WEB_SCHEMES))
-        if ext.sts_service_address is not None:
-            fields.append(("usage.stsServiceAddress", ext.sts_service_address, WEB_SCHEMES))
-        for index, url in enumerate(ext.trusted_did_registries):
-            fields.append((f"usage.trustedDidRegistries[{index}]", url, WEB_SCHEMES))
-        if ext.push_endpoints is not None:
-            fields.append(("usage.push.callbackUrl", ext.push_endpoints.callback_url, WEB_SCHEMES))
-    elif isinstance(ext, OpcUaUsage):
-        fields.append(("usage.endpointUrl", ext.endpoint_url, OPC_SCHEMES))
-        for index, url in enumerate(ext.companion_specs):
-            fields.append((f"usage.companionSpecs[{index}]", url, WEB_SCHEMES))
-    if model.access.identity_provider is not None:
-        fields.append(
-            ("access.identity.endpoint", model.access.identity_provider.endpoint, WEB_SCHEMES)
-        )
-    return fields
+def _url_form(*schemes: str) -> tuple[str, Severity, Callable[[str], object], str]:
+    return (
+        "E201",
+        Severity.ERROR,
+        lambda value: _is_absolute_url(value, schemes),
+        f"'{{}}' is not an absolute {' or '.join(schemes)} URL",
+    )
 
 
-def _check_urls(ctx: _Context) -> None:
-    for path, value, schemes in _url_fields(ctx.model):
-        if not _is_absolute_url(value, schemes):
-            allowed = " or ".join(schemes)
-            ctx.error("E201", f"'{value}' is not an absolute {allowed} URL", path)
+# The value forms a FieldSpec row may name: each maps to its code, severity,
+# test, and the message for a value that fails the test ('{}' is the value).
+_FORMS: dict[str, tuple[str, Severity, Callable[[str], object], str]] = {
+    "web-url": _url_form("http", "https"),
+    "opc-url": _url_form("opc.tcp"),
+    "participant-id": (
+        "E202",
+        Severity.ERROR,
+        lambda value: BPN_RE.fullmatch(value) or DID_RE.fullmatch(value),
+        "remoteId '{}' is neither a BPN (BPNL + 12 alphanumerics) nor a DID",
+    ),
+    "language": (
+        "E208",
+        Severity.ERROR,
+        _LANGUAGE_RE.fullmatch,
+        "language '{}' is not a two-letter lowercase code",
+    ),
+    "iri": (
+        "E209",
+        Severity.ERROR,
+        _IRI_RE.fullmatch,
+        "semanticId '{}' is not a syntactically valid IRI",
+    ),
+    "policy-iri": (
+        "W210",
+        Severity.WARNING,
+        _IRI_RE.fullmatch,
+        "usagePolicy '{}' does not look like an IRI reference",
+    ),
+}
 
 
-def _check_remote_id(ctx: _Context) -> None:
-    ext = ctx.model.usage.extension
-    if not isinstance(ext, EdcUsage):
-        return
-    value = ext.remote_id
-    if not (BPN_RE.fullmatch(value) or DID_RE.fullmatch(value)):
-        ctx.error(
-            "E202",
-            f"remoteId '{value}' is neither a BPN (BPNL + 12 alphanumerics) nor a DID",
-            "usage.remoteId",
-        )
+def _form_check(code: str) -> Callable[[_Context], None]:
+    def check(ctx: _Context) -> None:
+        ctx.findings += ctx.form_findings(code)
+
+    return check
 
 
 def _check_date_order(ctx: _Context) -> None:
@@ -234,47 +266,17 @@ def _check_opcua_security(ctx: _Context) -> None:
             )
 
 
-def _check_language(ctx: _Context) -> None:
-    language = ctx.model.metadata.language
-    if language is not None and not _LANGUAGE_RE.fullmatch(language):
-        ctx.error(
-            "E208",
-            f"language '{language}' is not a two-letter lowercase code",
-            "metadata.language",
-        )
-
-
-def _check_semantic_ids(ctx: _Context) -> None:
-    for index, sid in enumerate(ctx.model.metadata.semantic_ids):
-        if not _IRI_RE.fullmatch(sid):
-            ctx.error(
-                "E209",
-                f"semanticId '{sid}' is not a syntactically valid IRI",
-                f"metadata.semanticIds[{index}]",
-            )
-
-
-def _check_usage_policy(ctx: _Context) -> None:
-    value = ctx.model.access.usage_policy
-    if not _IRI_RE.fullmatch(value):
-        ctx.warning(
-            "W210",
-            f"usagePolicy '{value}' does not look like an IRI reference",
-            "access.usagePolicy",
-        )
-
-
 CHECKS: dict[str, Callable[[_Context], None]] = {
-    "E201": _check_urls,
-    "E202": _check_remote_id,
+    "E201": _form_check("E201"),
+    "E202": _form_check("E202"),
     "E203": _check_date_order,
     "E204": _check_valid_until,
     "E205": _check_roles,
     "E206": _check_edc_mode,
     "E207": _check_opcua_security,
-    "E208": _check_language,
-    "E209": _check_semantic_ids,
-    "W210": _check_usage_policy,
+    "E208": _form_check("E208"),
+    "E209": _form_check("E209"),
+    "W210": _form_check("W210"),
 }
 
 

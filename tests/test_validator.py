@@ -3,7 +3,9 @@ from datetime import date
 
 import pytest
 
+import dsx.model
 from dsx import Severity, check_single, parse, validate
+from dsx.validator import _FORMS
 from modelgen import build_model
 
 from conftest import FIXTURES, FIXTURE_TODAY, fixture_text, parse_fixture
@@ -171,6 +173,24 @@ def test_broken_value_is_reported_at_its_binder_path(row, key, name, old, new, p
     )
 
 
+def test_every_row_with_a_form_has_value_cases():
+    formed = {
+        (cls.__name__, spec.key): spec.kind
+        for cls in vars(dsx.model).values()
+        if isinstance(cls, type) and "FIELDS" in vars(cls)
+        for spec in cls.FIELDS
+        if spec.form is not None
+    }
+    assert set(formed) == {(row, key) for row, key, *_ in VALUE_CASES}
+    # A list row has a case for its first item and for a later one.
+    indices = {}
+    for row, key, _, _, _, path, _ in VALUE_CASES:
+        if path.endswith("]"):
+            indices.setdefault((row, key), set()).add(int(path[path.rindex("[") + 1 : -1]))
+    assert set(indices) == {row for row, kind in formed.items() if kind == "str-list"}
+    assert all(0 in found and max(found) > 0 for found in indices.values())
+
+
 class TestValidUntil:
     def test_date_scalar_is_accepted(self, sensor_idlink):
         text = fixture_text("sensor-idlink.dsx").replace('"2030-06-30"', "2030-06-30")
@@ -263,7 +283,8 @@ def test_space_pattern_matches_str_isspace_on_every_code_point():
 
 
 # A diagnostic is made by the parser's and the validator's error, warning and
-# _fail calls, and by the E099 Diagnostic the sink adds at its cap.
+# _fail calls, by the E099 Diagnostic the sink adds at its cap, and by the
+# validator's value forms, whose codes its _FORMS table holds.
 _EMITTED_RE = re.compile(r'(?:\b(?:error|warning|_fail)\(|Diagnostic\(Severity\.\w+,)\s*"([EW]\d{3})"')
 
 
@@ -272,6 +293,7 @@ def test_readme_code_table_lists_exactly_the_emitted_codes():
     emitted = set()
     for path in (root / "src" / "dsx").glob("*.py"):
         emitted.update(_EMITTED_RE.findall(path.read_text(encoding="utf-8")))
+    emitted.update(code for code, _, _, _ in _FORMS.values())
     readme = (root / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
     documented = [
