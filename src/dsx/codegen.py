@@ -198,70 +198,27 @@ _TO_JSON = {
 }
 
 
-def _ensure_clean(model: ConnectorModel, report: ValidationReport | None) -> None:
-    effective = report if report is not None else validate(model)
-    if not effective.valid:
-        codes = ", ".join(sorted({d.code for d in effective.errors}))
-        raise GenerationError(
-            f"refusing to generate from a model with validation errors ({codes})"
-        )
-
-
-def _check_supported(model: ConnectorModel, target: Target) -> None:
-    """Raise when the model lacks what the target's generator needs."""
+def _unsupported(model: ConnectorModel, target: Target) -> str | None:
+    """What the model lacks that the target's generator needs, or None."""
     if target is Target.IDLINK_AAS:
         if model.access.identity_provider is None:
-            raise GenerationError(
+            return (
                 f"aas security requires an identity provider: model '{model.name}' "
                 "has no access identity block"
             )
-        return
+        return None
     ext = model.usage.extension
     if not isinstance(ext, EdcUsage if target is Target.EDC else OpcUaUsage):
-        raise GenerationError(
+        return (
             f"generator/usage mismatch: {target.value} generator requires "
             f"{target.value} usage, model '{model.name}' has {variant_name(ext)} usage"
         )
-
-
-def generate_edc(
-    model: ConnectorModel, report: ValidationReport | None = None
-) -> GenerationBundle:
-    """Emit the asset/policy/contract triple for an EDC-backed connector."""
-    return _generate(model, Target.EDC, report)
-
-
-def generate_opcua(
-    model: ConnectorModel, report: ValidationReport | None = None
-) -> GenerationBundle:
-    """Emit catalog/resource/roles documents for an OPC UA endpoint."""
-    return _generate(model, Target.OPCUA, report)
-
-
-def generate_idlink_aas(
-    model: ConnectorModel, report: ValidationReport | None = None
-) -> GenerationBundle:
-    """Emit the resolved ID-Link URL plus the AAS security configuration."""
-    return _generate(model, Target.IDLINK_AAS, report)
-
-
-def _generate(
-    model: ConnectorModel, target: Target, report: ValidationReport | None
-) -> GenerationBundle:
-    _check_supported(model, target)
-    _ensure_clean(model, report)
-    return GenerationBundle(
-        artifacts=tuple(
-            GeneratedArtifact(name, content, target)
-            for name, content in _BUILDERS[target](model)
-        ),
-        source_model=model.name,
-    )
+    return None
 
 
 # Each target's builder takes a clean model the target supports and returns
-# its files as (name, content) pairs in artifact order; the public
-# generators and generate_all wrap each pair in a GeneratedArtifact once.
+# its files as (name, content) pairs in artifact order; generate_all wraps
+# each pair in a GeneratedArtifact once.
 
 
 def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
@@ -411,16 +368,20 @@ def generate_all(
     """
     if not targets:
         raise GenerationError("no targets requested")
-    _ensure_clean(model, report)
+    report = report if report is not None else validate(model)
+    if not report.valid:
+        codes = ", ".join(sorted({d.code for d in report.errors}))
+        raise GenerationError(
+            f"refusing to generate from a model with validation errors ({codes})"
+        )
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
     for target in Target:
         if target not in targets:
             continue
-        try:
-            _check_supported(model, target)
-        except GenerationError as exc:
-            failures.extend(exc.messages)
+        problem = _unsupported(model, target)
+        if problem is not None:
+            failures.append(problem)
             continue
         prefix = target.value + "/"
         artifacts.extend(
@@ -432,3 +393,24 @@ def generate_all(
     artifacts.sort(key=lambda a: a.relative_path)
     return GenerationBundle(artifacts=tuple(artifacts), source_model=model.name)
 
+
+
+def generate_edc(
+    model: ConnectorModel, report: ValidationReport | None = None
+) -> GenerationBundle:
+    """``generate_all`` for the EDC target alone."""
+    return generate_all(model, {Target.EDC}, report)
+
+
+def generate_opcua(
+    model: ConnectorModel, report: ValidationReport | None = None
+) -> GenerationBundle:
+    """``generate_all`` for the OPC UA target alone."""
+    return generate_all(model, {Target.OPCUA}, report)
+
+
+def generate_idlink_aas(
+    model: ConnectorModel, report: ValidationReport | None = None
+) -> GenerationBundle:
+    """``generate_all`` for the ID-Link/AAS target alone."""
+    return generate_all(model, {Target.IDLINK_AAS}, report)

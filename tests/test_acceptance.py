@@ -18,8 +18,6 @@ from dsx import (
     Target,
     check_single,
     generate_all,
-    generate_edc,
-    generate_idlink_aas,
     join_idlink,
     parse,
     print_canonical,
@@ -55,8 +53,8 @@ def test_case_study_fixture_full_pipeline():
     report = validate(model, result.source_map, today=FIXTURE_TODAY)
     assert report.valid and report.diagnostics == ()
 
-    assert len(generate_edc(model, report).artifacts) == 3
-    assert len(generate_idlink_aas(model, report).artifacts) == 2
+    assert len(generate_all(model, {Target.EDC}, report).artifacts) == 3
+    assert len(generate_all(model, {Target.IDLINK_AAS}, report).artifacts) == 2
     assert time.perf_counter() - started < 1.0
 
 

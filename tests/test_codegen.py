@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsx
 from dsx import (
     AccessPolicy,
     EdcUsage,
@@ -20,9 +21,6 @@ from dsx import (
     Target,
     codegen,
     generate_all,
-    generate_edc,
-    generate_idlink_aas,
-    generate_opcua,
     join_idlink,
     parse,
     schema_path_for,
@@ -41,16 +39,16 @@ def artifact_json(bundle, name):
 
 class TestEdcGeneration:
     def test_three_artifacts(self, production_machine):
-        bundle = generate_edc(production_machine.model)
+        bundle = generate_all(production_machine.model, {Target.EDC})
         assert [a.relative_path for a in bundle.artifacts] == [
-            "asset.json",
-            "policy.json",
-            "contract.json",
+            "edc/asset.json",
+            "edc/contract.json",
+            "edc/policy.json",
         ]
         assert all(a.target is Target.EDC for a in bundle.artifacts)
 
     def test_valid_until_constraint(self, production_machine):
-        policy = artifact_json(generate_edc(production_machine.model), "policy.json")
+        policy = artifact_json(generate_all(production_machine.model, {Target.EDC}), "policy.json")
         assert {
             "leftOperand": "validUntil",
             "operator": "eq",
@@ -58,14 +56,14 @@ class TestEdcGeneration:
         } in policy["constraints"]
 
     def test_role_constraint_in_definition_order(self, production_machine):
-        policy = artifact_json(generate_edc(production_machine.model), "policy.json")
+        policy = artifact_json(generate_all(production_machine.model, {Target.EDC}), "policy.json")
         role_constraints = [c for c in policy["constraints"] if c["leftOperand"] == "role"]
         assert role_constraints == [
             {"leftOperand": "role", "operator": "isAnyOf", "rightOperand": ["operator", "partner"]}
         ]
 
     def test_asset_id_threading(self, production_machine):
-        bundle = generate_edc(production_machine.model)
+        bundle = generate_all(production_machine.model, {Target.EDC})
         asset = artifact_json(bundle, "asset.json")
         policy = artifact_json(bundle, "policy.json")
         contract = artifact_json(bundle, "contract.json")
@@ -78,50 +76,51 @@ class TestEdcGeneration:
             usage=parse_fixture("production-machine.dsx").model.usage,
             access=AccessPolicy(usage_policy="https://policies.example/p"),
         )
-        policy = artifact_json(generate_edc(model), "policy.json")
+        policy = artifact_json(generate_all(model, {Target.EDC}), "policy.json")
         assert policy["constraints"] == []
         assert policy["permissions"] == {}
 
     def test_usage_mismatch(self, machine_opcua):
         with pytest.raises(GenerationError, match="usage mismatch"):
-            generate_edc(machine_opcua.model)
+            generate_all(machine_opcua.model, {Target.EDC})
 
     def test_mode_reflects_sts_presence(self, production_machine):
-        contract = artifact_json(generate_edc(production_machine.model), "contract.json")
+        bundle = generate_all(production_machine.model, {Target.EDC})
+        contract = artifact_json(bundle, "contract.json")
         assert contract["connection"]["mode"] == "direct-dsp"
         text = fixture_text("production-machine.dsx").replace(
             '    stsServiceAddress: "https://sts.machinebuilder.example/token"\n', ""
         )
         hosted = parse(text, "hosted.dsx")
-        contract = artifact_json(generate_edc(hosted.model), "contract.json")
+        contract = artifact_json(generate_all(hosted.model, {Target.EDC}), "contract.json")
         assert contract["connection"]["mode"] == "hosted-client"
         assert "stsServiceAddress" not in contract["connection"]
 
 
 class TestOpcUaGeneration:
     def test_three_artifacts(self, machine_opcua):
-        bundle = generate_opcua(machine_opcua.model)
+        bundle = generate_all(machine_opcua.model, {Target.OPCUA})
         assert [a.relative_path for a in bundle.artifacts] == [
-            "catalog.json",
-            "resource.json",
-            "roles.json",
+            "opcua/catalog.json",
+            "opcua/resource.json",
+            "opcua/roles.json",
         ]
 
     def test_endpoint_url_is_verbatim(self, machine_opcua):
-        resource = artifact_json(generate_opcua(machine_opcua.model), "resource.json")
+        resource = artifact_json(generate_all(machine_opcua.model, {Target.OPCUA}), "resource.json")
         assert resource["endpointUrl"] == "opc.tcp://machine-001.factory:4840"
 
     def test_security_mode_serialization(self, machine_opcua):
-        resource = artifact_json(generate_opcua(machine_opcua.model), "resource.json")
+        resource = artifact_json(generate_all(machine_opcua.model, {Target.OPCUA}), "resource.json")
         assert resource["messageSecurityMode"] == "SignAndEncrypt"
         assert resource["securityPolicy"] == "Basic256Sha256"
 
     def test_protocols_map_to_wire_names(self, machine_opcua):
-        resource = artifact_json(generate_opcua(machine_opcua.model), "resource.json")
+        resource = artifact_json(generate_all(machine_opcua.model, {Target.OPCUA}), "resource.json")
         assert resource["protocols"] == ["opc.tcp", "mqtt"]
 
     def test_catalog_projection(self, machine_opcua):
-        catalog = artifact_json(generate_opcua(machine_opcua.model), "catalog.json")
+        catalog = artifact_json(generate_all(machine_opcua.model, {Target.OPCUA}), "catalog.json")
         meta = machine_opcua.model.metadata
         assert catalog["title"] == meta.title
         assert catalog["created"] == meta.created.isoformat()
@@ -129,7 +128,7 @@ class TestOpcUaGeneration:
 
     def test_usage_mismatch(self, production_machine):
         with pytest.raises(GenerationError, match="usage mismatch"):
-            generate_opcua(production_machine.model)
+            generate_all(production_machine.model, {Target.OPCUA})
 
 
 class TestIdlinkAasGeneration:
@@ -147,21 +146,22 @@ class TestIdlinkAasGeneration:
                 identity_provider=parse_fixture("sensor-idlink.dsx").model.access.identity_provider,
             ),
         )
-        bundle = generate_idlink_aas(model)
-        idlink = next(a for a in bundle.artifacts if a.relative_path == "idlink.txt")
+        bundle = generate_all(model, {Target.IDLINK_AAS})
+        idlink = next(a for a in bundle.artifacts if a.relative_path == "idlink-aas/idlink.txt")
         assert idlink.text == "https://id.example.com/assets/m1/SN-0042\n"
 
     def test_missing_identity_provider(self, machine_opcua):
         with pytest.raises(GenerationError, match="identity provider"):
-            generate_idlink_aas(machine_opcua.model)
+            generate_all(machine_opcua.model, {Target.IDLINK_AAS})
 
     def test_env_secret_becomes_placeholder(self, sensor_idlink):
-        security = artifact_json(generate_idlink_aas(sensor_idlink.model), "aas-security.json")
+        bundle = generate_all(sensor_idlink.model, {Target.IDLINK_AAS})
+        security = artifact_json(bundle, "aas-security.json")
         assert security["identityProvider"]["secret"] == "${IDP_SECRET}"
 
     def test_works_for_any_usage_variant(self, production_machine, sensor_idlink):
-        assert len(generate_idlink_aas(production_machine.model).artifacts) == 2
-        assert len(generate_idlink_aas(sensor_idlink.model).artifacts) == 2
+        assert len(generate_all(production_machine.model, {Target.IDLINK_AAS}).artifacts) == 2
+        assert len(generate_all(sensor_idlink.model, {Target.IDLINK_AAS}).artifacts) == 2
 
 
 class TestGenerateAll:
@@ -213,15 +213,22 @@ class TestGenerateAll:
             "refusing to generate from a model with validation errors (E202)",
         )
 
-    def test_single_target_generators_check_support_before_validity(self):
-        text = fixture_text("production-machine.dsx").replace(
-            'remoteId: "BPNL000000000MB7"', 'remoteId: "bad"'
-        )
-        model = parse(text, "bad.dsx").model
-        with pytest.raises(GenerationError, match="usage mismatch"):
-            generate_opcua(model)
-        with pytest.raises(GenerationError, match=r"refusing .* \(E202\)"):
-            generate_edc(model)
+    @pytest.mark.parametrize(
+        "fixture, target",
+        [
+            ("production-machine.dsx", Target.EDC),
+            ("machine-opcua.dsx", Target.OPCUA),
+            ("sensor-idlink.dsx", Target.IDLINK_AAS),
+        ],
+    )
+    def test_single_target_generator_is_generate_all(self, fixture, target):
+        # The benchmark's traced pass times each target by this name.
+        generate = getattr(dsx, f"generate_{target.name.lower()}")
+        model = parse_fixture(fixture).model
+        assert generate(model) == generate_all(model, {target})
+        bad = parse(fixture_text(fixture).replace('baseUrl: "https', 'baseUrl: "ftp'), fixture).model
+        with pytest.raises(GenerationError, match=r"refusing .* \(E201\)"):
+            generate(bad)
 
     def test_validates_once_without_report(self, production_machine, monkeypatch):
         calls = []
@@ -257,9 +264,9 @@ class TestGenerateAll:
 class TestDeterminismAndSchemas:
     def all_bundles(self):
         return [
-            generate_edc(parse_fixture("production-machine.dsx").model),
-            generate_opcua(parse_fixture("machine-opcua.dsx").model),
-            generate_idlink_aas(parse_fixture("sensor-idlink.dsx").model),
+            generate_all(parse_fixture("production-machine.dsx").model, {Target.EDC}),
+            generate_all(parse_fixture("machine-opcua.dsx").model, {Target.OPCUA}),
+            generate_all(parse_fixture("sensor-idlink.dsx").model, {Target.IDLINK_AAS}),
         ]
 
     def test_generation_is_byte_deterministic(self):
@@ -503,16 +510,16 @@ class TestFieldCoverage:
     """Every scalar of a target's active sections lands in the bundle."""
 
     @pytest.mark.parametrize(
-        "fixture,target,generator",
+        "fixture,target",
         [
-            ("production-machine.dsx", Target.EDC, generate_edc),
-            ("machine-opcua.dsx", Target.OPCUA, generate_opcua),
-            ("sensor-idlink.dsx", Target.IDLINK_AAS, generate_idlink_aas),
+            ("production-machine.dsx", Target.EDC),
+            ("machine-opcua.dsx", Target.OPCUA),
+            ("sensor-idlink.dsx", Target.IDLINK_AAS),
         ],
     )
-    def test_every_active_scalar_appears(self, fixture, target, generator):
+    def test_every_active_scalar_appears(self, fixture, target):
         model = parse_fixture(fixture).model
-        bundle = generator(model)
+        bundle = generate_all(model, {target})
         leaves_per_artifact = {
             a.relative_path: (
                 _json_leaves(json.loads(a.text))
@@ -530,8 +537,8 @@ class TestFieldCoverage:
                 assert len(homes) == 1, f"{path} ({leaf!r}) appears in several files: {homes}"
 
     def test_idlink_url_composition(self, sensor_idlink):
-        bundle = generate_idlink_aas(sensor_idlink.model)
-        idlink = next(a for a in bundle.artifacts if a.relative_path == "idlink.txt")
+        bundle = generate_all(sensor_idlink.model, {Target.IDLINK_AAS})
+        idlink = next(a for a in bundle.artifacts if a.relative_path == "idlink-aas/idlink.txt")
         assert idlink.text.strip() == join_idlink(sensor_idlink.model.identification)
         security = artifact_json(bundle, "aas-security.json")
         assert security["asset"]["idLink"] == idlink.text.strip()
