@@ -88,10 +88,10 @@ class _Context:
         finding's path, with ``[i]`` for a list item, is built only on failure.
         """
         for spec in record.FIELDS:
-            value = getattr(record, spec.attr)
-            if value is None:
-                continue
             if spec.form is not None:
+                value = getattr(record, spec.attr)
+                if value is None:
+                    continue
                 code, severity, test, message = _FORMS[spec.form]
                 items = enumerate(value) if spec.kind == "str-list" else [(None, value)]
                 for index, item in items:
@@ -100,9 +100,11 @@ class _Context:
                         found = Diagnostic(severity, code, message.format(item), self.span(path))
                         self._by_form.setdefault(code, []).append(found)
             elif spec.kind == "sub-block":
-                self._test_forms(value, f"{prefix}{spec.key}.")
-                if isinstance(value, UsageConfig):
-                    self._test_forms(value.extension, f"{prefix}{spec.key}.")
+                value = getattr(record, spec.attr)
+                if value is not None:
+                    self._test_forms(value, f"{prefix}{spec.key}.")
+                    if isinstance(value, UsageConfig):
+                        self._test_forms(value.extension, f"{prefix}{spec.key}.")
 
     def error(self, code: str, message: str, path: str) -> None:
         self.findings.append(Diagnostic(Severity.ERROR, code, message, self.span(path)))
