@@ -394,7 +394,6 @@ def generate_all(
     return GenerationBundle(artifacts=tuple(artifacts), source_model=model.name)
 
 
-
 def generate_edc(
     model: ConnectorModel, report: ValidationReport | None = None
 ) -> GenerationBundle:

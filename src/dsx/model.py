@@ -203,9 +203,8 @@ class FieldSpec(Record):
     ``kind`` is one of: str, date, int, bool, enum, str-list, enum-list,
     secret, sub-block, contract, roles.  ``cls`` is the enum class of enum
     and enum-list rows, and the model class of sub-block and roles rows.
-    ``form`` names what a str or str-list value must look like (web-url,
-    opc-url, participant-id, language, iri, policy-iri); the validator
-    tests every value that has one.  A class's rows declare its attributes;
+    ``form``, a key of the validator's ``_FORMS``, names the form a str or
+    str-list row's value must have.  A class's rows declare its attributes;
     binding, unknown-field detection, canonical printing, constructor checks
     and value-form checks all read them, in this order.
     """
