@@ -21,6 +21,9 @@ from dsx import (
     Target,
     codegen,
     generate_all,
+    generate_edc,
+    generate_idlink_aas,
+    generate_opcua,
     join_idlink,
     parse,
     schema_path_for,
@@ -510,16 +513,16 @@ class TestFieldCoverage:
     """Every scalar of a target's active sections lands in the bundle."""
 
     @pytest.mark.parametrize(
-        "fixture,target",
+        "fixture,target,generator",
         [
-            ("production-machine.dsx", Target.EDC),
-            ("machine-opcua.dsx", Target.OPCUA),
-            ("sensor-idlink.dsx", Target.IDLINK_AAS),
+            ("production-machine.dsx", Target.EDC, generate_edc),
+            ("machine-opcua.dsx", Target.OPCUA, generate_opcua),
+            ("sensor-idlink.dsx", Target.IDLINK_AAS, generate_idlink_aas),
         ],
     )
-    def test_every_active_scalar_appears(self, fixture, target):
+    def test_every_active_scalar_appears(self, fixture, target, generator):
         model = parse_fixture(fixture).model
-        bundle = generate_all(model, {target})
+        bundle = generator(model)
         leaves_per_artifact = {
             a.relative_path: (
                 _json_leaves(json.loads(a.text))
