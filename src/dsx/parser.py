@@ -10,16 +10,19 @@ The surface syntax is block-structured::
     }
 
 The lexer is one compiled master regex with a named group per token class;
-each match is one token with the blanks and comments before it.  A
-:class:`Token` carries its decoded value, dates included (``None`` for an
-impossible calendar date such as ``2025-02-30``), and its character offset.
-Line and column are worked out, from a line table built on first use, only
-when a diagnostic or a reader of ``line``, ``column`` or ``span`` asks.
+each match is one token with the blanks and comments before it.  Inside the
+parser a token is a plain tuple ``(kind, lexeme, value, offset)``: its
+decoded value, dates included (``None`` for an impossible calendar date
+such as ``2025-02-30``), and its character offset.  A list value has the
+same shape, ``(LBRACKET, "[", items, offset of the '[')``.  Line and column
+are worked out, from a line table built on first use, only when a
+diagnostic or the source map's reader asks.  :func:`tokenize` wraps each
+tuple in a :class:`Token`, whose ``line``, ``column`` and ``span`` are
+worked out the same way.
 
 Blocks are parsed in two steps.  The entry parsers read ``key: value``
 entries, lists and sub-blocks on one token cursor into raw blocks that
-hold the lexer's own tokens, so a span is built only when a diagnostic or
-the source map's reader needs it.  The binder then checks each raw block
+hold the lexer's own tuples.  The binder then checks each raw block
 against the model's field table.
 
 ``parse`` never raises on malformed input: every problem becomes a
@@ -98,9 +101,18 @@ class _LineTable:
         line = bisect_right(starts, offset)
         return Span(self.file, line, offset - starts[line - 1] + 1, length)
 
+    def span_of(self, tok: _Tok) -> Span:
+        return self.span(tok[3], len(tok[1]))
+
+    def line_end(self, offset: int) -> int:
+        """The offset of the newline that ends the line holding ``offset``."""
+        end = self.source.find("\n", offset)
+        return len(self.source) if end < 0 else end
+
 
 class Token:
-    """One lexeme with its kind, decoded value and character offset.
+    """One lexeme with its kind, decoded value and character offset, as
+    :func:`tokenize` returns it.
 
     Its position is worked out when ``line``, ``column`` or ``span`` is
     read, since only diagnostics and source-map readers need it.
@@ -137,9 +149,7 @@ class Token:
         return self._span
 
     def describe(self) -> str:
-        if self.kind in (TokenKind.KEYWORD, TokenKind.IDENT):
-            return f"'{self.lexeme}'"
-        return self.kind.value
+        return _describe((self.kind, self.lexeme))
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
@@ -203,12 +213,14 @@ _MAX_INT_DIGITS = 640
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
 
-# The parser compares kinds as module globals: an enum class attribute
-# lookup costs about ten times as much in its loops.
-_IDENT, _STRING, _DATE, _KEYWORD, _ENV_REF, _EOF = (
+# The lexer and parser read kinds as module globals: an enum class attribute
+# lookup costs about ten times as much in their loops.
+_IDENT, _STRING, _INTEGER, _DATE, _BOOLEAN, _KEYWORD, _ENV_REF, _EOF = (
     TokenKind.IDENT,
     TokenKind.STRING,
+    TokenKind.INTEGER,
     TokenKind.DATE,
+    TokenKind.BOOLEAN,
     TokenKind.KEYWORD,
     TokenKind.ENV_REF,
     TokenKind.EOF,
@@ -227,22 +239,34 @@ _RESUME_KINDS = frozenset({_IDENT, _KEYWORD, _RBRACE, _EOF})
 _CONTRACT_RESUME_KINDS = frozenset({_KEYWORD, _RBRACE, _EOF})
 # Tokens that are a value by themselves.  Of these only a DATE has the value
 # None, for an impossible calendar date.
-_SCALAR_KINDS = frozenset({_STRING, TokenKind.INTEGER, _DATE, TokenKind.BOOLEAN, _IDENT})
+_SCALAR_KINDS = frozenset({_STRING, _INTEGER, _DATE, _BOOLEAN, _IDENT})
 
 _PUNCT = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
+    "{": _LBRACE,
+    "}": _RBRACE,
+    "[": _LBRACKET,
+    "]": _RBRACKET,
+    ":": _COLON,
+    ",": _COMMA,
 }
 # Words that are not identifiers: their kind and value.
 _WORDS = {
-    "true": (TokenKind.BOOLEAN, True),
-    "false": (TokenKind.BOOLEAN, False),
-    **{word: (TokenKind.KEYWORD, word) for word in KEYWORDS},
+    "true": (_BOOLEAN, True),
+    "false": (_BOOLEAN, False),
+    **{word: (_KEYWORD, word) for word in KEYWORDS},
 }
+
+# A token as the lexer and parser hold it: kind, lexeme, decoded value and
+# character offset.  A plain tuple costs a fifth of a Token to build.
+_Tok = tuple[TokenKind, str, object, int]
+
+
+def _describe(tok: tuple) -> str:
+    """How a diagnostic names a token: its kind, or an identifier's text."""
+    kind = tok[0]
+    if kind is _KEYWORD or kind is _IDENT:
+        return f"'{tok[1]}'"
+    return kind.value
 
 
 class _Sink:
@@ -264,9 +288,9 @@ class _Sink:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
 
-def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
-    lines = _LineTable(file, source)
-    tokens: list[Token] = []
+def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
+    source = lines.source
+    tokens: list[_Tok] = []
     append = tokens.append
     end = len(source)
     for m in _TOKEN_RE.finditer(source):
@@ -276,19 +300,22 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
         start = m.start(group)
         text = m.group(group)
         if group == "word":
-            kind, value = _WORDS.get(text) or (TokenKind.IDENT, text)
-            append(Token(kind, text, value, start, lines))
+            word = _WORDS.get(text)
+            if word is None:
+                append((_IDENT, text, text, start))
+            else:
+                append((word[0], text, word[1], start))
             continue
         if group == "punct":
-            append(Token(_PUNCT[text], text, None, start, lines))
+            append((_PUNCT[text], text, None, start))
             continue
         if group == "date":
             # None for an impossible date; the parser reports it where it expects a value.
-            append(Token(TokenKind.DATE, text, iso_date(text), start, lines))
+            append((_DATE, text, iso_date(text), start))
             continue
         if group == "integer":
             if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
-                append(Token(TokenKind.INTEGER, text, int(text), start, lines))
+                append((_INTEGER, text, int(text), start))
                 continue
             sink.error("E002", "integer literal too long", lines.span(start, len(text)))
         elif group == "string":
@@ -307,13 +334,13 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
                     value = _ESCAPE_RE.sub(r"\1", value)
                 if not printable:
                     value = _CONTROL_RE.sub("", value)
-                append(Token(TokenKind.STRING, text, value, start, lines))
+                append((_STRING, text, value, start))
             else:
                 sink.error("E001", "unterminated string literal", lines.span(start, 1))
         elif group == "env":
             name = m.group("env_name")
             if name is not None:
-                append(Token(TokenKind.ENV_REF, text, name, start, lines))
+                append((_ENV_REF, text, name, start))
                 continue
             sink.error(
                 "E002",
@@ -325,14 +352,15 @@ def _lex(source: str, file: str, sink: _Sink) -> list[Token]:
         if sink.full:  # stop at the cap; EOF goes right after the token that hit it
             end = m.end()
             break
-    tokens.append(Token(TokenKind.EOF, "", None, end, lines))
+    append((_EOF, "", None, end))
     return tokens
 
 
 def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     """Split source text into tokens; lexical problems become diagnostics."""
     sink = _Sink()
-    tokens = _lex(source, file, sink)
+    lines = _LineTable(file, source)
+    tokens = [Token(*tok, lines) for tok in _lex(lines, sink)]
     return tokens, sink.diagnostics
 
 
@@ -343,23 +371,25 @@ _LAST_STEP_RE = re.compile(r"(\.[^.\[\]]+|\[[^\[\]]*\])$")
 class SourceMap:
     """Maps model paths to the tokens they were parsed from."""
 
-    __slots__ = ("file", "_tokens")
+    __slots__ = ("file", "_lines", "_tokens")
 
-    def __init__(self, file: str) -> None:
+    def __init__(self, file: str, lines: _LineTable | None = None) -> None:
         self.file = file
-        self._tokens: dict[str, Token] = {}
+        self._lines = _LineTable(file, "") if lines is None else lines
+        self._tokens: dict[str, _Tok] = {}
 
     @property
     def spans(self) -> dict[str, Span]:
         """A new dict of every recorded path's span, built when read."""
-        return {path: tok.span for path, tok in self._tokens.items()}
+        span_of = self._lines.span_of
+        return {path: span_of(tok) for path, tok in self._tokens.items()}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SourceMap:
             return NotImplemented
         return self.file == other.file and self.spans == other.spans
 
-    def record(self, path: str, tok: Token) -> None:
+    def record(self, path: str, tok: _Tok) -> None:
         self._tokens[path] = tok
 
     def span_for(self, path: str) -> Span:
@@ -368,45 +398,30 @@ class SourceMap:
         current = path
         while True:
             if current in tokens:
-                return tokens[current].span
+                return self._lines.span_of(tokens[current])
             trimmed = _LAST_STEP_RE.sub("", current)
             if trimmed == current:
                 break
             current = trimmed
         root = tokens.get("")
-        return Span(self.file, 1, 1, 0) if root is None else root.span
+        return Span(self.file, 1, 1, 0) if root is None else self._lines.span_of(root)
 
 
 class ParseResult(Record):
     ATTRS = ("model", "diagnostics", "source_map")
 
 
-class _List:
-    kind = TokenKind.LBRACKET  # so the binder tells a list from a token by kind
-    __slots__ = ("items", "bracket")
-
-    def __init__(self, items: list[Token], bracket: Token) -> None:
-        self.items = items
-        self.bracket = bracket  # the opening '['
-
-    @property
-    def span(self) -> Span:
-        return self.bracket.span
-
-
-_Value = Token | _List
-
-
 class _RawBlock:
     __slots__ = ("label", "keyword", "fields", "blocks", "roles", "contract")
 
-    def __init__(self, label: str, keyword: Token) -> None:
+    def __init__(self, label: str, keyword: _Tok) -> None:
         self.label = label
         self.keyword = keyword  # the token that opens the block
-        self.fields: dict[str, tuple[Token, _Value]] = {}  # key token, value
+        # Key token, value: a token, or a list (LBRACKET, "[", items, offset).
+        self.fields: dict[str, tuple[_Tok, _Tok]] = {}
         self.blocks: dict[str, _RawBlock] = {}
-        self.roles: list[tuple[Token, _RawBlock]] = []  # name token, body
-        self.contract: dict[str, Token] = {}
+        self.roles: list[tuple[_Tok, _RawBlock]] = []  # name token, body
+        self.contract: dict[str, _Tok] = {}
 
 
 class _Abort(Exception):
@@ -417,15 +432,16 @@ class _Parser:
     # Every parser reads the cursor as ``self.tokens[self.pos]`` and moves
     # ``pos`` past a token only once its kind is known and is not EOF, so the
     # cursor never runs past the EOF token.
-    def __init__(self, tokens: list[Token], file: str, sink: _Sink) -> None:
+    def __init__(self, tokens: list[_Tok], lines: _LineTable, sink: _Sink) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.file = file
+        self.lines = lines
         self.sink = sink
-        self.smap = SourceMap(file)
+        self.smap = SourceMap(lines.file, lines)
 
-    def error(self, code: str, message: str, span: Span) -> None:
-        self.sink.error(code, message, span)
+    def error(self, code: str, message: str, tok: _Tok) -> None:
+        """Report an error at a token (or list), and abort at the cap."""
+        self.sink.error(code, message, self.lines.span_of(tok))
         if self.sink.full:
             raise _Abort
 
@@ -438,10 +454,10 @@ class _Parser:
         depth = 0
         while True:
             tok = tokens[self.pos]
-            kind = tok.kind
+            kind = tok[0]
             if kind is _EOF:
                 return
-            if not depth and (kind is _RBRACE or kind is _KEYWORD and tok.lexeme in _STRUCTURAL):
+            if not depth and (kind is _RBRACE or kind is _KEYWORD and tok[1] in _STRUCTURAL):
                 return
             if kind is _LBRACE:
                 depth += 1
@@ -454,15 +470,15 @@ class _Parser:
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
-            kind = tok.kind
+            kind = tok[0]
             if kind is _LBRACE:
                 break
-            if kind is _EOF or kind is _RBRACE or kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
+            if kind is _EOF or kind is _RBRACE or kind is _KEYWORD and tok[1] in _STRUCTURAL:
                 return
             self.pos += 1
         depth = 0
         while True:
-            kind = tokens[self.pos].kind
+            kind = tokens[self.pos][0]
             if kind is _EOF:
                 return
             self.pos += 1
@@ -479,19 +495,19 @@ class _Parser:
         end of input.  The current token is neither '}' nor end of input."""
         tokens = self.tokens
         tok = tokens[self.pos]
-        line = tok.line
+        line_end = self.lines.line_end(tok[3])
         depth = 0
         while True:
-            if tok.kind is _LBRACE:
+            if tok[0] is _LBRACE:
                 depth += 1
-            elif tok.kind is _RBRACE:
+            elif tok[0] is _RBRACE:
                 depth -= 1
             self.pos += 1
             tok = tokens[self.pos]
-            kind = tok.kind
-            if tok.line != line or kind is _EOF or (kind is _RBRACE and not depth):
+            kind = tok[0]
+            if tok[3] > line_end or kind is _EOF or (kind is _RBRACE and not depth):
                 return
-            if kind is _KEYWORD and tok.lexeme in _STRUCTURAL:
+            if kind is _KEYWORD and tok[1] in _STRUCTURAL:
                 return
 
     def skip_stray(self) -> None:
@@ -499,27 +515,27 @@ class _Parser:
         stopped at, unless the block loop can resume there: at a field name,
         a keyword, '}' or end of input.  At any other token the loop would
         only report a second E003 and skip that line itself."""
-        if self.tokens[self.pos].kind not in _RESUME_KINDS:
+        if self.tokens[self.pos][0] not in _RESUME_KINDS:
             self.skip_line()
 
-    def skip_contract_stray(self, key_line: int) -> None:
+    def skip_contract_stray(self, key_tok: _Tok) -> None:
         """After an error in a contract entry, skip the rest of its key's line,
         unless the entry stopped at a later line, '}', a keyword or end of
         input.  A contract key is a string, and a string left on the key's
         line would only start a second bad entry."""
         tok = self.tokens[self.pos]
-        if tok.line == key_line and tok.kind not in _CONTRACT_RESUME_KINDS:
+        if tok[3] < self.lines.line_end(key_tok[3]) and tok[0] not in _CONTRACT_RESUME_KINDS:
             self.skip_line()
 
     # --- raw block parsing ------------------------------------------------
 
-    def parse_raw_block(self, label: str, keyword: Token) -> _RawBlock:
+    def parse_raw_block(self, label: str, keyword: _Tok) -> _RawBlock:
         raw = _RawBlock(label, keyword)
         tokens = self.tokens
         tok = tokens[self.pos]
-        if tok.kind is not _LBRACE:
+        if tok[0] is not _LBRACE:
             self.error(
-                "E003", f"expected '{{' to open the {label} block, got {tok.describe()}", tok.span
+                "E003", f"expected '{{' to open the {label} block, got {_describe(tok)}", tok
             )
             self.sync()
             return raw
@@ -528,7 +544,7 @@ class _Parser:
         contract = label == "contract"
         while True:
             tok = tokens[self.pos]
-            kind = tok.kind
+            kind = tok[0]
             if kind is _IDENT and not contract:  # most entries are `key: value`
                 self.parse_field_entry(raw)
                 continue
@@ -536,12 +552,12 @@ class _Parser:
                 self.pos += 1
                 return raw
             if kind is _EOF:
-                self.error("E003", f"unexpected end of file inside {label} block", tok.span)
+                self.error("E003", f"unexpected end of file inside {label} block", tok)
                 return raw
             if kind is _KEYWORD:
-                word = tok.lexeme
+                word = tok[1]
                 if word in _STRUCTURAL:
-                    self.error("E003", f"missing '}}' before {tok.describe()}", tok.span)
+                    self.error("E003", f"missing '}}' before {_describe(tok)}", tok)
                     return raw
                 if word == "role" and label == "roles":
                     self.pos += 1
@@ -551,12 +567,12 @@ class _Parser:
                     self.pos += 1
                     sub = self.parse_raw_block(word, tok)
                     if word in raw.blocks:
-                        self.error("E015", f"duplicate {word} block", tok.span)
+                        self.error("E015", f"duplicate {word} block", tok)
                     else:
                         raw.blocks[word] = sub
                     continue
                 if word in _SUBBLOCKS:
-                    self.error("E010", f"unknown block '{word}' in {label} block", tok.span)
+                    self.error("E010", f"unknown block '{word}' in {label} block", tok)
                     self.pos += 1
                     self.skip_balanced_block()
                     continue
@@ -565,14 +581,14 @@ class _Parser:
                     self.parse_contract_entry(raw)
                     continue
                 self.error(
-                    "E003", f"expected a quoted contract key or '}}', got {tok.describe()}", tok.span
+                    "E003", f"expected a quoted contract key or '}}', got {_describe(tok)}", tok
                 )
                 self.skip_line()
                 continue
             self.error(
                 "E003",
-                f"expected a field name or '}}' in {label} block, got {tok.describe()}",
-                tok.span,
+                f"expected a field name or '}}' in {label} block, got {_describe(tok)}",
+                tok,
             )
             self.skip_line()
 
@@ -580,8 +596,8 @@ class _Parser:
         key_tok = self.tokens[self.pos]
         self.pos += 1
         tok = self.tokens[self.pos]
-        if tok.kind is not _COLON:
-            self.error("E003", f"expected ':' after field name '{key_tok.lexeme}'", tok.span)
+        if tok[0] is not _COLON:
+            self.error("E003", f"expected ':' after field name '{key_tok[1]}'", tok)
             self.skip_stray()
             return
         self.pos += 1
@@ -589,9 +605,9 @@ class _Parser:
         if value is None:
             self.skip_stray()
             return
-        key = key_tok.lexeme
+        key = key_tok[1]
         if key in raw.fields:
-            self.error("E015", f"duplicate field '{key}'", key_tok.span)
+            self.error("E015", f"duplicate field '{key}'", key_tok)
             return
         raw.fields[key] = (key_tok, value)
 
@@ -599,28 +615,28 @@ class _Parser:
         key_tok = self.tokens[self.pos]
         self.pos += 1
         tok = self.tokens[self.pos]
-        if tok.kind is not _COLON:
-            self.error("E003", "expected ':' after contract key", tok.span)
-            self.skip_contract_stray(key_tok.line)
+        if tok[0] is not _COLON:
+            self.error("E003", "expected ':' after contract key", tok)
+            self.skip_contract_stray(key_tok)
             return
         self.pos += 1
         value = self.parse_scalar()
         if value is None:
-            self.skip_contract_stray(key_tok.line)
+            self.skip_contract_stray(key_tok)
             return
-        if self.tokens[self.pos].kind is _COMMA:
+        if self.tokens[self.pos][0] is _COMMA:
             self.pos += 1
-        key = key_tok.value
+        key = key_tok[2]
         if key in raw.contract:
-            self.error("E015", f"duplicate contract key \"{key}\"", key_tok.span)
+            self.error("E015", f"duplicate contract key \"{key}\"", key_tok)
             return
         raw.contract[key] = value
 
     def parse_role_entry(self, raw: _RawBlock) -> None:
         name_tok = self.tokens[self.pos]
-        if name_tok.kind is not _IDENT:
+        if name_tok[0] is not _IDENT:
             self.error(
-                "E003", f"expected a role name, got {name_tok.describe()}", name_tok.span
+                "E003", f"expected a role name, got {_describe(name_tok)}", name_tok
             )
             self.skip_balanced_block()
             return
@@ -628,9 +644,9 @@ class _Parser:
         body = self.parse_raw_block("role", name_tok)
         raw.roles.append((name_tok, body))
 
-    def parse_value(self) -> _Value | None:
+    def parse_value(self) -> _Tok | None:
         tok = self.tokens[self.pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind is _LBRACKET:
             return self.parse_list()
         if kind is _ENV_REF:
@@ -638,44 +654,45 @@ class _Parser:
             return tok
         return self.parse_scalar()
 
-    def parse_scalar(self) -> Token | None:
+    def parse_scalar(self) -> _Tok | None:
         tok = self.tokens[self.pos]
-        if tok.kind in _SCALAR_KINDS:
+        if tok[0] in _SCALAR_KINDS:
             self.pos += 1
-            if tok.value is None:
-                self.error("E014", f"invalid calendar date '{tok.lexeme}'", tok.span)
+            if tok[2] is None:
+                self.error("E014", f"invalid calendar date '{tok[1]}'", tok)
             return tok
-        self.error("E003", f"expected a value, got {tok.describe()}", tok.span)
+        self.error("E003", f"expected a value, got {_describe(tok)}", tok)
         return None
 
-    def parse_list(self) -> _List | None:
+    def parse_list(self) -> _Tok:
         tokens = self.tokens
         bracket = tokens[self.pos]
         self.pos += 1
-        items: list[Token] = []
+        items: list[_Tok] = []
         while True:
-            kind = tokens[self.pos].kind
+            kind = tokens[self.pos][0]
             if kind is _RBRACKET:
                 self.pos += 1
-                return _List(items, bracket)
+                break
             if kind is _EOF or kind is _RBRACE:
-                self.error("E003", "unterminated list (missing ']')", bracket.span)
-                return _List(items, bracket)
+                self.error("E003", "unterminated list (missing ']')", bracket)
+                break
             item = self.parse_scalar()
             if item is None:
                 self.pos += 1
                 continue
             items.append(item)
-            if tokens[self.pos].kind is _COMMA:
+            if tokens[self.pos][0] is _COMMA:
                 self.pos += 1
+        return (_LBRACKET, bracket[1], items, bracket[3])
 
     # --- document ---------------------------------------------------------
 
     def parse_document(self) -> ConnectorModel | None:
         tokens = self.tokens
         tok = tokens[self.pos]
-        if tok.kind is not _KEYWORD or tok.lexeme != "connector":
-            self.error("E011", "expected 'connector'", tok.span)
+        if tok[0] is not _KEYWORD or tok[1] != "connector":
+            self.error("E011", "expected 'connector'", tok)
             return None
         connector = tok
         self.smap.record("", connector)
@@ -683,85 +700,85 @@ class _Parser:
 
         name: str | None = None
         tok = tokens[self.pos]
-        if tok.kind is _STRING:
+        if tok[0] is _STRING:
             self.pos += 1
-            name = tok.value
+            name = tok[2]
             if not NAME_RE.fullmatch(name):
-                self.error("E014", f"invalid connector name {name!r}", tok.span)
+                self.error("E014", f"invalid connector name {name!r}", tok)
                 name = None
             else:
                 self.smap.record("name", tok)
         else:
-            self.error("E003", f"expected a quoted connector name, got {tok.describe()}", tok.span)
+            self.error("E003", f"expected a quoted connector name, got {_describe(tok)}", tok)
 
         sections: dict[str, tuple[_RawBlock, str | None]] = {}
         tok = tokens[self.pos]
-        if tok.kind is _LBRACE:
+        if tok[0] is _LBRACE:
             self.pos += 1
         else:
-            self.error("E003", f"expected '{{', got {tok.describe()}", tok.span)
+            self.error("E003", f"expected '{{', got {_describe(tok)}", tok)
             self.sync()
         closed = False
         while True:
             tok = tokens[self.pos]
-            kind = tok.kind
+            kind = tok[0]
             if kind is _RBRACE:
                 self.pos += 1
                 closed = True
                 break
             if kind is _EOF:
-                self.error("E003", "unexpected end of file inside connector block", tok.span)
+                self.error("E003", "unexpected end of file inside connector block", tok)
                 break
-            if kind is _KEYWORD and tok.lexeme in SECTION_KEYWORDS:
+            if kind is _KEYWORD and tok[1] in SECTION_KEYWORDS:
                 self.pos += 1
                 variant = None
-                if tok.lexeme == "usage":
+                if tok[1] == "usage":
                     variant_tok = tokens[self.pos]
-                    if variant_tok.kind is _KEYWORD and variant_tok.lexeme in VARIANTS:
+                    if variant_tok[0] is _KEYWORD and variant_tok[1] in VARIANTS:
                         self.pos += 1
-                        variant = variant_tok.lexeme
+                        variant = variant_tok[1]
                     else:
                         self.error(
                             "E003",
                             "expected usage variant 'edc', 'opcua', or 'plain'",
-                            variant_tok.span,
+                            variant_tok,
                         )
-                raw = self.parse_raw_block(tok.lexeme, tok)
-                if tok.lexeme in sections:
-                    self.error("E012", f"duplicate {tok.lexeme} block", tok.span)
+                raw = self.parse_raw_block(tok[1], tok)
+                if tok[1] in sections:
+                    self.error("E012", f"duplicate {tok[1]} block", tok)
                 else:
-                    sections[tok.lexeme] = (raw, variant)
+                    sections[tok[1]] = (raw, variant)
                 continue
-            if kind is _KEYWORD and tok.lexeme == "connector":
-                self.error("E003", "missing '}' before 'connector'", tok.span)
+            if kind is _KEYWORD and tok[1] == "connector":
+                self.error("E003", "missing '}' before 'connector'", tok)
                 break
             self.error(
                 "E003",
-                f"expected a section (discovery, metadata, usage, access), got {tok.describe()}",
-                tok.span,
+                f"expected a section (discovery, metadata, usage, access), got {_describe(tok)}",
+                tok,
             )
             self.sync()
-            if tokens[self.pos].kind is _RBRACE:
+            if tokens[self.pos][0] is _RBRACE:
                 self.pos += 1
                 closed = True
                 break
 
         if closed:
             trailing = tokens[self.pos]
-            if trailing.kind is _KEYWORD and trailing.lexeme == "connector":
+            if trailing[0] is _KEYWORD and trailing[1] == "connector":
                 self.error(
-                    "E013", "multiple connector blocks in one file (only one allowed)", trailing.span
+                    "E013", "multiple connector blocks in one file (only one allowed)", trailing
                 )
-            elif trailing.kind is not _EOF:
+            elif trailing[0] is not _EOF:
                 self.error(
                     "E003",
-                    f"unexpected content after connector block: {trailing.describe()}",
-                    trailing.span,
+                    f"unexpected content after connector block: {_describe(trailing)}",
+                    trailing,
                 )
 
         for section in SECTION_KEYWORDS:
             if section not in sections:
-                self.error("E011", f"missing required section '{section}'", connector.span)
+                self.error("E011", f"missing required section '{section}'", connector)
 
         values: dict[str, object] = {}
         for spec in ConnectorModel.FIELDS:
@@ -831,7 +848,7 @@ class _Binder:
                     self._fail(
                         "E011",
                         f"missing required field '{spec.key}' in {self.label} block",
-                        self.raw.keyword.span,
+                        self.raw.keyword,
                     )
             if entry is not None:
                 found += 1
@@ -840,21 +857,21 @@ class _Binder:
             self.report_unknown()
         return self.values if self.ok else None
 
-    def _fail(self, code: str, message: str, span: Span) -> None:
-        self.parser.error(code, message, span)
+    def _fail(self, code: str, message: str, tok: _Tok) -> None:
+        self.parser.error(code, message, tok)
         self.ok = False
 
-    def _set(self, spec: FieldSpec, tok: Token, value: object) -> None:
+    def _set(self, spec: FieldSpec, tok: _Tok, value: object) -> None:
         self.parser.smap.record(f"{self.path}.{spec.key}", tok)
         self.values[spec.attr] = value
 
-    def scalar(self, spec: FieldSpec, value: _Value) -> None:
+    def scalar(self, spec: FieldSpec, value: _Tok) -> None:
         token_kind, expects = _SCALARS[spec.kind]
-        if value.kind is not token_kind:
+        if value[0] is not token_kind:
             if spec.kind == "enum":
                 expects = f"one of: {_enum_values(spec.cls)}"
-            return self._fail("E014", f"field '{spec.key}' expects {expects}", value.span)
-        result = value.value
+            return self._fail("E014", f"field '{spec.key}' expects {expects}", value)
+        result = value[2]
         if spec.kind == "date" and result is None:  # invalid calendar date, already reported
             self.ok = False
             return
@@ -864,81 +881,83 @@ class _Binder:
             except ValueError:
                 return self._fail(
                     "E014",
-                    f"invalid value '{value.value}' for field '{spec.key}' "
+                    f"invalid value '{result}' for field '{spec.key}' "
                     f"(expected one of: {_enum_values(spec.cls)})",
-                    value.span,
+                    value,
                 )
         if spec.nonempty and not result:
-            return self._fail("E014", f"field '{spec.key}' must be non-empty", value.span)
+            return self._fail("E014", f"field '{spec.key}' must be non-empty", value)
         if spec.minimum is not None and result < spec.minimum:
-            return self._fail("E014", f"field '{spec.key}' must be >= {spec.minimum}", value.span)
+            return self._fail("E014", f"field '{spec.key}' must be >= {spec.minimum}", value)
         self._set(spec, value, result)
 
-    def string_list(self, spec: FieldSpec, value: _Value) -> None:
-        if value.kind is not _LBRACKET:
-            return self._fail("E014", f"field '{spec.key}' expects a list of strings", value.span)
+    def string_list(self, spec: FieldSpec, value: _Tok) -> None:
+        if value[0] is not _LBRACKET:
+            return self._fail("E014", f"field '{spec.key}' expects a list of strings", value)
+        entries = value[2]
         items: list[str] = []
-        for index, item in enumerate(value.items):
-            if item.kind is not TokenKind.STRING:
-                self._fail("E014", f"entries of '{spec.key}' must be quoted strings", item.span)
+        for index, item in enumerate(entries):
+            if item[0] is not _STRING:
+                self._fail("E014", f"entries of '{spec.key}' must be quoted strings", item)
                 continue
-            items.append(item.value)
+            items.append(item[2])
             self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
-        if len(items) == len(value.items):
-            self._set(spec, value.bracket, tuple(items))
+        if len(items) == len(entries):
+            self._set(spec, value, tuple(items))
 
-    def enum_list(self, spec: FieldSpec, value: _Value) -> None:
-        if value.kind is not _LBRACKET:
+    def enum_list(self, spec: FieldSpec, value: _Tok) -> None:
+        if value[0] is not _LBRACKET:
             return self._fail(
                 "E014",
                 f"field '{spec.key}' expects a list of: {_enum_values(spec.cls)}",
-                value.span,
+                value,
             )
+        entries = value[2]
         members: list[Enum] = []
         bad = False
-        for index, item in enumerate(value.items):
-            if item.kind is not TokenKind.IDENT:
+        for index, item in enumerate(entries):
+            if item[0] is not _IDENT:
                 self._fail(
                     "E014",
                     f"entries of '{spec.key}' must be one of: {_enum_values(spec.cls)}",
-                    item.span,
+                    item,
                 )
                 bad = True
                 continue
             try:
-                member = spec.cls(item.value)
+                member = spec.cls(item[2])
             except ValueError:
                 self._fail(
                     "E014",
-                    f"invalid value '{item.value}' in '{spec.key}' "
+                    f"invalid value '{item[2]}' in '{spec.key}' "
                     f"(expected one of: {_enum_values(spec.cls)})",
-                    item.span,
+                    item,
                 )
                 bad = True
                 continue
             # A unique list holds each member at most once, so this scan is bounded
             # by the size of the enum.
             if spec.unique and member in members:
-                self._fail("E015", f"duplicate entry '{item.value}' in '{spec.key}'", item.span)
+                self._fail("E015", f"duplicate entry '{item[2]}' in '{spec.key}'", item)
                 bad = True
                 continue
             members.append(member)
             self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
-        if spec.nonempty and not value.items:
-            return self._fail("E014", f"field '{spec.key}' must not be empty", value.span)
+        if spec.nonempty and not entries:
+            return self._fail("E014", f"field '{spec.key}' must not be empty", value)
         if not bad:
-            self._set(spec, value.bracket, tuple(members))
+            self._set(spec, value, tuple(members))
 
-    def secret(self, spec: FieldSpec, value: _Value) -> None:
-        if value.kind is _ENV_REF:
-            self._set(spec, value, SecretEnvVar(value.value))
-        elif value.kind is _STRING:
-            self._set(spec, value, SecretLiteral(value.value))
+    def secret(self, spec: FieldSpec, value: _Tok) -> None:
+        if value[0] is _ENV_REF:
+            self._set(spec, value, SecretEnvVar(value[2]))
+        elif value[0] is _STRING:
+            self._set(spec, value, SecretLiteral(value[2]))
         else:
             self._fail(
                 "E014",
                 f"field '{spec.key}' expects a quoted string or env(NAME) reference",
-                value.span,
+                value,
             )
 
     def sub_block(self, spec: FieldSpec, raw: _RawBlock) -> None:
@@ -951,26 +970,26 @@ class _Binder:
     def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
         offers: dict[str, ContractValue] = {}
         for key, tok in raw.contract.items():
-            if tok.kind is _IDENT:
+            if tok[0] is _IDENT:
                 self._fail(
                     "E014",
                     "contract values must be a string, integer, date, or boolean",
-                    tok.span,
+                    tok,
                 )
                 continue
-            if tok.value is None:  # invalid calendar date, already reported
+            if tok[2] is None:  # invalid calendar date, already reported
                 self.ok = False
                 continue
-            offers[key] = tok.value
+            offers[key] = tok[2]
             self.parser.smap.record(f"{self.path}.{spec.key}.{key}", tok)
         self.values[spec.attr] = offers
 
     def roles(self, spec: FieldSpec, raw: _RawBlock) -> None:
         roles: list[Role] = []
         for name_tok, body in raw.roles:
-            name = name_tok.lexeme
+            name = name_tok[1]
             if not NAME_RE.fullmatch(name):
-                self._fail("E014", f"invalid role name {name!r}", name_tok.span)
+                self._fail("E014", f"invalid role name {name!r}", name_tok)
                 continue
             path = f"{self.path}.{spec.key}[{name}]"
             self.parser.smap.record(path, name_tok)
@@ -981,7 +1000,7 @@ class _Binder:
                 roles.append(role)
         # A roles block holds only `role NAME { ... }` entries.
         for key, (key_tok, _) in raw.fields.items():
-            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_tok.span)
+            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_tok)
         self.values[spec.attr] = tuple(roles)
 
     def report_unknown(self) -> None:
@@ -989,21 +1008,21 @@ class _Binder:
         fields = {spec.key for spec in self.rows} - blocks
         for key, (key_tok, _) in self.raw.fields.items():
             if key not in fields:
-                self._fail("E010", f"unknown field '{key}' in {self.label} block", key_tok.span)
+                self._fail("E010", f"unknown field '{key}' in {self.label} block", key_tok)
         for name, sub in self.raw.blocks.items():
             if name not in blocks:
                 self._fail(
-                    "E010", f"unknown block '{name}' in {self.label} block", sub.keyword.span
+                    "E010", f"unknown block '{name}' in {self.label} block", sub.keyword
                 )
 
 
 # Scalar kinds: the token kind each accepts and what the E014 message says it expects.
 _SCALARS = {
-    "str": (TokenKind.STRING, "a quoted string"),
-    "date": (TokenKind.DATE, "a date (YYYY-MM-DD)"),
-    "int": (TokenKind.INTEGER, "an integer"),
-    "bool": (TokenKind.BOOLEAN, "true or false"),
-    "enum": (TokenKind.IDENT, None),
+    "str": (_STRING, "a quoted string"),
+    "date": (_DATE, "a date (YYYY-MM-DD)"),
+    "int": (_INTEGER, "an integer"),
+    "bool": (_BOOLEAN, "true or false"),
+    "enum": (_IDENT, None),
 }
 
 _BIND = {
@@ -1028,8 +1047,8 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     was produced.  Identical input always yields an identical result.
     """
     sink = _Sink()
-    tokens = _lex(source, file, sink)
-    parser = _Parser(tokens, file, sink)
+    lines = _LineTable(file, source)
+    parser = _Parser(_lex(lines, sink), lines, sink)
     model: ConnectorModel | None = None
     if not sink.full:
         try:

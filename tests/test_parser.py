@@ -16,6 +16,7 @@ from dsx import (
     tokenize,
     validate,
 )
+from dsx.parser import Token, _LineTable, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
 
@@ -382,6 +383,29 @@ class TestSpansOnDemand:
         report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
         assert [d.code for d in report.diagnostics] == ["W204"]
         assert built == [tuple(report.diagnostics[0].span.__getstate__())]
+
+
+class TestTokensOnDemand:
+    """The parser holds the lexer's tuples; only tokenize() builds Tokens."""
+
+    def test_parse_builds_no_token_and_tokenize_wraps_the_lexer_tuples(self, monkeypatch):
+        built = []
+        init = Token.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Token, "__init__", counting_init)
+        for name in FLAGSHIPS:
+            assert parse(fixture_text(name), name).model is not None
+        assert built == []
+        for source, _, _ in LEX_CASES.values():
+            lexed = _lex(_LineTable("t.dsx", source), _Sink())
+            tokens, _ = tokenize(source, "t.dsx")
+            assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == lexed
+            assert len(built) == len(tokens)  # the count sees tokenize's Tokens
+            built.clear()
 
 
 class TestParseBasics:
