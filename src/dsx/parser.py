@@ -665,20 +665,32 @@ class _Parser:
         return None
 
     def parse_list(self) -> _Tok:
+        """A list value up to its ']'.  After a bad item the list also ends
+        at a token on a later line or at a structural keyword, so a list that
+        lost its ']' does not swallow the rest of its block."""
         tokens = self.tokens
         bracket = tokens[self.pos]
         self.pos += 1
         items: list[_Tok] = []
+        bad_line_end = -1  # the end of the first bad item's line, once there is one
         while True:
-            kind = tokens[self.pos][0]
+            tok = tokens[self.pos]
+            kind = tok[0]
             if kind is _RBRACKET:
                 self.pos += 1
                 break
-            if kind is _EOF or kind is _RBRACE:
+            if (
+                kind is _EOF
+                or kind is _RBRACE
+                or bad_line_end >= 0
+                and (tok[3] > bad_line_end or kind is _KEYWORD and tok[1] in _STRUCTURAL)
+            ):
                 self.error("E003", "unterminated list (missing ']')", bracket)
                 break
             item = self.parse_scalar()
             if item is None:
+                if bad_line_end < 0:
+                    bad_line_end = self.lines.line_end(tok[3])
                 self.pos += 1
                 continue
             items.append(item)

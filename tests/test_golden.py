@@ -55,19 +55,19 @@ GOLDEN = {
     "modelgen[300:400]": "d933dad2dd70086195d745a1a69f232234e1cbac4d898c5ab2f88e3fabfc997c",
     "modelgen[400:500]": "acaac632d297fe1acddccada94d6cb27f6a31dbfbfef8b1a384e853f7846e13b",
     "modelgen[500:600]": "31137c40a803488dfe930c1e03871d8993cb9f9200d7779dba1085c0eb434933",
-    "production-machine:delete-token": "2492a2b18a35658a399bc14d18e8dba590c1a0c58907644c3f20c2a28151ce9e",
+    "production-machine:delete-token": "6aa5312b791e97cc048844474bc5e340e67cf2b76eeb7062dbec72000c535669",
     "production-machine:duplicate-token": "da6d37e4cb74556c5ad29159f0d2a4cbbcc293bbaae12fbc0f1b8b5c9106849d",
-    "production-machine:replace-token": "4273e804820080d250287bc8fd8bc60fc98779012cb006b058d5a8081301d5ca",
+    "production-machine:replace-token": "c424bf680bd408ac6621bac91385030f3a90ce01662c4f8e5c8274596fd1d5b2",
     "production-machine:drop-line": "cd0b52f8eee7001fd118a67daff85f51d91d89c38feaf07d0d433eb1ebea9904",
     "production-machine:duplicate-line": "a3c4f3e4fc463413ec4a12748031e85f359e10d2ffe525df66fd17184a3a7e2e",
-    "machine-opcua:delete-token": "367b351a441631a929072820f13ba92d6f33c81cad0028033702cb56e483f885",
+    "machine-opcua:delete-token": "c7c090f281142e4b5d474c63e449851f235a12dd83cd8b43d1ce2d645a31abcb",
     "machine-opcua:duplicate-token": "7f560099bc2c647e975be14b94169aac9328be74689e7663d12f798e9e511cf4",
-    "machine-opcua:replace-token": "9bc0065efcdd3a0c853e814b480798261a4e4d571e722098ca90c51334f67134",
+    "machine-opcua:replace-token": "db6e4597a5c838e23ea631b48d05672e0c0b843d32f081700ab52e91f089a40f",
     "machine-opcua:drop-line": "f51603c43b0a65ee2f6e08ab70a727a9de4444b72cb6cbef7174be9beab20dc5",
     "machine-opcua:duplicate-line": "c2b7bd0427f6188fda3ec7032c553d79df36a4bee35357cff558fda746f18d39",
-    "sensor-idlink:delete-token": "c426b0309c19283f31a1c54de683a162804406d393eb2e674d0f283634c3c2e9",
+    "sensor-idlink:delete-token": "dd4bec4d7d551d5e1120bc033519e760d74733f6ee793fdff165025865b48c0b",
     "sensor-idlink:duplicate-token": "fa53ab468f3d55e45d925dd18688d7633fcd35c09e1d281593df6c55699f5b6b",
-    "sensor-idlink:replace-token": "9229f3c1c05974ad30b3984318d3c7b823c8ae7018392822ba634fd7829814af",
+    "sensor-idlink:replace-token": "cb610a38f54654b7d048e688117aa84d67ede91b49d254cfec4a315c2841043b",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }

@@ -564,6 +564,19 @@ class TestParseErrors:
         assert result.model is None
         assert [(d.code, d.message) for d in result.diagnostics] == [("E003", message)]
 
+    @pytest.mark.parametrize("end", ["", ":"])
+    def test_list_that_lost_its_bracket_stops_at_the_next_line(self, end):
+        # Without the ']' the list used to swallow the rest of the metadata
+        # block: 14 and 15 diagnostics, one E011 per later required field.
+        uri = '"https://admin-shell.io/idta/machinery/1/0/MachineryData"'
+        text = fixture_text("production-machine.dsx").replace(f"[{uri}]", f"[{uri}{end}", 1)
+        result = parse(text, "list.dsx")
+        assert result.model is None
+        assert ("E003", "unterminated list (missing ']')") in [
+            (d.code, d.message) for d in result.diagnostics
+        ]
+        assert len(result.diagnostics) <= 4
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
