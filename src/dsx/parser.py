@@ -915,7 +915,7 @@ class _Binder:
             items.append(item[2])
             self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
         if len(items) == len(entries):
-            self._set(spec, value, tuple(items))
+            self._set(spec, _bracket(value), tuple(items))
 
     def enum_list(self, spec: FieldSpec, value: _Tok) -> None:
         if value[0] is not _LBRACKET:
@@ -958,7 +958,7 @@ class _Binder:
         if spec.nonempty and not entries:
             return self._fail("E014", f"field '{spec.key}' must not be empty", value)
         if not bad:
-            self._set(spec, value, tuple(members))
+            self._set(spec, _bracket(value), tuple(members))
 
     def secret(self, spec: FieldSpec, value: _Tok) -> None:
         if value[0] is _ENV_REF:
@@ -1046,6 +1046,11 @@ _BIND = {
     "contract": _Binder.contract,
     "roles": _Binder.roles,
 }
+
+
+def _bracket(value: _Tok) -> _Tok:
+    """The '[' of a list value without its items, which the source map need not keep."""
+    return (_LBRACKET, "[", None, value[3])
 
 
 def _enum_values(enum_type: type[Enum]) -> str:
