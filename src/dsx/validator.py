@@ -4,11 +4,14 @@ The grammar guarantees structure; these checks cover the rules it cannot
 express: URL schemes, participant-id formats, date ordering, policy
 coherence.  Every finding carries a stable code, a public contract for CI
 tooling; README's "Diagnostic codes" table lists every code with its rule.
-``CHECKS`` is keyed by check family: the E206 check emits W206, and the
-E204 and E207 checks emit warnings as well as errors.
+A finding's severity is its code's letter: an E code is an error, a W code
+a warning.  ``validate`` runs each rule once.  ``CHECKS`` lists the check
+families; a W code that is not a family itself belongs to the family of its
+E code (W204 to E204, W206 to E206, W207 to E207), and ``check_single``
+keeps the findings of ``validate`` in one family.
 
 A rule on one field's value is named by the ``form`` of the field's row;
-``_FORMS`` maps each form to its code, severity, test and message.
+``_FORMS`` maps each form to its code, test and message.
 
 No check performs network I/O; reports are deterministic for a given
 model (W204 compares against an injectable ``today``).
@@ -32,7 +35,6 @@ from .model import (
     Record,
     SecurityPolicy,
     Severity,
-    Span,
     UsageConfig,
     iso_date,
 )
@@ -50,9 +52,14 @@ _SPACE_RE = re.compile(r"\s")
 
 
 class ValidationReport(Record):
-    """Findings ordered by span, and whether none of them is an error."""
+    """Findings ordered by span."""
 
-    ATTRS = ("diagnostics", "valid")
+    ATTRS = ("diagnostics",)
+
+    @property
+    def valid(self) -> bool:
+        """Whether no finding is an error."""
+        return not any(d.severity is Severity.ERROR for d in self.diagnostics)
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
@@ -69,48 +76,11 @@ class _Context:
         self.source_map = source_map if source_map is not None else SourceMap("<model>")
         self.today = today
         self.findings: list[Diagnostic] = []
-        self._by_form: dict[str, list[Diagnostic]] | None = None
 
-    def span(self, path: str) -> Span:
-        return self.source_map.span_for(path)
-
-    def form_findings(self, code: str) -> list[Diagnostic]:
-        """The value-form findings with ``code``; one pass finds those of every code."""
-        if self._by_form is None:
-            self._by_form = {}
-            self._test_forms(self.model, "")
-        return self._by_form.get(code, [])
-
-    def _test_forms(self, record: Record, prefix: str) -> None:
-        """Test each value of ``record`` and its sub-blocks whose row names a form.
-
-        ``prefix`` is the record's binder path and a dot ('' for the model); a
-        finding's path, with ``[i]`` for a list item, is built only on failure.
-        """
-        for spec in record.FIELDS:
-            if spec.form is not None:
-                value = getattr(record, spec.attr)
-                if value is None:
-                    continue
-                code, severity, test, message = _FORMS[spec.form]
-                items = enumerate(value) if spec.kind == "str-list" else [(None, value)]
-                for index, item in items:
-                    if not test(item):
-                        path = prefix + spec.key + ("" if index is None else f"[{index}]")
-                        found = Diagnostic(severity, code, message.format(item), self.span(path))
-                        self._by_form.setdefault(code, []).append(found)
-            elif spec.kind == "sub-block":
-                value = getattr(record, spec.attr)
-                if value is not None:
-                    self._test_forms(value, f"{prefix}{spec.key}.")
-                    if isinstance(value, UsageConfig):
-                        self._test_forms(value.extension, f"{prefix}{spec.key}.")
-
-    def error(self, code: str, message: str, path: str) -> None:
-        self.findings.append(Diagnostic(Severity.ERROR, code, message, self.span(path)))
-
-    def warning(self, code: str, message: str, path: str) -> None:
-        self.findings.append(Diagnostic(Severity.WARNING, code, message, self.span(path)))
+    def report(self, code: str, message: str, path: str) -> None:
+        """Record a finding at ``path``: an E code is an error, a W code a warning."""
+        severity = Severity.ERROR if code[0] == "E" else Severity.WARNING
+        self.findings.append(Diagnostic(severity, code, message, self.source_map.span_for(path)))
 
 
 def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:
@@ -123,58 +93,74 @@ def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:
     return parts.scheme in schemes and bool(parts.netloc)
 
 
-def _url_form(*schemes: str) -> tuple[str, Severity, Callable[[str], object], str]:
+def _url_form(*schemes: str) -> tuple[str, Callable[[str], object], str]:
     return (
         "E201",
-        Severity.ERROR,
         lambda value: _is_absolute_url(value, schemes),
         f"'{{}}' is not an absolute {' or '.join(schemes)} URL",
     )
 
 
-# The value forms a FieldSpec row may name: each maps to its code, severity,
-# test, and the message for a value that fails the test ('{}' is the value).
-_FORMS: dict[str, tuple[str, Severity, Callable[[str], object], str]] = {
+# The value forms a FieldSpec row may name: each maps to its code, test, and
+# the message for a value that fails the test ('{}' is the value).
+_FORMS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "web-url": _url_form("http", "https"),
     "opc-url": _url_form("opc.tcp"),
     "participant-id": (
         "E202",
-        Severity.ERROR,
         lambda value: BPN_RE.fullmatch(value) or DID_RE.fullmatch(value),
         "remoteId '{}' is neither a BPN (BPNL + 12 alphanumerics) nor a DID",
     ),
     "language": (
         "E208",
-        Severity.ERROR,
         _LANGUAGE_RE.fullmatch,
         "language '{}' is not a two-letter lowercase code",
     ),
     "iri": (
         "E209",
-        Severity.ERROR,
         _IRI_RE.fullmatch,
         "semanticId '{}' is not a syntactically valid IRI",
     ),
     "policy-iri": (
         "W210",
-        Severity.WARNING,
         _IRI_RE.fullmatch,
         "usagePolicy '{}' does not look like an IRI reference",
     ),
 }
 
 
-def _form_check(code: str) -> Callable[[_Context], None]:
-    def check(ctx: _Context) -> None:
-        ctx.findings += ctx.form_findings(code)
+def _check_forms(ctx: _Context, record: Record | None = None, prefix: str = "") -> None:
+    """Test each value of ``record`` (the model by default) and of its
+    sub-blocks whose row names a form.
 
-    return check
+    ``prefix`` is the record's binder path and a dot ('' for the model); a
+    finding's path, with ``[i]`` for a list item, is built only on failure.
+    """
+    if record is None:
+        record = ctx.model
+    for spec in record.FIELDS:
+        if spec.form is not None:
+            value = getattr(record, spec.attr)
+            if value is None:
+                continue
+            code, test, message = _FORMS[spec.form]
+            items = enumerate(value) if spec.kind == "str-list" else [(None, value)]
+            for index, item in items:
+                if not test(item):
+                    path = prefix + spec.key + ("" if index is None else f"[{index}]")
+                    ctx.report(code, message.format(item), path)
+        elif spec.kind == "sub-block":
+            value = getattr(record, spec.attr)
+            if value is not None:
+                _check_forms(ctx, value, f"{prefix}{spec.key}.")
+                if isinstance(value, UsageConfig):
+                    _check_forms(ctx, value.extension, f"{prefix}{spec.key}.")
 
 
 def _check_date_order(ctx: _Context) -> None:
     meta = ctx.model.metadata
     if meta.modified < meta.created:
-        ctx.error(
+        ctx.report(
             "E203",
             f"modified ({meta.modified.isoformat()}) is before created ({meta.created.isoformat()})",
             "metadata.modified",
@@ -187,18 +173,12 @@ def _check_valid_until(ctx: _Context) -> None:
         return
     value = offers["validUntil"]
     path = "access.contract.validUntil"
-    if isinstance(value, date):
-        parsed = value
-    elif isinstance(value, str):
-        parsed = iso_date(value)
-        if parsed is None:
-            ctx.error("E204", f"\"validUntil\" value '{value}' is not an ISO 8601 date", path)
-            return
-    else:
-        ctx.error("E204", f"\"validUntil\" value {value!r} is not an ISO 8601 date", path)
-        return
-    if parsed < ctx.today:
-        ctx.warning("W204", f"contract expired on {parsed.isoformat()}", path)
+    parsed = iso_date(value) if isinstance(value, str) else value
+    if not isinstance(parsed, date):
+        spelled = f"'{value}'" if isinstance(value, str) else repr(value)
+        ctx.report("E204", f"\"validUntil\" value {spelled} is not an ISO 8601 date", path)
+    elif parsed < ctx.today:
+        ctx.report("W204", f"contract expired on {parsed.isoformat()}", path)
 
 
 def _check_roles(ctx: _Context) -> None:
@@ -206,14 +186,14 @@ def _check_roles(ctx: _Context) -> None:
     for role in ctx.model.access.roles:
         path = f"access.roles[{role.role_name}]"
         if role.role_name in seen:
-            ctx.error("E205", f"duplicate role name '{role.role_name}'", path)
+            ctx.report("E205", f"duplicate role name '{role.role_name}'", path)
         seen.add(role.role_name)
         if not role.permissions:
-            ctx.error(
+            ctx.report(
                 "E205", f"role '{role.role_name}' has no permissions", f"{path}.permissions"
             )
         elif len(set(role.permissions)) != len(role.permissions):
-            ctx.error(
+            ctx.report(
                 "E205",
                 f"role '{role.role_name}' lists duplicate permissions",
                 f"{path}.permissions",
@@ -225,19 +205,17 @@ def _check_edc_mode(ctx: _Context) -> None:
     if not isinstance(ext, EdcUsage) or ext.sts_service_address is not None:
         return
     if ext.push_endpoints is not None:
-        ctx.warning(
-            "W206",
-            "push endpoints configured without stsServiceAddress; "
-            "hosted-client mode ignores direct-DSP details",
-            "usage.push",
-        )
+        item, path = "push endpoints", "usage.push"
     elif ext.trusted_did_registries:
-        ctx.warning(
-            "W206",
-            "trustedDidRegistries configured without stsServiceAddress; "
-            "hosted-client mode ignores direct-DSP details",
-            "usage.trustedDidRegistries",
-        )
+        item, path = "trustedDidRegistries", "usage.trustedDidRegistries"
+    else:
+        return
+    ctx.report(
+        "W206",
+        f"{item} configured without stsServiceAddress; "
+        "hosted-client mode ignores direct-DSP details",
+        path,
+    )
 
 
 def _check_opcua_security(ctx: _Context) -> None:
@@ -248,7 +226,7 @@ def _check_opcua_security(ctx: _Context) -> None:
         ext.message_security_mode is MessageSecurityMode.NONE
         and ext.security_policy is not SecurityPolicy.NONE
     ):
-        ctx.error(
+        ctx.report(
             "E207",
             f"messageSecurityMode None contradicts securityPolicy "
             f"{ext.security_policy.value}",
@@ -261,29 +239,23 @@ def _check_opcua_security(ctx: _Context) -> None:
             if Permission.WRITE in role.permissions
         ]
         if writers:
-            ctx.warning(
+            ctx.report(
                 "W207",
                 f"anonymous authentication although role(s) {', '.join(writers)} require WRITE",
                 "usage.authenticationMode",
             )
 
 
-CHECKS: dict[str, Callable[[_Context], None]] = {
-    "E201": _form_check("E201"),
-    "E202": _form_check("E202"),
-    "E203": _check_date_order,
-    "E204": _check_valid_until,
-    "E205": _check_roles,
-    "E206": _check_edc_mode,
-    "E207": _check_opcua_security,
-    "E208": _form_check("E208"),
-    "E209": _form_check("E209"),
-    "W210": _form_check("W210"),
-}
+_RULES: tuple[Callable[[_Context], None], ...] = (
+    _check_forms,
+    _check_date_order,
+    _check_valid_until,
+    _check_roles,
+    _check_edc_mode,
+    _check_opcua_security,
+)
 
-
-def _sorted(findings: list[Diagnostic]) -> tuple[Diagnostic, ...]:
-    return tuple(sorted(findings, key=lambda d: (*d.span.sort_key(), d.code)))
+CHECKS = ("E201", "E202", "E203", "E204", "E205", "E206", "E207", "E208", "E209", "W210")
 
 
 def validate(
@@ -299,12 +271,10 @@ def validate(
     ``today`` pins the reference date for expiry warnings.
     """
     ctx = _Context(model, source_map, today or date.today())
-    for check in CHECKS.values():
-        check(ctx)
-    diagnostics = _sorted(ctx.findings)
+    for rule in _RULES:
+        rule(ctx)
     return ValidationReport(
-        diagnostics=diagnostics,
-        valid=not any(d.severity is Severity.ERROR for d in diagnostics),
+        tuple(sorted(ctx.findings, key=lambda d: (*d.span.sort_key(), d.code)))
     )
 
 
@@ -315,10 +285,12 @@ def check_single(
     *,
     today: date | None = None,
 ) -> list[Diagnostic]:
-    """Run one named check; the union over all codes equals ``validate``."""
+    """The findings of ``validate`` in family ``code``, one of ``CHECKS``;
+    the union over all families equals ``validate``."""
     if code not in CHECKS:
         valid = ", ".join(sorted(CHECKS))
         raise ValueError(f"unknown check code {code!r} (valid codes: {valid})")
-    ctx = _Context(model, source_map, today or date.today())
-    CHECKS[code](ctx)
-    return list(_sorted(ctx.findings))
+    report = validate(model, source_map, today=today)
+    return [
+        d for d in report.diagnostics if (d.code if d.code in CHECKS else "E" + d.code[1:]) == code
+    ]

@@ -282,10 +282,10 @@ def test_space_pattern_matches_str_isspace_on_every_code_point():
     assert matched == {index for index, ch in enumerate(text) if ch.isspace()}
 
 
-# A diagnostic is made by the parser's and the validator's error, warning and
-# _fail calls, by the E099 Diagnostic the sink adds at its cap, and by the
-# validator's value forms, whose codes its _FORMS table holds.
-_EMITTED_RE = re.compile(r'(?:\b(?:error|warning|_fail)\(|Diagnostic\(Severity\.\w+,)\s*"([EW]\d{3})"')
+# A diagnostic is made by the parser's error and _fail calls, by the
+# validator's report calls, by the E099 Diagnostic the sink adds at its cap,
+# and by the validator's value forms, whose codes its _FORMS table holds.
+_EMITTED_RE = re.compile(r'(?:\b(?:error|report|_fail)\(|Diagnostic\(Severity\.\w+,)\s*"([EW]\d{3})"')
 
 
 def test_readme_code_table_lists_exactly_the_emitted_codes():
@@ -293,7 +293,7 @@ def test_readme_code_table_lists_exactly_the_emitted_codes():
     emitted = set()
     for path in (root / "src" / "dsx").glob("*.py"):
         emitted.update(_EMITTED_RE.findall(path.read_text(encoding="utf-8")))
-    emitted.update(code for code, _, _, _ in _FORMS.values())
+    emitted.update(code for code, _, _ in _FORMS.values())
     readme = (root / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Diagnostic codes\n", 1)[1].split("\n## ", 1)[0]
     documented = [
