@@ -666,8 +666,9 @@ class _Parser:
 
     def parse_list(self) -> _Tok:
         """A list value up to its ']'.  After a bad item the list also ends
-        at a token on a later line or at a structural keyword, so a list that
-        lost its ']' does not swallow the rest of its block."""
+        at a structural keyword, or at a keyword or a field name and ':' on a
+        later line, so a list that lost its ']' does not swallow the rest of
+        its block, and a list written over several lines still ends at its ']'."""
         tokens = self.tokens
         bracket = tokens[self.pos]
         self.pos += 1
@@ -683,7 +684,13 @@ class _Parser:
                 kind is _EOF
                 or kind is _RBRACE
                 or bad_line_end >= 0
-                and (tok[3] > bad_line_end or kind is _KEYWORD and tok[1] in _STRUCTURAL)
+                and (
+                    kind is _KEYWORD
+                    and (tok[3] > bad_line_end or tok[1] in _STRUCTURAL)
+                    or kind is _IDENT
+                    and tok[3] > bad_line_end
+                    and tokens[self.pos + 1][0] is _COLON
+                )
             ):
                 self.error("E003", "unterminated list (missing ']')", bracket)
                 break

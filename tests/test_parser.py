@@ -577,6 +577,18 @@ class TestParseErrors:
         ]
         assert len(result.diagnostics) <= 4
 
+    def test_list_over_two_lines_ends_at_its_bracket_after_a_bad_item(self):
+        text = fixture_text("production-machine.dsx").replace(
+            "permissions: [READ, WRITE, SUBSCRIBE]",
+            "permissions: [READ, :\n          WRITE, SUBSCRIBE]",
+            1,
+        )
+        result = parse(text, "list.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", "expected a value, got ':'")
+        ]
+
     def test_missing_required_field_named(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             '    baseUrl: "https://id.sensorworks.example"\n', ""
