@@ -36,6 +36,7 @@ from .model import (
     SecurityPolicy,
     Severity,
     UsageConfig,
+    _scalar,
     iso_date,
 )
 from .parser import SourceMap
@@ -175,7 +176,7 @@ def _check_valid_until(ctx: _Context) -> None:
     path = "access.contract.validUntil"
     parsed = iso_date(value) if isinstance(value, str) else value
     if not isinstance(parsed, date):
-        spelled = f"'{value}'" if isinstance(value, str) else repr(value)
+        spelled = f"'{value}'" if isinstance(value, str) else _scalar(value)
         ctx.report("E204", f"\"validUntil\" value {spelled} is not an ISO 8601 date", path)
     elif parsed < ctx.today:
         ctx.report("W204", f"contract expired on {parsed.isoformat()}", path)

@@ -207,6 +207,15 @@ class TestValidUntil:
         assert [d.code for d in report.diagnostics] == ["E204"]
         assert not report.valid
 
+    @pytest.mark.parametrize("value", ["true", "5"])
+    def test_a_value_that_is_not_a_string_is_spelled_as_written(self, value):
+        text = fixture_text("production-machine.dsx").replace('"2026-12-31"', value)
+        result = parse(text, "scalar.dsx")
+        report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
+        assert [(d.code, d.message) for d in report.diagnostics] == [
+            ("E204", f'"validUntil" value {value} is not an ISO 8601 date')
+        ]
+
     def test_past_date_warns_relative_to_today(self, sensor_idlink):
         report = validate(
             sensor_idlink.model, sensor_idlink.source_map, today=date(2031, 1, 1)
