@@ -58,6 +58,7 @@ from .model import (
     Severity,
     Span,
     UsageConfig,
+    _CONTROL_RE,
     iso_date,
 )
 
@@ -211,7 +212,6 @@ _TOKEN_RE = re.compile(
 # can be set as low as 640; a literal with more digits is an E002 instead.
 _MAX_INT_DIGITS = 640
 _ESCAPE_RE = re.compile(r'\\(["\\])')
-_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
 
 # The lexer and parser read kinds as module globals: an enum class attribute
 # lookup costs about ten times as much in their loops.
