@@ -126,6 +126,27 @@ class TestConstructionInvariants:
         # Each instance gets its own contract dict.
         assert access.contract_offers is not AccessPolicy(usage_policy="x").contract_offers
 
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda m: replace(m.metadata, title=5), TypeError),
+            (lambda m: replace(m.usage, extension="plain"), TypeError),
+            (lambda m: Role(role_name="7-op", permissions=()), ValueError),
+            (lambda m: QosMetrics(sampling_rate_ms=True, max_subscriptions=10), TypeError),
+            (lambda m: Role(role_name="op", permissions=("READ",)), TypeError),
+            (lambda m: replace(m.access, contract_offers={"batch": ["B-1"]}), TypeError),
+        ],
+        ids=["text", "usage-extension", "role-name", "bool-as-int", "enum-list-item", "contract"],
+    )
+    def test_constructors_reject_values_of_the_wrong_shape(self, build, error):
+        with pytest.raises(error):
+            build(minimal_model())
+
+    def test_records_hash_and_print_by_value(self):
+        qos = QosMetrics(sampling_rate_ms=100, max_subscriptions=10)
+        assert hash(qos) == hash(QosMetrics(sampling_rate_ms=100, max_subscriptions=10))
+        assert repr(qos) == "QosMetrics(sampling_rate_ms=100, max_subscriptions=10)"
+
     def test_records_are_frozen(self):
         m = minimal_model()
         with pytest.raises(AttributeError):

@@ -197,6 +197,12 @@ class TestTokenize:
         assert tokens[0].lexeme == "title"
         assert tokens[2].value == "Mill"
 
+    def test_token_knows_its_file_and_describes_itself(self):
+        tokens, _ = tokenize('title: "Mill"', "mill.dsx")
+        assert tokens[0].file == "mill.dsx"
+        assert [t.describe() for t in tokens] == ["'title'", "':'", "string", "end of file"]
+        assert repr(tokens[2]) == "Token(STRING, '\"Mill\"', 1:8)"
+
     def test_date_lexing(self):
         tokens, diagnostics = tokenize("created: 2025-07-01")
         assert diagnostics == []
@@ -576,6 +582,16 @@ class TestParseErrors:
             (d.code, d.message) for d in result.diagnostics
         ]
         assert len(result.diagnostics) <= 4
+
+    def test_end_of_input_inside_a_skipped_unknown_block(self):
+        text = 'connector "x" {\n  discovery {\n    qos {\n      samplingRateMs: 1\n'
+        result = parse(text, "eof.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics][-3:] == [
+            ("E010", "unknown block 'qos' in discovery block"),
+            ("E003", "unexpected end of file inside discovery block"),
+            ("E003", "unexpected end of file inside connector block"),
+        ]
 
     def test_list_over_two_lines_ends_at_its_bracket_after_a_bad_item(self):
         text = fixture_text("production-machine.dsx").replace(
