@@ -686,10 +686,9 @@ class _Parser:
                 or bad_line_end >= 0
                 and (
                     kind is _KEYWORD
-                    and (tok[3] > bad_line_end or tok[1] in _STRUCTURAL)
-                    or kind is _IDENT
-                    and tok[3] > bad_line_end
-                    and tokens[self.pos + 1][0] is _COLON
+                    and tok[1] in _STRUCTURAL
+                    or tok[3] > bad_line_end
+                    and (kind is _KEYWORD or kind is _IDENT and tokens[self.pos + 1][0] is _COLON)
                 )
             ):
                 self.error("E003", "unterminated list (missing ']')", bracket)
