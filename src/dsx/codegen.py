@@ -190,9 +190,9 @@ def _members(record: Record) -> dict[str, object]:
 # Row kinds whose values are not already JSON; str, int and bool pass through.
 _TO_JSON = {
     "date": date.isoformat,
-    "enum": lambda value: value.value,
+    "enum": lambda value: value._value_,
     "str-list": list,
-    "enum-list": lambda value: [member.value for member in value],
+    "enum-list": lambda value: [member._value_ for member in value],
     "secret": _secret,
     "sub-block": _members,
 }
@@ -260,7 +260,7 @@ def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
         "constraints": constraints,
         "id": policy_id,
         "permissions": {
-            role.role_name: [p.value for p in role.permissions] for role in model.access.roles
+            role.role_name: [p._value_ for p in role.permissions] for role in model.access.roles
         },
         "usagePolicy": model.access.usage_policy,
         **_credentials_json(model.access),
@@ -314,7 +314,7 @@ def _idlink_aas_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     security["asset"] = {
         "id": model.identification.linked_asset_id,
         "idLink": url,
-        "identifierType": model.identification.identifier_type.value,
+        "identifierType": model.identification.identifier_type._value_,
     }
 
     return [
@@ -329,7 +329,7 @@ def _access_document(model: ConnectorModel) -> dict[str, object]:
             key: _json_scalar(value) for key, value in model.access.contract_offers.items()
         },
         "roles": [
-            {"name": role.role_name, "permissions": [p.value for p in role.permissions]}
+            {"name": role.role_name, "permissions": [p._value_ for p in role.permissions]}
             for role in model.access.roles
         ],
         "usagePolicy": model.access.usage_policy,
@@ -376,17 +376,17 @@ def generate_all(
         )
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
-    for target in Target:
+    for target, build in _BUILDERS.items():
         if target not in targets:
             continue
         problem = _unsupported(model, target)
         if problem is not None:
             failures.append(problem)
             continue
-        prefix = target.value + "/"
+        prefix = target._value_ + "/"
         artifacts.extend(
             GeneratedArtifact(prefix + name, content, target)
-            for name, content in _BUILDERS[target](model)
+            for name, content in build(model)
         )
     if failures:
         raise GenerationError(*failures)

@@ -94,7 +94,9 @@ def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
         raise TypeError(f"{what} must be a string, got {type(value).__name__}")
     if not allow_empty and not value:
         raise ValueError(f"{what} must be non-empty")
-    if _CONTROL_RE.search(value):
+    # isprintable() is false for every C0 control and DEL, so it accepts
+    # most text at C speed; the pattern decides the rest.
+    if not value.isprintable() and _CONTROL_RE.search(value):
         raise ValueError(f"{what} must not contain control characters")
 
 
@@ -429,6 +431,8 @@ def variant_name(extension: UsageExtension) -> str:
 
 
 def _check_str(spec: FieldSpec, value: object) -> None:
+    if value.__class__ is str and value.isprintable() and (value or not spec.nonempty):
+        return
     _check_text(value, spec.key, allow_empty=not spec.nonempty)
 
 
@@ -474,16 +478,19 @@ def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
         _check_type(spec, role, spec.cls)
 
 
+# A check accepts with an inline isinstance and calls _check_type only to raise.
 _CHECKS = {
     "str": _check_str,
-    "date": lambda spec, value: _check_type(spec, value, date),
+    "date": lambda spec, value: isinstance(value, date) or _check_type(spec, value, date),
     "int": _check_int,
-    "bool": lambda spec, value: _check_type(spec, value, bool),
-    "enum": lambda spec, value: _check_type(spec, value, spec.cls),
+    "bool": lambda spec, value: isinstance(value, bool) or _check_type(spec, value, bool),
+    "enum": lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls),
     "str-list": _check_str_list,
     "enum-list": _check_enum_list,
     "secret": lambda spec, value: _check_type(spec, value, SecretLiteral, SecretEnvVar),
-    "sub-block": lambda spec, value: _check_type(spec, value, spec.cls),
+    "sub-block": (
+        lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls)
+    ),
     "contract": _check_contract,
     "roles": _check_roles,
 }
@@ -503,8 +510,6 @@ def join_idlink(identification: IdentificationData) -> str:
         url = f"{url}/{identification.linked_asset_id}"
     return url
 
-
-_INDENT = "  "
 
 
 def _quote(text: str) -> str:
@@ -532,23 +537,6 @@ def _string_list(items: tuple[str, ...]) -> str:
     return "[" + ", ".join(_quote(item) for item in items) + "]"
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.level = 0
-
-    def line(self, text: str) -> None:
-        self.lines.append(_INDENT * self.level + text)
-
-    def open(self, header: str) -> None:
-        self.line(header + " {")
-        self.level += 1
-
-    def close(self) -> None:
-        self.level -= 1
-        self.line("}")
-
-
 def print_canonical(model: ConnectorModel) -> str:
     """Render a model as canonical DSL text.
 
@@ -556,11 +544,10 @@ def print_canonical(model: ConnectorModel) -> str:
     indentation, LF line endings, contract offers sorted by key, and a
     trailing newline.  Parsing the output reproduces the model.
     """
-    w = _Writer()
-    w.open(f"connector {_quote(model.name)}")
-    _print_fields(w, model)
-    w.close()
-    return "\n".join(w.lines) + "\n"
+    lines = [f"connector {_quote(model.name)} {{"]
+    _print_fields(lines, "  ", model)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 _FORMATS = {
@@ -568,14 +555,15 @@ _FORMATS = {
     "date": date.isoformat,
     "int": str,
     "bool": lambda value: "true" if value else "false",
-    "enum": lambda value: value.value,
+    "enum": lambda value: value._value_,
     "str-list": _string_list,
-    "enum-list": lambda value: "[" + ", ".join(member.value for member in value) + "]",
+    "enum-list": lambda value: "[" + ", ".join([member._value_ for member in value]) + "]",
     "secret": _secret,
 }
 
 
-def _print_fields(w: _Writer, obj: object) -> None:
+def _print_fields(lines: list[str], pad: str, obj: object) -> None:
+    """Append ``obj``'s rows at indent ``pad``; a nested block's at ``pad`` plus two spaces."""
     for spec in obj.FIELDS:
         value = getattr(obj, spec.attr)
         # Absent optionals are omitted; an optional string is printed even when empty.
@@ -583,25 +571,25 @@ def _print_fields(w: _Writer, obj: object) -> None:
             continue
         format_value = _FORMATS.get(spec.kind)
         if format_value is not None:
-            w.line(f"{spec.key}: {format_value(value)}")
-        elif spec.kind == "sub-block":
+            lines.append(f"{pad}{spec.key}: {format_value(value)}")
+            continue
+        inner = pad + "  "
+        if spec.kind == "sub-block":
             if isinstance(value, UsageConfig):
-                w.open(f"usage {variant_name(value.extension)}")
-                _print_fields(w, value)
-                _print_fields(w, value.extension)
+                lines.append(f"{pad}usage {variant_name(value.extension)} {{")
+                _print_fields(lines, inner, value)
+                _print_fields(lines, inner, value.extension)
             else:
-                w.open(spec.key)
-                _print_fields(w, value)
-            w.close()
+                lines.append(f"{pad}{spec.key} {{")
+                _print_fields(lines, inner, value)
         elif spec.kind == "contract":
-            w.open(spec.key)
+            lines.append(f"{pad}{spec.key} {{")
             for key in sorted(value):
-                w.line(f"{_quote(key)}: {_scalar(value[key])},")
-            w.close()
+                lines.append(f"{inner}{_quote(key)}: {_scalar(value[key])},")
         elif spec.kind == "roles":
-            w.open(spec.key)
+            lines.append(f"{pad}{spec.key} {{")
             for role in value:
-                w.open(f"role {role.role_name}")
-                _print_fields(w, role)
-                w.close()
-            w.close()
+                lines.append(f"{inner}role {role.role_name} {{")
+                _print_fields(lines, inner + "  ", role)
+                lines.append(inner + "}")
+        lines.append(pad + "}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum
+from functools import cache
 from itertools import accumulate
 
 from .model import (
@@ -80,6 +81,11 @@ class TokenKind(Enum):
     KEYWORD = "keyword"
     ENV_REF = "env reference"
     EOF = "end of file"
+
+    # Enum's own __hash__ is Python code, run by every test against a set of
+    # kinds.  Members are singletons that compare by identity, and no code
+    # iterates a set of kinds, so no output order depends on this hash.
+    __hash__ = object.__hash__
 
 
 class _LineTable:
@@ -894,12 +900,11 @@ class _Binder:
             self.ok = False
             return
         if spec.kind == "enum":
-            try:
-                result = spec.cls(result)
-            except ValueError:
+            result = _enum_members(spec.cls).get(result)
+            if result is None:
                 return self._fail(
                     "E014",
-                    f"invalid value '{result}' for field '{spec.key}' "
+                    f"invalid value '{value[2]}' for field '{spec.key}' "
                     f"(expected one of: {_enum_values(spec.cls)})",
                     value,
                 )
@@ -931,6 +936,7 @@ class _Binder:
                 value,
             )
         entries = value[2]
+        by_value = _enum_members(spec.cls)
         members: list[Enum] = []
         bad = False
         for index, item in enumerate(entries):
@@ -942,9 +948,8 @@ class _Binder:
                 )
                 bad = True
                 continue
-            try:
-                member = spec.cls(item[2])
-            except ValueError:
+            member = by_value.get(item[2])
+            if member is None:
                 self._fail(
                     "E014",
                     f"invalid value '{item[2]}' in '{spec.key}' "
@@ -1057,6 +1062,12 @@ _BIND = {
 def _bracket(value: _Tok) -> _Tok:
     """The '[' of a list value without its items, which the source map need not keep."""
     return (_LBRACKET, "[", None, value[3])
+
+
+@cache
+def _enum_members(enum_type: type[Enum]) -> dict[str, Enum]:
+    """Each member of an enum class by its value: calling the class runs Python code."""
+    return {member._value_: member for member in enum_type}
 
 
 def _enum_values(enum_type: type[Enum]) -> str:
