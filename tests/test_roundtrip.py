@@ -77,7 +77,7 @@ def metadatas(draw):
         created=first,
         modified=second,
         semantic_ids=tuple(draw(st.lists(nonempty_texts, max_size=3))),
-        language=draw(st.none() | st.sampled_from(["en", "de", "fr"])),
+        language=draw(st.none() | st.sampled_from(["", "en", "de", "fr"])),
     )
 
 
@@ -91,7 +91,7 @@ def edc_usages(draw):
             st.from_regex(r"BPNL[A-Z0-9]{12}", fullmatch=True)
             | st.from_regex(r"did:[a-z0-9]{1,6}:[a-z0-9.-]{1,12}", fullmatch=True)
         ),
-        sts_service_address=draw(st.none() | urls),
+        sts_service_address=draw(st.none() | st.just("") | urls),
         trusted_did_registries=tuple(draw(st.lists(urls, max_size=2))),
         push_endpoints=draw(
             st.none() | st.builds(PushEndpointsConfig, callback_url=urls, cloud_push=st.booleans())
@@ -126,7 +126,7 @@ usages = st.builds(
     UsageConfig,
     data_address=urls,
     extension=st.one_of(st.builds(PlainUsage), edc_usages(), opcua_usages()),
-    schema_address=st.none() | urls,
+    schema_address=st.none() | st.just("") | urls,
 )
 
 
