@@ -1,9 +1,11 @@
 import copy
 import pickle
 import re
-from datetime import date
+from datetime import date, datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dsx import (
     AccessPolicy,
@@ -60,6 +62,11 @@ def minimal_model(**overrides) -> ConnectorModel:
     )
     fields.update(overrides)
     return ConnectorModel(**fields)
+
+
+# C0 controls, DEL, C1 controls (U+0085 among them), NBSP and the Unicode line
+# and paragraph separators: only the C0 controls and DEL are refused.
+_EDGE_CHARACTERS = "\x00\t\n\r\x1b\x1f\x7f\x80\x85\x9f\xa0\u2028\u2029 a"
 
 
 class TestConstructionInvariants:
@@ -127,20 +134,87 @@ class TestConstructionInvariants:
         assert access.contract_offers is not AccessPolicy(usage_policy="x").contract_offers
 
     @pytest.mark.parametrize(
-        "build, error",
+        "build, error, message",
         [
-            (lambda m: replace(m.metadata, title=5), TypeError),
-            (lambda m: replace(m.usage, extension="plain"), TypeError),
-            (lambda m: Role(role_name="7-op", permissions=()), ValueError),
-            (lambda m: QosMetrics(sampling_rate_ms=True, max_subscriptions=10), TypeError),
-            (lambda m: Role(role_name="op", permissions=("READ",)), TypeError),
-            (lambda m: replace(m.access, contract_offers={"batch": ["B-1"]}), TypeError),
+            (
+                lambda m: replace(m.metadata, title=5),
+                TypeError,
+                "title must be a string, got int",
+            ),
+            (
+                lambda m: replace(m.usage, extension="plain"),
+                TypeError,
+                "usage extension must be one of EdcUsage, OpcUaUsage, PlainUsage",
+            ),
+            (
+                lambda m: Role(role_name="7-op", permissions=()),
+                ValueError,
+                "invalid role name: '7-op'",
+            ),
+            (
+                lambda m: QosMetrics(sampling_rate_ms=True, max_subscriptions=10),
+                TypeError,
+                "samplingRateMs must be an integer, got bool",
+            ),
+            (
+                lambda m: QosMetrics(sampling_rate_ms=0, max_subscriptions=10),
+                ValueError,
+                "samplingRateMs must be >= 1",
+            ),
+            (
+                lambda m: Role(role_name="op", permissions=("READ",)),
+                TypeError,
+                "permissions must be Permission, got str",
+            ),
+            (
+                lambda m: replace(m.access, contract_offers={"batch": ["B-1"]}),
+                TypeError,
+                "contract value for 'batch' must be a scalar",
+            ),
         ],
-        ids=["text", "usage-extension", "role-name", "bool-as-int", "enum-list-item", "contract"],
+        ids=[
+            "text",
+            "usage-extension",
+            "role-name",
+            "bool-as-int",
+            "zero-sampling-rate",
+            "enum-list-item",
+            "contract",
+        ],
     )
-    def test_constructors_reject_values_of_the_wrong_shape(self, build, error):
-        with pytest.raises(error):
+    def test_constructors_reject_values_of_the_wrong_shape(self, build, error, message):
+        with pytest.raises(error) as raised:
             build(minimal_model())
+        assert str(raised.value) == message
+
+    def test_constructors_accept_subclasses_of_the_row_type(self):
+        meta = minimal_model().metadata
+        # A str-mixin enum member is a string; a datetime is a date.
+        assert replace(meta, title=Permission.READ).title is Permission.READ
+        stamp = datetime(2025, 1, 1, 12, 30)
+        assert replace(meta, created=stamp).created is stamp
+
+    @given(st.text(st.sampled_from(_EDGE_CHARACTERS) | st.characters(), max_size=6))
+    def test_string_rows_accept_exactly_the_text_without_controls(self, text):
+        meta = minimal_model().metadata
+        controls = re.search(r"[\x00-\x1f\x7f]", text) is not None
+        for attr, nonempty in (("description", False), ("title", True)):
+            if nonempty and not text:
+                expected = f"{attr} must be non-empty"
+            elif controls:
+                expected = f"{attr} must not contain control characters"
+            else:
+                assert getattr(replace(meta, **{attr: text}), attr) == text
+                continue
+            with pytest.raises(ValueError) as raised:
+                replace(meta, **{attr: text})
+            assert str(raised.value) == expected
+        if controls:
+            with pytest.raises(ValueError) as raised:
+                replace(meta, semantic_ids=(text,))
+            assert str(raised.value) == "semanticIds entry must not contain control characters"
+        else:
+            assert replace(meta, semantic_ids=(text,)).semantic_ids == (text,)
 
     def test_records_hash_and_print_by_value(self):
         qos = QosMetrics(sampling_rate_ms=100, max_subscriptions=10)
@@ -279,6 +353,28 @@ class TestCanonicalPrinting:
         assert text.endswith("}\n")
         assert "\n  discovery {" in text
         assert "\n    linkedAssetId:" in text
+
+    def test_empty_optionals_follow_the_skip_rule(self):
+        m = minimal_model(
+            metadata=replace(minimal_model().metadata, language="", semantic_ids=()),
+            usage=UsageConfig(
+                data_address="https://data.example.com/x", schema_address="", extension=PlainUsage()
+            ),
+            access=AccessPolicy(
+                usage_policy="https://policies.example/p",
+                roles=(Role(role_name="viewer", permissions=()),),
+            ),
+        )
+        text = print_canonical(m)
+        # An optional string is printed even when empty; an empty optional list is not.
+        assert '\n    language: ""\n' in text
+        assert '\n    schemaAddress: ""\n' in text
+        assert "semanticIds" not in text
+        # A required list is printed even when empty.
+        assert "\n      role viewer {\n        permissions: []\n      }\n" in text
+        reparsed = parse(text, "empty-optionals.dsx")
+        assert reparsed.diagnostics == []
+        assert reparsed.model == m
 
     def test_case_study_round_trip(self, production_machine):
         text = print_canonical(production_machine.model)
