@@ -1,3 +1,4 @@
+import enum
 import sys
 import time
 from datetime import date
@@ -11,11 +12,15 @@ from dsx import (
     IdentifierType,
     Severity,
     Span,
+    Target,
     TokenKind,
+    generate_all,
     parse,
+    print_canonical,
     tokenize,
     validate,
 )
+from dsx.codegen import _unsupported
 from dsx.parser import Token, _LineTable, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
@@ -412,6 +417,34 @@ class TestTokensOnDemand:
             assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == lexed
             assert len(built) == len(tokens)  # the count sees tokenize's Tokens
             built.clear()
+
+
+class TestNoEnumCalls:
+    """Parsing, validating, printing and generating call no code of enum.py."""
+
+    def test_the_flagship_pipeline_makes_no_call_into_enum(self):
+        calls = {"parse": [], "validate": [], "print": [], "generate": []}
+
+        def traced(layer, step, *args):
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == enum.__file__:
+                    calls[layer].append(frame.f_code.co_name)
+
+            sys.setprofile(hook)
+            try:
+                return step(*args)
+            finally:
+                sys.setprofile(None)
+
+        for name in FLAGSHIPS:
+            result = traced("parse", parse, fixture_text(name), name)
+            report = traced("validate", validate, result.model, result.source_map)
+            traced("print", print_canonical, result.model)
+            # Each flagship with every target it supports.
+            targets = {t for t in Target if _unsupported(result.model, t) is None}
+            assert targets
+            traced("generate", generate_all, result.model, targets, report)
+        assert calls == {"parse": [], "validate": [], "print": [], "generate": []}
 
 
 class TestParseBasics:
