@@ -478,7 +478,8 @@ def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
         _check_type(spec, role, spec.cls)
 
 
-# A check accepts with an inline isinstance and calls _check_type only to raise.
+# The date, bool, enum and sub-block checks accept by an inline isinstance and
+# call _check_type only to raise.
 _CHECKS = {
     "str": _check_str,
     "date": lambda spec, value: isinstance(value, date) or _check_type(spec, value, date),

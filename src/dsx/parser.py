@@ -82,8 +82,8 @@ class TokenKind(Enum):
     ENV_REF = "env reference"
     EOF = "end of file"
 
-    # Enum's own __hash__ is Python code, run by every test against a set of
-    # kinds.  Members are singletons that compare by identity, and no code
+    # Enum's own __hash__ is Python code, run by every membership check against
+    # a set of kinds.  Members are singletons that compare by identity, and no code
     # iterates a set of kinds, so no output order depends on this hash.
     __hash__ = object.__hash__
 
@@ -1066,7 +1066,7 @@ def _bracket(value: _Tok) -> _Tok:
 
 @cache
 def _enum_members(enum_type: type[Enum]) -> dict[str, Enum]:
-    """Each member of an enum class by its value: calling the class runs Python code."""
+    """Each member of an enum class by its value, found without running Enum's Python code."""
     return {member._value_: member for member in enum_type}
 
 
