@@ -14,11 +14,11 @@ each match is one token with the blanks and comments before it.  Inside the
 parser a token is a plain tuple ``(kind, lexeme, value, offset)``: its
 decoded value, dates included (``None`` for an impossible calendar date
 such as ``2025-02-30``), and its character offset.  A list value has the
-same shape, ``(LBRACKET, "[", items, offset of the '[')``.  Line and column
-are worked out, from a line table built on first use, only when a
-diagnostic or the source map's reader asks.  :func:`tokenize` wraps each
-tuple in a :class:`Token`, whose ``line``, ``column`` and ``span`` are
-worked out the same way.
+same shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
+:class:`SourceMap` per file holds its name and text, and works out line and
+column from line starts built on first use, only when a diagnostic or a
+reader asks.  :func:`tokenize` wraps each tuple in a :class:`Token`, which
+works out its ``line``, ``column`` and ``span`` from that map on each read.
 
 Blocks are parsed in two steps.  The entry parsers read ``key: value``
 entries, lists and sub-blocks on one token cursor into raw blocks that
@@ -30,10 +30,10 @@ against the model's field table.
 boundaries so several errors can be reported per run.  A model is only
 returned when the file produced zero errors.
 
-Alongside the model, ``parse`` returns a :class:`SourceMap` that maps
-model paths (``"metadata.modified"``, ``"access.roles[operator]"``) to the
-tokens they were parsed from, and builds their spans when read; the
-validator uses it to anchor its findings.
+Alongside the model, ``parse`` returns that map.  It also maps model paths
+(``"metadata.modified"``, ``"access.roles[operator]"``) to the tokens they
+were parsed from, and builds their spans when read; the validator uses it
+to anchor its findings, and a path never recorded gets the header's span.
 """
 
 from __future__ import annotations
@@ -88,15 +88,17 @@ class TokenKind(Enum):
     __hash__ = object.__hash__
 
 
-class _LineTable:
-    """One lexed file's name and text; its line starts are built on first use."""
+class SourceMap:
+    """One parsed file: its name and text, and the token each model path was
+    parsed from.  Line starts are built on first use, spans when read."""
 
-    __slots__ = ("file", "source", "_starts")
+    __slots__ = ("file", "source", "_starts", "_tokens")
 
-    def __init__(self, file: str, source: str) -> None:
+    def __init__(self, file: str, source: str = "") -> None:
         self.file = file
         self.source = source
         self._starts: list[int] | None = None
+        self._tokens: dict[str, _Tok] = {}
 
     def span(self, offset: int, length: int) -> Span:
         """The span of ``length`` characters from a character offset."""
@@ -116,6 +118,26 @@ class _LineTable:
         end = self.source.find("\n", offset)
         return len(self.source) if end < 0 else end
 
+    @property
+    def spans(self) -> dict[str, Span]:
+        """A new dict of every recorded path's span, built when read."""
+        span_of = self.span_of
+        return {path: span_of(tok) for path, tok in self._tokens.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SourceMap:
+            return NotImplemented
+        return self.file == other.file and self.spans == other.spans
+
+    def record(self, path: str, tok: _Tok) -> None:
+        self._tokens[path] = tok
+
+    def span_for(self, path: str) -> Span:
+        """The span recorded for a path; the connector header's for a path
+        not recorded, and 1:1 in a map that recorded nothing."""
+        tok = self._tokens.get(path) or self._tokens.get("")
+        return Span(self.file, 1, 1, 0) if tok is None else self.span_of(tok)
+
 
 class Token:
     """One lexeme with its kind, decoded value and character offset, as
@@ -125,17 +147,16 @@ class Token:
     read, since only diagnostics and source-map readers need it.
     """
 
-    __slots__ = ("kind", "lexeme", "value", "offset", "lines", "_span")
+    __slots__ = ("kind", "lexeme", "value", "offset", "lines")
 
     def __init__(
-        self, kind: TokenKind, lexeme: str, value: object, offset: int, lines: _LineTable
+        self, kind: TokenKind, lexeme: str, value: object, offset: int, lines: SourceMap
     ) -> None:
         self.kind = kind
         self.lexeme = lexeme
         self.value = value
         self.offset = offset
         self.lines = lines
-        self._span: Span | None = None
 
     @property
     def file(self) -> str:
@@ -151,9 +172,7 @@ class Token:
 
     @property
     def span(self) -> Span:
-        if self._span is None:
-            self._span = self.lines.span(self.offset, len(self.lexeme))
-        return self._span
+        return self.lines.span(self.offset, len(self.lexeme))
 
     def describe(self) -> str:
         return _describe((self.kind, self.lexeme))
@@ -294,8 +313,8 @@ class _Sink:
         self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
 
-def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
-    source = lines.source
+def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
+    source = smap.source
     tokens: list[_Tok] = []
     append = tokens.append
     end = len(source)
@@ -323,7 +342,7 @@ def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
             if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
                 append((_INTEGER, text, int(text), start))
                 continue
-            sink.error("E002", "integer literal too long", lines.span(start, len(text)))
+            sink.error("E002", "integer literal too long", smap.span(start, len(text)))
         elif group == "string":
             printable = text.isprintable()  # false for every control character
             if not printable:
@@ -331,7 +350,7 @@ def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
                     sink.error(
                         "E002",
                         "control character in string literal",
-                        lines.span(start + bad.start(), 1),
+                        smap.span(start + bad.start(), 1),
                     )
             if m.group("close"):
                 # The lexeme keeps the raw source slice; the decoded text is the value.
@@ -342,7 +361,7 @@ def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
                     value = _CONTROL_RE.sub("", value)
                 append((_STRING, text, value, start))
             else:
-                sink.error("E001", "unterminated string literal", lines.span(start, 1))
+                sink.error("E001", "unterminated string literal", smap.span(start, 1))
         elif group == "env":
             name = m.group("env_name")
             if name is not None:
@@ -351,10 +370,10 @@ def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
             sink.error(
                 "E002",
                 "malformed env() reference (expected env(UPPER_CASE_NAME))",
-                lines.span(start, 3),
+                smap.span(start, 3),
             )
         else:
-            sink.error("E002", f"illegal character {text!r}", lines.span(start, 1))
+            sink.error("E002", f"illegal character {text!r}", smap.span(start, 1))
         if sink.full:  # stop at the cap; EOF goes right after the token that hit it
             end = m.end()
             break
@@ -365,52 +384,9 @@ def _lex(lines: _LineTable, sink: _Sink) -> list[_Tok]:
 def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     """Split source text into tokens; lexical problems become diagnostics."""
     sink = _Sink()
-    lines = _LineTable(file, source)
-    tokens = [Token(*tok, lines) for tok in _lex(lines, sink)]
+    smap = SourceMap(file, source)
+    tokens = [Token(*tok, smap) for tok in _lex(smap, sink)]
     return tokens, sink.diagnostics
-
-
-# The last member or index of a model path: "access.roles[operator]" -> "access.roles".
-_LAST_STEP_RE = re.compile(r"(\.[^.\[\]]+|\[[^\[\]]*\])$")
-
-
-class SourceMap:
-    """Maps model paths to the tokens they were parsed from."""
-
-    __slots__ = ("file", "_lines", "_tokens")
-
-    def __init__(self, file: str, lines: _LineTable | None = None) -> None:
-        self.file = file
-        self._lines = _LineTable(file, "") if lines is None else lines
-        self._tokens: dict[str, _Tok] = {}
-
-    @property
-    def spans(self) -> dict[str, Span]:
-        """A new dict of every recorded path's span, built when read."""
-        span_of = self._lines.span_of
-        return {path: span_of(tok) for path, tok in self._tokens.items()}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SourceMap:
-            return NotImplemented
-        return self.file == other.file and self.spans == other.spans
-
-    def record(self, path: str, tok: _Tok) -> None:
-        self._tokens[path] = tok
-
-    def span_for(self, path: str) -> Span:
-        """Best span for a path, walking up to enclosing constructs."""
-        tokens = self._tokens
-        current = path
-        while True:
-            if current in tokens:
-                return self._lines.span_of(tokens[current])
-            trimmed = _LAST_STEP_RE.sub("", current)
-            if trimmed == current:
-                break
-            current = trimmed
-        root = tokens.get("")
-        return Span(self.file, 1, 1, 0) if root is None else self._lines.span_of(root)
 
 
 class ParseResult(Record):
@@ -418,16 +394,16 @@ class ParseResult(Record):
 
 
 class _RawBlock:
-    __slots__ = ("label", "keyword", "fields", "blocks", "roles", "contract")
+    __slots__ = ("label", "keyword", "fields", "blocks", "roles")
 
     def __init__(self, label: str, keyword: _Tok) -> None:
         self.label = label
         self.keyword = keyword  # the token that opens the block
         # Key token, value: a token, or a list (LBRACKET, "[", items, offset).
+        # A contract block holds its entries here, by decoded key.
         self.fields: dict[str, tuple[_Tok, _Tok]] = {}
         self.blocks: dict[str, _RawBlock] = {}
         self.roles: list[tuple[_Tok, _RawBlock]] = []  # name token, body
-        self.contract: dict[str, _Tok] = {}
 
 
 class _Abort(Exception):
@@ -438,16 +414,15 @@ class _Parser:
     # Every parser reads the cursor as ``self.tokens[self.pos]`` and moves
     # ``pos`` past a token only once its kind is known and is not EOF, so the
     # cursor never runs past the EOF token.
-    def __init__(self, tokens: list[_Tok], lines: _LineTable, sink: _Sink) -> None:
+    def __init__(self, tokens: list[_Tok], smap: SourceMap, sink: _Sink) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.lines = lines
+        self.smap = smap
         self.sink = sink
-        self.smap = SourceMap(lines.file, lines)
 
     def error(self, code: str, message: str, tok: _Tok) -> None:
         """Report an error at a token (or list), and abort at the cap."""
-        self.sink.error(code, message, self.lines.span_of(tok))
+        self.sink.error(code, message, self.smap.span_of(tok))
         if self.sink.full:
             raise _Abort
 
@@ -501,7 +476,7 @@ class _Parser:
         end of input.  The current token is neither '}' nor end of input."""
         tokens = self.tokens
         tok = tokens[self.pos]
-        line_end = self.lines.line_end(tok[3])
+        line_end = self.smap.line_end(tok[3])
         depth = 0
         while True:
             if tok[0] is _LBRACE:
@@ -530,7 +505,7 @@ class _Parser:
         input.  A contract key is a string, and a string left on the key's
         line would only start a second bad entry."""
         tok = self.tokens[self.pos]
-        if tok[3] < self.lines.line_end(key_tok[3]) and tok[0] not in _CONTRACT_RESUME_KINDS:
+        if tok[3] < self.smap.line_end(key_tok[3]) and tok[0] not in _CONTRACT_RESUME_KINDS:
             self.skip_line()
 
     # --- raw block parsing ------------------------------------------------
@@ -633,10 +608,10 @@ class _Parser:
         if self.tokens[self.pos][0] is _COMMA:
             self.pos += 1
         key = key_tok[2]
-        if key in raw.contract:
+        if key in raw.fields:
             self.error("E015", f"duplicate contract key \"{key}\"", key_tok)
             return
-        raw.contract[key] = value
+        raw.fields[key] = (key_tok, value)
 
     def parse_role_entry(self, raw: _RawBlock) -> None:
         name_tok = self.tokens[self.pos]
@@ -702,7 +677,7 @@ class _Parser:
             item = self.parse_scalar()
             if item is None:
                 if bad_line_end < 0:
-                    bad_line_end = self.lines.line_end(tok[3])
+                    bad_line_end = self.smap.line_end(tok[3])
                 self.pos += 1
                 continue
             items.append(item)
@@ -992,7 +967,7 @@ class _Binder:
 
     def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
         offers: dict[str, ContractValue] = {}
-        for key, tok in raw.contract.items():
+        for key, (_, tok) in raw.fields.items():
             if tok[0] is _IDENT:
                 self._fail(
                     "E014",
@@ -1081,8 +1056,8 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     was produced.  Identical input always yields an identical result.
     """
     sink = _Sink()
-    lines = _LineTable(file, source)
-    parser = _Parser(_lex(lines, sink), lines, sink)
+    smap = SourceMap(file, source)
+    parser = _Parser(_lex(smap, sink), smap, sink)
     model: ConnectorModel | None = None
     if not sink.full:
         try:
@@ -1091,12 +1066,9 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
             model = None
     if sink.diagnostics:  # the sink holds only errors
         model = None
-    diagnostics = sink.diagnostics
     # Binding reports in declaration order; present findings in source order.
-    # A trailing E099 marks truncation and stays last.
-    tail = []
-    if diagnostics and diagnostics[-1].code == "E099":
-        tail = [diagnostics[-1]]
-        diagnostics = diagnostics[:-1]
-    diagnostics = sorted(diagnostics, key=lambda d: d.span.sort_key()) + tail
-    return ParseResult(model=model, diagnostics=diagnostics, source_map=parser.smap)
+    # An E099 marks truncation and stays last.
+    diagnostics = sorted(
+        sink.diagnostics, key=lambda d: (d.code == "E099", d.span.line, d.span.column)
+    )
+    return ParseResult(model=model, diagnostics=diagnostics, source_map=smap)

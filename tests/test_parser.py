@@ -21,7 +21,7 @@ from dsx import (
     validate,
 )
 from dsx.codegen import _unsupported
-from dsx.parser import Token, _LineTable, _lex, _Sink
+from dsx.parser import SourceMap, Token, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
 
@@ -412,7 +412,7 @@ class TestTokensOnDemand:
             assert parse(fixture_text(name), name).model is not None
         assert built == []
         for source, _, _ in LEX_CASES.values():
-            lexed = _lex(_LineTable("t.dsx", source), _Sink())
+            lexed = _lex(SourceMap("t.dsx", source), _Sink())
             tokens, _ = tokenize(source, "t.dsx")
             assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == lexed
             assert len(built) == len(tokens)  # the count sees tokenize's Tokens
