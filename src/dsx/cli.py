@@ -79,19 +79,23 @@ class _Report:
 def _each_input(patterns: list[str], handle: Callable[[Path, str], int]) -> int:
     """Run ``handle(path, source)`` on every input file, glob patterns expanded
     and command-line order kept; return the worst exit code.  A file named
-    more than once is handled once, under the first name given for it."""
+    more than once is handled once, under the first name given for it.  A
+    pattern naming a file is that file; a glob matching none is exit code 2."""
     files: dict[str, Path] = {}  # resolved path -> first spelling
+    worst = 0
     for pattern in patterns:
-        if _GLOB_CHARS & set(pattern):
-            for match in sorted(glob.glob(pattern, recursive=True)):
-                if os.path.isfile(match):
-                    files.setdefault(os.path.realpath(match), Path(match))
+        if _GLOB_CHARS & set(pattern) and not os.path.isfile(pattern):
+            matches = [m for m in sorted(glob.glob(pattern, recursive=True)) if os.path.isfile(m)]
+            if not matches:
+                print(f"dsx: no input files match '{pattern}'", file=sys.stderr)
+                worst = 2
+            for match in matches:
+                files.setdefault(os.path.realpath(match), Path(match))
         else:
             files.setdefault(os.path.realpath(pattern), Path(pattern))
     if not files:
         print("dsx: no input files", file=sys.stderr)
         return 2
-    worst = 0
     for path in files.values():
         # Raw bytes, not universal newlines: fmt must see CRLF files as
         # non-canonical, and the parser accepts both endings anyway.

@@ -55,6 +55,22 @@ class TestCheck:
         assert main(["check", "*.dsx"]) == 2
         assert "no input files" in capsys.readouterr().err
 
+    def test_empty_glob_exits_two_and_the_batch_goes_on(self, workdir, capsys):
+        bad = copy_fixture("invalid/e202-bad-bpn.dsx", workdir, "bad.dsx")
+        assert main(["check", str(bad), "nomatch/*.dsx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "dsx: no input files match 'nomatch/*.dsx'\n"
+        assert captured.out.startswith(f"{bad}:") and "error[E202]" in captured.out
+
+    def test_file_whose_name_is_a_glob_is_that_file(self, workdir, capsys):
+        good = copy_fixture("production-machine.dsx", workdir)
+        copy_fixture("invalid/e202-bad-bpn.dsx", workdir, "bad[1].dsx")
+        copy_fixture("invalid/e203-date-order.dsx", workdir, "bad1.dsx")
+        assert main(["check", str(good), "bad[1].dsx"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("bad[1].dsx:") and "error[E202]" in out
+        assert "bad1.dsx" not in out
+
     def test_unreadable_file_exits_two(self, workdir, capsys):
         assert main(["check", "missing.dsx"]) == 2
         assert "missing.dsx" in capsys.readouterr().err
