@@ -113,13 +113,32 @@ def _check_fields(obj: Record) -> None:
 _SEQUENCE_KINDS = frozenset({"str-list", "enum-list", "roles"})
 
 
+class ContractOffers(dict):
+    """A model's contract offers: a dict that refuses changes and hashes by value."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("contract offers are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, ContractValue]]]:
+        # copy, deepcopy and pickle rebuild it through the constructor.
+        return (self.__class__, (dict(self),))
+
+
 class _RecordType(type):
     """Builds each record class from its own declaration.
 
     A table-driven class declares its ``FIELDS`` rows, and in ``ATTRS`` the
     attributes that have no row.  Its constructor is keyword-only.  ``ATTRS``
     and required rows must be given; an optional row defaults to ``()`` for
-    lists and roles, to a fresh ``{}`` for a contract, and to None otherwise.
+    lists and roles, to ``{}`` for a contract, and to None otherwise.  A
+    contract is stored as a :class:`ContractOffers` copy.
     Any other record lists its attributes in ``ATTRS`` in positional order,
     with ``DEFAULTS`` for the last of them, as ``collections.namedtuple``
     does.
@@ -143,7 +162,7 @@ class _RecordType(type):
         lines = [
             f"def __init__(self, {'*, ' if rows is not None and attrs else ''}{params}):",
             *(
-                f"    if {spec.attr} is None: {spec.attr} = {{}}"
+                f"    {spec.attr} = ContractOffers({{}} if {spec.attr} is None else {spec.attr})"
                 for spec in rows or ()
                 if spec.kind == "contract"
             ),
@@ -152,7 +171,7 @@ class _RecordType(type):
             *(["    _check_fields(self)"] if rows is not None else []),
         ]
         scope = {f"_set_{attr}": getattr(cls, attr).__set__ for attr in attrs}
-        scope["_check_fields"] = _check_fields
+        scope.update(_check_fields=_check_fields, ContractOffers=ContractOffers)
         exec("\n".join(lines), scope)
         init = cls.__init__ = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"  # as named in argument errors

@@ -34,6 +34,8 @@ from dsx import (
 from dsx import model as model_module
 from modelgen import build_model
 
+from conftest import fixture_text
+
 
 def replace(record, **changes):
     """A copy of a model record with some attributes changed."""
@@ -244,6 +246,66 @@ class TestCopying:
         assert print_canonical(cloned) == print_canonical(original)
         with pytest.raises(AttributeError):
             cloned.name = "other"
+
+
+class TestContractOffers:
+    """A model's contract offers are a read-only dict that hashes by value."""
+
+    def test_two_parses_hash_alike(self):
+        text = fixture_text("production-machine.dsx")
+        first, second = parse(text).model, parse(text).model
+        assert first.access.contract_offers  # the fixture has offers to hash
+        assert hash(first) == hash(second)
+        assert hash(first.access.contract_offers) == hash(second.access.contract_offers)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.__setitem__("k", 1),
+            lambda o: o.__delitem__("a"),
+            lambda o: o.__ior__({"k": 1}),
+            lambda o: o.clear(),
+            lambda o: o.pop("a"),
+            lambda o: o.popitem(),
+            lambda o: o.setdefault("k", 1),
+            lambda o: o.update(k=1),
+        ],
+        ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"],
+    )
+    def test_every_mutator_is_refused(self, mutate):
+        access = AccessPolicy(usage_policy="https://policies.example/p", contract_offers={"a": 1})
+        with pytest.raises(TypeError, match="contract offers are read-only"):
+            mutate(access.contract_offers)
+        assert access.contract_offers == {"a": 1}
+        assert print_canonical(minimal_model(access=access)).count('"a": 1,') == 1
+
+    def test_a_callers_dict_changed_later_does_not_reach_the_model(self):
+        offers = {"a": 1}
+        access = AccessPolicy(usage_policy="https://policies.example/p", contract_offers=offers)
+        offers["b"] = {"not": "a scalar"}
+        del offers["a"]
+        assert access.contract_offers == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_offers_survive_copying_read_only(self, clone):
+        offers = AccessPolicy(
+            usage_policy="https://policies.example/p",
+            contract_offers={"a": 1, "b": "x", "c": date(2026, 1, 1), "d": True},
+        ).contract_offers
+        cloned = clone(offers)
+        assert type(cloned) is type(offers) and cloned == offers
+        assert hash(cloned) == hash(offers)
+        with pytest.raises(TypeError):
+            cloned["e"] = 2
+
+    def test_equality_and_repr_are_a_plain_dicts(self):
+        offers = AccessPolicy(usage_policy="x", contract_offers={"b": "x", "a": 1}).contract_offers
+        assert offers == {"a": 1, "b": "x"} and {"a": 1, "b": "x"} == offers
+        assert repr(offers) == "{'b': 'x', 'a': 1}"
 
 
 class TestFieldTable:
