@@ -24,6 +24,7 @@ from dsx.codegen import _unsupported
 from dsx.parser import SourceMap, Token, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
+from test_golden import groups
 
 
 FLAGSHIPS = ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
@@ -394,6 +395,49 @@ class TestSpansOnDemand:
         report = validate(result.model, result.source_map, today=FIXTURE_TODAY)
         assert [d.code for d in report.diagnostics] == ["W204"]
         assert built == [tuple(report.diagnostics[0].span.__getstate__())]
+
+
+class TestSpanFor:
+    """span_for returns the span recorded for a path, and has no walk-up to an
+    enclosing path: the binder records every path the validator asks for."""
+
+    def test_the_validator_asks_only_for_recorded_paths(self, monkeypatch):
+        asked = []
+        span_for = SourceMap.span_for
+
+        def recording(self, path):
+            asked.append((path, path in self._tokens))
+            return span_for(self, path)
+
+        monkeypatch.setattr(SourceMap, "span_for", recording)
+        models = 0
+        for _, inputs in groups():  # fixtures, modelgen 0-599, golden mutations
+            for file, source in inputs:
+                result = parse(source, file)
+                if result.model is not None:
+                    models += 1
+                    validate(result.model, result.source_map, today=FIXTURE_TODAY)
+        assert models > 600 and len(asked) > 100
+        assert sorted({path for path, recorded in asked if not recorded}) == []
+
+    def test_a_path_not_recorded_gets_the_header_span(self):
+        name = "production-machine.dsx"
+        smap = parse(fixture_text(name), name).source_map
+        header = smap.spans[""]
+        assert header.length == len("connector")
+        assert smap.span_for("") == header
+        assert smap.span_for("access.roles[nobody]") == header
+        # A recorded path's child falls back to the header too, not to the parent.
+        assert "access.roles[operator]" in smap.spans
+        assert smap.span_for("access.roles[operator].permissions[9]") == header
+
+    def test_an_empty_map_gives_line_one_column_one(self):
+        assert SourceMap("<model>").span_for("metadata.title") == Span("<model>", 1, 1, 0)
+        model = parse(fixture_text("invalid/w204-expired.dsx")).model
+        report = validate(model, today=FIXTURE_TODAY)
+        assert [(d.code, d.span) for d in report.diagnostics] == [
+            ("W204", Span("<model>", 1, 1, 0))
+        ]
 
 
 class TestTokensOnDemand:
