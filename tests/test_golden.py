@@ -9,11 +9,14 @@ every target set with and without a report.  Each input group hashes to
 one sha256 digest, so a refactor that changes any output byte names the
 first group that differs.
 
-Run ``python tests/test_golden.py`` to print the current digests.
+Run ``python tests/test_golden.py`` to print the current digests, or
+``python tests/test_golden.py --dump DIR`` to write each input's record to
+``DIR/<group>/<n>.txt``, so the outputs of two trees compare with ``diff -r``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 from datetime import date
@@ -170,6 +173,15 @@ def digests() -> dict[str, str]:
     return result
 
 
+def dump(directory: Path, named_groups: Iterator[tuple[str, list[tuple[str, str]]]]) -> None:
+    """Write the record of input n of each group to ``directory/<group>/<n>.txt``."""
+    for name, inputs in named_groups:
+        folder = directory / name
+        folder.mkdir(parents=True, exist_ok=True)
+        for n, (file, source) in enumerate(inputs):
+            (folder / f"{n}.txt").write_bytes(outputs(file, source).encode("utf-8"))
+
+
 def test_outputs_match_golden_digests():
     actual = digests()
     assert list(actual) == list(GOLDEN)
@@ -177,6 +189,25 @@ def test_outputs_match_golden_digests():
         assert digest == GOLDEN[name], f"outputs changed, first differing group: {name}"
 
 
+def test_dump_writes_each_record_of_a_group(tmp_path):
+    name, inputs = next(groups())
+    assert name == "fixtures"
+    dump(tmp_path, iter([(name, inputs)]))
+    assert [p.name for p in tmp_path.iterdir()] == ["fixtures"]
+    written = [(tmp_path / name / f"{n}.txt").read_bytes() for n in range(len(inputs))]
+    assert len(list((tmp_path / name).iterdir())) == len(inputs)
+    assert written[0] == outputs(*inputs[0]).encode("utf-8")
+    assert hashlib.sha256(b"".join(written)).hexdigest() == GOLDEN[name]
+
+
 if __name__ == "__main__":
-    for name, digest in digests().items():
-        print(f'    "{name}": "{digest}",')
+    parser = argparse.ArgumentParser(description="Print the golden digests of the current tree.")
+    parser.add_argument(
+        "--dump", metavar="DIR", type=Path, help="write each input's record to DIR/<group>/<n>.txt"
+    )
+    dump_dir = parser.parse_args().dump
+    if dump_dir is not None:
+        dump(dump_dir, groups())
+    else:
+        for name, digest in digests().items():
+            print(f'    "{name}": "{digest}",')
