@@ -44,6 +44,7 @@ from .model import (
     SecretEnvVar,
     SecretRef,
     join_idlink,
+    pause_gc,
     variant_name,
 )
 from .validator import ValidationReport, validate
@@ -354,6 +355,7 @@ _BUILDERS = {
 }
 
 
+@pause_gc
 def generate_all(
     model: ConnectorModel,
     targets: set[Target] | frozenset[Target],

@@ -14,9 +14,20 @@ defects remain constructible and printable.
 
 from __future__ import annotations
 
+import copyreg
+import gc
 import re
 from datetime import date
 from enum import Enum
+from functools import wraps
+
+# Type checkers read this as typing.TYPE_CHECKING; importing typing would slow start-up.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import TypeVar
+
+    _Fn = TypeVar("_Fn", bound=Callable[..., object])
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 ENV_NAME_RE = re.compile(r"[A-Z][A-Z0-9_]*")
@@ -88,6 +99,33 @@ def iso_date(text: str) -> date | None:
     return parsed if parsed.isoformat() == text else None
 
 
+def pause_gc(function: _Fn) -> _Fn:
+    """Wrap ``function`` so that the cyclic garbage collector is off while it runs.
+
+    ``parse``, ``tokenize`` and ``generate_all`` allocate tens of thousands
+    of containers on a large input (token tuples, raw blocks, records), and
+    each allocation counts toward the collector's thresholds, so it would
+    scan those graphs again and again.  That work frees nothing: the
+    toolchain makes no reference cycles, so reference counting frees every
+    object it drops, and ``tests/test_golden.py`` checks that no input
+    leaves cyclic garbage.  The switch is process-wide: cyclic garbage that
+    other threads make meanwhile waits until the call returns.  A call
+    made with the collector off leaves it off.
+    """
+
+    @wraps(function)
+    def paused(*args: object, **kwargs: object) -> object:
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
+
+
 def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
     """Reject strings the canonical printer cannot represent on one line."""
     if not isinstance(value, str):
@@ -114,21 +152,32 @@ _SEQUENCE_KINDS = frozenset({"str-list", "enum-list", "roles"})
 
 
 class ContractOffers(dict):
-    """A model's contract offers: a dict that refuses changes and hashes by value."""
+    """A model's contract offers: a dict that refuses changes and hashes by value.
+
+    ``__new__`` fills it, so ``__init__``, which would refill it, is refused
+    like every other mutator; build one with
+    ``ContractOffers.__new__(ContractOffers, offers)``.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, offers: dict[str, ContractValue]) -> ContractOffers:
+        self = dict.__new__(cls)
+        dict.update(self, offers)
+        return self
 
     def _refuse(self, *args: object, **kwargs: object) -> None:
         raise TypeError("contract offers are read-only")
 
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+    __init__ = __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
 
     def __hash__(self) -> int:
         return hash(frozenset(self.items()))
 
-    def __reduce__(self) -> tuple[type, tuple[dict[str, ContractValue]]]:
-        # copy, deepcopy and pickle rebuild it through the constructor.
-        return (self.__class__, (dict(self),))
+    def __reduce__(self) -> tuple[object, tuple[type, dict[str, ContractValue]]]:
+        # copy, deepcopy and pickle rebuild it through __new__ alone.
+        return (copyreg.__newobj__, (self.__class__, dict(self)))
 
 
 class _RecordType(type):
@@ -162,7 +211,8 @@ class _RecordType(type):
         lines = [
             f"def __init__(self, {'*, ' if rows is not None and attrs else ''}{params}):",
             *(
-                f"    {spec.attr} = ContractOffers({{}} if {spec.attr} is None else {spec.attr})"
+                f"    {spec.attr} = ContractOffers.__new__(ContractOffers,"
+                f" {{}} if {spec.attr} is None else {spec.attr})"
                 for spec in rows or ()
                 if spec.kind == "contract"
             ),

@@ -61,6 +61,7 @@ from .model import (
     UsageConfig,
     _CONTROL_RE,
     iso_date,
+    pause_gc,
 )
 
 MAX_DIAGNOSTICS = 100
@@ -381,6 +382,7 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
     return tokens
 
 
+@pause_gc
 def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     """Split source text into tokens; lexical problems become diagnostics."""
     sink = _Sink()
@@ -1049,6 +1051,7 @@ def _enum_values(enum_type: type[Enum]) -> str:
     return ", ".join(member.value for member in enum_type)
 
 
+@pause_gc
 def parse(source: str, file: str = "<input>") -> ParseResult:
     """Parse DSL text into a model; all problems are reported as diagnostics.
 
@@ -1068,7 +1071,7 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
         model = None
     # Binding reports in declaration order; present findings in source order.
     # An E099 marks truncation and stays last.
-    diagnostics = sorted(
-        sink.diagnostics, key=lambda d: (d.code == "E099", d.span.line, d.span.column)
+    diagnostics = tuple(
+        sorted(sink.diagnostics, key=lambda d: (d.code == "E099", d.span.line, d.span.column))
     )
     return ParseResult(model=model, diagnostics=diagnostics, source_map=smap)

@@ -36,7 +36,7 @@ def test_case_study_fixture_full_pipeline():
     started = time.perf_counter()
     source = fixture_text("production-machine.dsx")
     result = parse(source, "production-machine.dsx")
-    assert result.diagnostics == []
+    assert result.diagnostics == ()
     model = result.model
 
     assert isinstance(model.usage.extension, dsx.EdcUsage)
@@ -105,7 +105,7 @@ def test_round_trip_500_models():
         seen_variants.add(type(model.usage.extension).__name__)
         text = print_canonical(model)
         result = parse(text, f"gen-{index}.dsx")
-        assert result.diagnostics == [], (index, result.diagnostics)
+        assert result.diagnostics == (), (index, result.diagnostics)
         assert result.model == model, index
         assert print_canonical(result.model) == text, index
     assert seen_variants == {"EdcUsage", "OpcUaUsage", "PlainUsage"}

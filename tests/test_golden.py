@@ -9,6 +9,12 @@ every target set with and without a report.  Each input group hashes to
 one sha256 digest, so a refactor that changes any output byte names the
 first group that differs.
 
+The digests are computed with the cyclic garbage collector off, with every
+input also tokenized and two inputs that hit the diagnostic cap run too;
+afterwards the collector must find nothing unreachable.  ``parse``,
+``tokenize`` and ``generate_all`` pause the collector, which is sound only
+while the toolchain makes no reference cycles.
+
 Run ``python tests/test_golden.py`` to print the current digests, or
 ``python tests/test_golden.py --dump DIR`` to write each input's record to
 ``DIR/<group>/<n>.txt``, so the outputs of two trees compare with ``diff -r``.
@@ -17,9 +23,12 @@ Run ``python tests/test_golden.py`` to print the current digests, or
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import itertools
+import sys
 from datetime import date
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,6 +58,8 @@ REPLACEMENTS = (
     "x", '"s"', '""', "0", "-3", "2025-02-30", "2025-01-01", "true", "{", "}", "[", "]",
     ":", ",", "env(X)", "env(x)", "role", "push", "qos", "usage", "connector", "READ",
 )
+# Inputs that stop at the cap of MAX_DIAGNOSTICS (E099): one in the lexer, one in the parser.
+CAPPED = ("@" * 300, 'connector "c" {\n' + "  metadata { x: [ }\n" * 300)
 
 GOLDEN = {
     "fixtures": "b2e9559f98a056a8501865c96686d045dfe78e4ffc072f1b6faefefe6cfedc82",
@@ -163,14 +174,27 @@ def outputs(file: str, source: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def digests() -> dict[str, str]:
-    result = {}
-    for name, inputs in groups():
-        h = hashlib.sha256()
-        for file, source in inputs:
-            h.update(outputs(file, source).encode("utf-8"))
-        result[name] = h.hexdigest()
-    return result
+@cache
+def golden_run() -> tuple[dict[str, str], int]:
+    """Each group's digest, and how many objects the collector then finds unreachable."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = {}
+        for name, inputs in groups():
+            h = hashlib.sha256()
+            for file, source in inputs:
+                tokenize(source, file)
+                h.update(outputs(file, source).encode("utf-8"))
+            result[name] = h.hexdigest()
+        for source in CAPPED:
+            tokenize(source)
+            outputs("capped.dsx", source)
+        return result, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump(directory: Path, named_groups: Iterable[tuple[str, list[tuple[str, str]]]]) -> None:
@@ -183,10 +207,15 @@ def dump(directory: Path, named_groups: Iterable[tuple[str, list[tuple[str, str]
 
 
 def test_outputs_match_golden_digests():
-    actual = digests()
+    actual, _ = golden_run()
     assert list(actual) == list(GOLDEN)
     for name, digest in actual.items():
         assert digest == GOLDEN[name], f"outputs changed, first differing group: {name}"
+
+
+def test_no_input_leaves_cyclic_garbage():
+    _, unreachable = golden_run()
+    assert unreachable == 0, "a reference cycle outlives the call that paused the collector"
 
 
 def test_dump_writes_each_record_of_a_group(tmp_path):
@@ -208,5 +237,8 @@ if __name__ == "__main__":
     if dump_dir is not None:
         dump(dump_dir, groups())
     else:
-        for name, digest in digests().items():
+        digests, unreachable = golden_run()
+        for name, digest in digests.items():
             print(f'    "{name}": "{digest}",')
+        if unreachable:
+            sys.exit(f"{unreachable} objects in reference cycles after the golden run")

@@ -1,4 +1,6 @@
 import copy
+import gc
+import inspect
 import pickle
 import re
 from datetime import date, datetime
@@ -13,6 +15,7 @@ from dsx import (
     AuthenticationMode,
     ConnectorModel,
     EdcUsage,
+    GenerationError,
     IdentificationData,
     IdentifierType,
     IdentityProviderConfig,
@@ -26,10 +29,13 @@ from dsx import (
     SecretEnvVar,
     SecurityPolicy,
     Span,
+    Target,
     UsageConfig,
+    generate_all,
     join_idlink,
     parse,
     print_canonical,
+    tokenize,
 )
 from dsx import model as model_module
 from modelgen import build_model
@@ -269,8 +275,11 @@ class TestContractOffers:
             lambda o: o.popitem(),
             lambda o: o.setdefault("k", 1),
             lambda o: o.update(k=1),
+            lambda o: o.__init__({"k": object()}),
         ],
-        ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"],
+        ids=[
+            "setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update", "init"
+        ],
     )
     def test_every_mutator_is_refused(self, mutate):
         access = AccessPolicy(usage_policy="https://policies.example/p", contract_offers={"a": 1})
@@ -435,13 +444,13 @@ class TestCanonicalPrinting:
         # A required list is printed even when empty.
         assert "\n      role viewer {\n        permissions: []\n      }\n" in text
         reparsed = parse(text, "empty-optionals.dsx")
-        assert reparsed.diagnostics == []
+        assert reparsed.diagnostics == ()
         assert reparsed.model == m
 
     def test_case_study_round_trip(self, production_machine):
         text = print_canonical(production_machine.model)
         reparsed = parse(text, "roundtrip.dsx")
-        assert reparsed.diagnostics == []
+        assert reparsed.diagnostics == ()
         assert reparsed.model == production_machine.model
 
 
@@ -466,3 +475,62 @@ class TestIsoDate:
     @pytest.mark.parametrize("text", ["20261231", "2026-W53-1", "2026-02-30", " 2026-12-31"])
     def test_any_other_spelling_is_none(self, text):
         assert model_module.iso_date(text) is None
+
+
+class TestPauseGc:
+    """parse, tokenize and generate_all run with the cyclic collector paused."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def gc_state(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("gc_state", [True], ids=["enabled"], indirect=True)
+    def test_no_collection_starts_inside_parse_of_a_large_input(self, gc_state):
+        role = "      role r{} {{\n        permissions: [READ]\n      }}\n"
+        roles = "".join(role.format(n) for n in range(4096))
+        text = fixture_text("production-machine.dsx")
+        source = text.replace("    roles {\n", "    roles {\n" + roles)
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            result = parse(source)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(result.model.access.roles) == 4096 + 2
+        assert started == []
+
+    def test_the_collector_is_left_as_found(self, gc_state, production_machine):
+        text = fixture_text("production-machine.dsx")
+        model = production_machine.model
+        parse(text)
+        assert gc.isenabled() is gc_state
+        tokenize(text)
+        assert gc.isenabled() is gc_state
+        generate_all(model, {Target.EDC})
+        assert gc.isenabled() is gc_state
+        with pytest.raises(GenerationError):
+            generate_all(model, {Target.OPCUA})  # an EDC model has no OPC UA usage
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize(
+        "function, module, params",
+        [
+            (parse, "dsx.parser", ["source", "file"]),
+            (tokenize, "dsx.parser", ["source", "file"]),
+            (generate_all, "dsx.codegen", ["model", "targets", "report"]),
+        ],
+        ids=["parse", "tokenize", "generate_all"],
+    )
+    def test_wrapped_functions_keep_their_metadata(self, function, module, params):
+        assert function.__doc__ == function.__wrapped__.__doc__ and function.__doc__
+        assert function.__module__ == module
+        assert list(inspect.signature(function).parameters) == params

@@ -494,7 +494,7 @@ class TestNoEnumCalls:
 class TestParseBasics:
     def test_case_study_fixture(self):
         result = parse(fixture_text("production-machine.dsx"), "production-machine.dsx")
-        assert result.diagnostics == []
+        assert result.diagnostics == ()
         model = result.model
         assert isinstance(model.usage.extension, EdcUsage)
         assert [role.role_name for role in model.access.roles] == ["operator", "partner"]
@@ -535,7 +535,7 @@ class TestParseBasics:
         metadata = joined[joined.index("  metadata") : joined.index("  usage")]
         reordered = joined.replace(discovery + metadata, metadata + discovery)
         result = parse(header + reordered + footer, "reordered.dsx")
-        assert result.diagnostics == []
+        assert result.diagnostics == ()
         assert result.model is not None
 
     def test_trailing_commas_allowed(self):
@@ -543,7 +543,7 @@ class TestParseBasics:
             "protocols: [OPC_TCP, MQTT]", "protocols: [OPC_TCP, MQTT,]"
         )
         result = parse(text, "trailing.dsx")
-        assert result.diagnostics == []
+        assert result.diagnostics == ()
 
 
 class TestParseErrors:
@@ -792,7 +792,7 @@ class TestParseErrors:
 
     def test_leading_bom_is_tolerated(self):
         result = parse("﻿" + fixture_text("sensor-idlink.dsx"), "bom.dsx")
-        assert result.diagnostics == []
+        assert result.diagnostics == ()
 
 
 class TestParseProperties:

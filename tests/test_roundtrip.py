@@ -187,7 +187,7 @@ models = st.builds(
 def test_print_parse_round_trip(model):
     text = print_canonical(model)
     result = parse(text, "generated.dsx")
-    assert result.diagnostics == [], (text, result.diagnostics)
+    assert result.diagnostics == (), (text, result.diagnostics)
     assert result.model == model
     assert print_canonical(result.model) == text
 
@@ -205,6 +205,6 @@ def test_seeded_sweep_round_trips():
         model = build_model(index)
         text = print_canonical(model)
         result = parse(text, f"gen-{index}.dsx")
-        assert result.diagnostics == [], (index, result.diagnostics)
+        assert result.diagnostics == (), (index, result.diagnostics)
         assert result.model == model
         assert print_canonical(result.model) == text
