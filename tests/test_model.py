@@ -3,6 +3,8 @@ import gc
 import inspect
 import pickle
 import re
+import sys
+import threading
 from datetime import date, datetime
 
 import pytest
@@ -520,6 +522,28 @@ class TestPauseGc:
         with pytest.raises(GenerationError):
             generate_all(model, {Target.OPCUA})  # an EDC model has no OPC UA usage
         assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("gc_state", [True], ids=["enabled"], indirect=True)
+    def test_threads_that_parse_at_once_leave_the_collector_on(self, gc_state):
+        text = fixture_text("production-machine.dsx")
+        parsed = []
+
+        def work():
+            parsed.extend(parse(text).model is not None for _ in range(50))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert parsed == [True] * 200
+        assert gc.isenabled()
 
     @pytest.mark.parametrize(
         "function, module, params",
