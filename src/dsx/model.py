@@ -111,6 +111,14 @@ def pause_gc(function: _Fn) -> _Fn:
     leaves cyclic garbage.  The switch is process-wide: cyclic garbage that
     other threads make meanwhile waits until the call returns.  A call
     made with the collector off leaves it off.
+
+    The pause still counts allocations.  A call that allocated more than
+    one middle collection's worth of containers runs that middle
+    collection as it returns, which scans the graph it kept once and moves
+    it to the old generation.  Left to the next allocation, a young
+    collection would move the whole graph to the middle generation, and
+    whatever code next triggers a middle collection, outside this call,
+    would scan it again.
     """
 
     @wraps(function)
@@ -121,7 +129,12 @@ def pause_gc(function: _Fn) -> _Fn:
         try:
             return function(*args, **kwargs)
         finally:
+            # Read while still paused, so no allocation here starts a collection.
+            pending = gc.get_count()[0]
+            young, middle, _ = gc.get_threshold()
             gc.enable()
+            if young and pending > young * middle:
+                gc.collect(1)
 
     return paused  # type: ignore[return-value]
 

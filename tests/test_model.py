@@ -489,12 +489,9 @@ class TestPauseGc:
         yield request.param
         (gc.enable if enabled else gc.disable)()
 
-    @pytest.mark.parametrize("gc_state", [True], ids=["enabled"], indirect=True)
-    def test_no_collection_starts_inside_parse_of_a_large_input(self, gc_state):
-        role = "      role r{} {{\n        permissions: [READ]\n      }}\n"
-        roles = "".join(role.format(n) for n in range(4096))
-        text = fixture_text("production-machine.dsx")
-        source = text.replace("    roles {\n", "    roles {\n" + roles)
+    @staticmethod
+    def collections_around_parse(source):
+        """Generations of the collections that start in ``parse`` and at the next allocations."""
         started = []
 
         def count(phase, info):
@@ -505,10 +502,26 @@ class TestPauseGc:
         gc.callbacks.append(count)
         try:
             result = parse(source)
+            inside = len(started)
+            [[] for _ in range(10)]  # allocations start any collection parse left pending
         finally:
             gc.callbacks.remove(count)
-        assert len(result.model.access.roles) == 4096 + 2
-        assert started == []
+        assert result.model is not None
+        return started[:inside], started[inside:]
+
+    @pytest.mark.parametrize("gc_state", [True], ids=["enabled"], indirect=True)
+    def test_parse_of_a_large_input_runs_one_middle_collection_and_leaves_none(self, gc_state):
+        role = "      role r{} {{\n        permissions: [READ]\n      }}\n"
+        roles = "".join(role.format(n) for n in range(4096))
+        text = fixture_text("production-machine.dsx")
+        inside, after = self.collections_around_parse(text.replace("    roles {\n", "    roles {\n" + roles))
+        assert inside == [1]
+        assert after == []
+
+    @pytest.mark.parametrize("gc_state", [True], ids=["enabled"], indirect=True)
+    def test_parse_of_a_small_input_starts_no_collection(self, gc_state):
+        inside, _ = self.collections_around_parse(fixture_text("production-machine.dsx"))
+        assert inside == []
 
     def test_the_collector_is_left_as_found(self, gc_state, production_machine):
         text = fixture_text("production-machine.dsx")
