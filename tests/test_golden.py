@@ -7,7 +7,10 @@ diagnostics (with span lengths), the source-map spans, ``validate`` and
 every ``check_single`` code, the canonical print, and ``generate_all`` for
 every target set with and without a report.  Each input group hashes to
 one sha256 digest, so a refactor that changes any output byte names the
-first group that differs.
+first group that differs.  ``TOKEN_GOLDEN`` holds a second digest per group,
+and one for the capped inputs, over what ``tokenize`` returns: each token's
+kind name, lexeme, ``repr`` of its value and offset, then the lexer's
+rendered diagnostics.
 
 The digests are computed with the cyclic garbage collector off, with every
 input also tokenized and two inputs that hit the diagnostic cap run too;
@@ -86,6 +89,32 @@ GOLDEN = {
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
 }
 
+TOKEN_GOLDEN = {
+    "fixtures": "01abbedc696519a2db26b5319b8b90ec236c81ff0c3ddd107e0c010ebb48d374",
+    "modelgen[0:100]": "d9608dac506022db1aa404a1e2e9801938776425fd85a0e49ee517d83ac8bdb0",
+    "modelgen[100:200]": "3239aaf4ab2c830420e9959dd78d638f4c3776bd73f21d6f9c74a41a4024bf7c",
+    "modelgen[200:300]": "69dfbf79f6ee2d95c5b64f95273423ee6926414f6c744be7a1d4cc497793ba80",
+    "modelgen[300:400]": "c8666fb74141e92e0906e00bb2479e74e0c526e36df882f82855afe2a0bc4175",
+    "modelgen[400:500]": "4dfe95a29db91d39eabfcd67330eceadb204cb60189258a3ad017f7414626b09",
+    "modelgen[500:600]": "5433293c1920dc5229fd0d2304cfe3bfa89d315ceda68199221699dfae36f3d0",
+    "production-machine:delete-token": "0677024d32794414a71be03c4ebd8dacae98186997560d312c56b15e04bfd1e7",
+    "production-machine:duplicate-token": "fea1da29524bc75eb3449179255605e7603989cab2b72dd402ed047f25df2781",
+    "production-machine:replace-token": "88013b35886f7cfa3eb3ea90aefe23c314da6026401a52d873e785dd5eb61f0d",
+    "production-machine:drop-line": "80f19a55563e28eeef7eefc055be712b0a31cc56844e82ed45c8365823f781e0",
+    "production-machine:duplicate-line": "0d49f532b5f1f577826589912fd4b0563202279bf6631cf8103657f7be3d9302",
+    "machine-opcua:delete-token": "c1ba305d000933cb7189a239f951932f17f5893210489af8e47e6a46b07db206",
+    "machine-opcua:duplicate-token": "df8a04bfdfb1eb9f3b2b438c7b2036226d16d986f214433920b4891f0939e39c",
+    "machine-opcua:replace-token": "049ec29ec3665b8aa42543a6fa39826bfadc272c18ade1ec6081688bc4c8cd5d",
+    "machine-opcua:drop-line": "2566c1cf86974d8ca5fad7332f614971f9b1547324e653d4120ea4d41ae149d0",
+    "machine-opcua:duplicate-line": "5bc320959b42bfd23f45b76ea72c415b4b33fff61ca94ad70db3a8c0e68fdc0f",
+    "sensor-idlink:delete-token": "09a6c3d7910b0eaf48d729c34192dc8c10ca3b1c28cd9e6d33a56fa040af26d3",
+    "sensor-idlink:duplicate-token": "63c08e6b85a932995e0aa5ff34868f4e527756a7a634eb3bf9ffeb58c7ea207d",
+    "sensor-idlink:replace-token": "917d15d8f5de2b93f2296037d252600fb4ac81fb7be1a910f6ac018cad70c672",
+    "sensor-idlink:drop-line": "0de7d2c94b842efbcbac30bf4eb39761a334692f0438938f04b6f6e2b9a55f77",
+    "sensor-idlink:duplicate-line": "4b651289f2a3bb2a9b53c61efcf462579dd3055b2765733a8cd58ec848f5f791",
+    "capped": "e82c1cd1403fac22f6ccf42f463922104cb3085229b4d4c158de92b5d235c97f",
+}
+
 
 def _token_slices(source: str) -> list[tuple[int, int]]:
     starts = [0]
@@ -138,6 +167,13 @@ def _diagnostics(diagnostics) -> str:
     return "\n".join(f"{d.render()} +{d.span.length}" for d in diagnostics)
 
 
+def token_record(file: str, source: str) -> str:
+    """What ``tokenize`` returns for one input, as one text record."""
+    tokens, diagnostics = tokenize(source, file)
+    lines = [f"{t.kind.name} {t.lexeme!r} {t.value!r} {t.offset}" for t in tokens]
+    return "\n".join([*lines, "diagnostics:", _diagnostics(diagnostics)]) + "\n"
+
+
 def outputs(file: str, source: str) -> str:
     """Every output for one input, as one text record."""
     result = parse(source, file)
@@ -175,23 +211,24 @@ def outputs(file: str, source: str) -> str:
 
 
 @cache
-def golden_run() -> tuple[dict[str, str], int]:
-    """Each group's digest, and how many objects the collector then finds unreachable."""
+def golden_run() -> tuple[dict[str, str], dict[str, str], int]:
+    """Each group's output digest and token digest, and how many objects the
+    collector then finds unreachable."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        result = {}
-        for name, inputs in groups():
-            h = hashlib.sha256()
+        result, token_result = {}, {}
+        named = [*groups(), ("capped", [("capped.dsx", source) for source in CAPPED])]
+        for name, inputs in named:
+            h, t = hashlib.sha256(), hashlib.sha256()
             for file, source in inputs:
-                tokenize(source, file)
+                t.update(token_record(file, source).encode("utf-8"))
                 h.update(outputs(file, source).encode("utf-8"))
-            result[name] = h.hexdigest()
-        for source in CAPPED:
-            tokenize(source)
-            outputs("capped.dsx", source)
-        return result, gc.collect()
+            if name != "capped":
+                result[name] = h.hexdigest()
+            token_result[name] = t.hexdigest()
+        return result, token_result, gc.collect()
     finally:
         if enabled:
             gc.enable()
@@ -207,14 +244,21 @@ def dump(directory: Path, named_groups: Iterable[tuple[str, list[tuple[str, str]
 
 
 def test_outputs_match_golden_digests():
-    actual, _ = golden_run()
+    actual, _, _ = golden_run()
     assert list(actual) == list(GOLDEN)
     for name, digest in actual.items():
         assert digest == GOLDEN[name], f"outputs changed, first differing group: {name}"
 
 
+def test_tokens_match_golden_digests():
+    _, actual, _ = golden_run()
+    assert list(actual) == list(TOKEN_GOLDEN)
+    for name, digest in actual.items():
+        assert digest == TOKEN_GOLDEN[name], f"tokens changed, first differing group: {name}"
+
+
 def test_no_input_leaves_cyclic_garbage():
-    _, unreachable = golden_run()
+    _, _, unreachable = golden_run()
     assert unreachable == 0, "a reference cycle outlives the call that paused the collector"
 
 
@@ -237,8 +281,11 @@ if __name__ == "__main__":
     if dump_dir is not None:
         dump(dump_dir, groups())
     else:
-        digests, unreachable = golden_run()
-        for name, digest in digests.items():
-            print(f'    "{name}": "{digest}",')
+        digests, token_digests, unreachable = golden_run()
+        for table, found in (("GOLDEN", digests), ("TOKEN_GOLDEN", token_digests)):
+            print(f"{table} = {{")
+            for name, digest in found.items():
+                print(f'    "{name}": "{digest}",')
+            print("}")
         if unreachable:
             sys.exit(f"{unreachable} objects in reference cycles after the golden run")

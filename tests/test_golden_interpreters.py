@@ -3,7 +3,7 @@
 The variable lists interpreter paths separated by ``os.pathsep``; without
 it the running interpreter is checked.  Each runs ``tests/test_golden.py``
 as a script with ``-S``, so with the standard library alone, and must
-print exactly the digests in ``GOLDEN``::
+print exactly the digests in ``GOLDEN`` and ``TOKEN_GOLDEN``::
 
     DSX_GOLDEN_PYTHONS=/usr/bin/python3.10:/usr/bin/python3.13 \\
         pytest tests/test_golden_interpreters.py
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, TOKEN_GOLDEN
 
 ROOT = Path(__file__).parent.parent
 INTERPRETERS = os.environ.get("DSX_GOLDEN_PYTHONS", sys.executable).split(os.pathsep)
@@ -35,4 +35,5 @@ def test_golden_script_prints_the_golden_digests(python):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    assert list(_DIGEST_RE.findall(proc.stdout)) == list(GOLDEN.items())
+    expected = [*GOLDEN.items(), *TOKEN_GOLDEN.items()]
+    assert list(_DIGEST_RE.findall(proc.stdout)) == expected
