@@ -9,8 +9,9 @@ The surface syntax is block-structured::
       access { ... }
     }
 
-The lexer is one compiled master regex with a named group per token class;
-each match is one token with the blanks and comments before it.  Inside the
+The lexer runs one ``findall`` of a compiled regex over the file; each match
+is one token with the blanks and comments before it and any punctuation mark
+after it on the same line, which becomes a token of its own.  Inside the
 parser a token is a plain tuple ``(kind, lexeme, value, offset)``: its
 decoded value, dates included (``None`` for an impossible calendar date
 such as ``2025-02-30``), and its character offset.  A list value has the
@@ -211,10 +212,19 @@ KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
 SECTION_KEYWORDS = tuple(spec.key for spec in ConnectorModel.FIELDS)
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
-# The lexer: each match is the blanks and `//` comments before a token, then
-# one alternative per token class, tried in order, or the end of input.  Every
-# character after the blanks matches at least ``bad`` (a newline is a blank),
-# so the matches tile the source.
+# The lexer: one ``findall`` over the whole file returns a plain tuple per
+# match, so no match object is made.  A match has four groups: the blanks and
+# `//` comments before a token; the token, one alternative per token class
+# tried in order, or empty at the end of input; a string's closing quote; and
+# the same-line blanks and punctuation mark after the token, if any, such as
+# the ':' of `key:` or the '{' of `section {`, which the lexer appends as a
+# token of its own.  Every character after the blanks matches at least the
+# last alternative (a newline is a blank), so the matches tile the source and
+# offsets are a running sum of group lengths.
+# Cost: lexing is linear in the input for every input.  The diagnostic cap
+# stops the diagnostics and the tokens, not the matching, which has already
+# run over the whole file; the match list is freed when ``_lex`` returns,
+# before raw parsing starts.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -222,15 +232,16 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # only with '"' or '\', and stays literal before any other character.
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r\n\ufeff]+|//[^\n]*)*
-    (?:(?P<env>env\((?:(?P<env_name>[A-Z][A-Z0-9_]*)\))?)
-    |(?P<word>[A-Za-z_][A-Za-z0-9_-]*)
-    |(?P<punct>[{}\[\]:,])
-    |(?P<string>"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*(?P<close>"?))
-    |(?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
-    |(?P<integer>-?[0-9]+)
-    |(?P<bad>.)
+    ((?:[ \t\r\n\ufeff]+|//[^\n]*)*)
+    (env\((?:[A-Z][A-Z0-9_]*\))?
+    |[A-Za-z_][A-Za-z0-9_-]*
+    |[{}\[\]:,]
+    |"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*("?)
+    |[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])
+    |-?[0-9]+
+    |.
     |\Z)
+    ((?:[ \t]*[{}\[\]:,])?)
     """,
     re.VERBOSE,
 )
@@ -267,20 +278,21 @@ _CONTRACT_RESUME_KINDS = frozenset({_KEYWORD, _RBRACE, _EOF})
 # None, for an impossible calendar date.
 _SCALAR_KINDS = frozenset({_STRING, _INTEGER, _DATE, _BOOLEAN, _IDENT})
 
-_PUNCT = {
-    "{": _LBRACE,
-    "}": _RBRACE,
-    "[": _LBRACKET,
-    "]": _RBRACKET,
-    ":": _COLON,
-    ",": _COMMA,
-}
-# Words that are not identifiers: their kind and value.
-_WORDS = {
+# Lexemes whose kind and value are fixed: punctuation marks, keywords and
+# booleans.  Any other token's kind follows from its first character.
+_FIXED = {
+    "{": (_LBRACE, None),
+    "}": (_RBRACE, None),
+    "[": (_LBRACKET, None),
+    "]": (_RBRACKET, None),
+    ":": (_COLON, None),
+    ",": (_COMMA, None),
     "true": (_BOOLEAN, True),
     "false": (_BOOLEAN, False),
     **{word: (_KEYWORD, word) for word in KEYWORDS},
 }
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
 
 # A token as the lexer and parser hold it: kind, lexeme, decoded value and
 # character offset.  A plain tuple costs a fifth of a Token to build.
@@ -315,71 +327,81 @@ class _Sink:
 
 
 def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
-    source = smap.source
+    """The file's tokens, EOF last; lexical problems go to ``sink``.
+
+    After the token that fills the sink, EOF follows at that token's end.
+    """
     tokens: list[_Tok] = []
     append = tokens.append
-    end = len(source)
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastgroup
-        if group is None:  # blanks up to the end of input
+    fixed = _FIXED.get
+    pos = 0
+    for blanks, text, close, mark in _TOKEN_RE.findall(smap.source):
+        start = pos + len(blanks)
+        pos = start + len(text)
+        known = fixed(text)
+        if known is not None:
+            append((known[0], text, known[1], start))
+        elif not text:  # blanks up to the end of input
             break
-        start = m.start(group)
-        text = m.group(group)
-        if group == "word":
-            word = _WORDS.get(text)
-            if word is None:
+        else:
+            first = text[0]
+            if first in _WORD_START and not text.startswith("env("):
                 append((_IDENT, text, text, start))
-            else:
-                append((word[0], text, word[1], start))
-            continue
-        if group == "punct":
-            append((_PUNCT[text], text, None, start))
-            continue
-        if group == "date":
-            # None for an impossible date; the parser reports it where it expects a value.
-            append((_DATE, text, iso_date(text), start))
-            continue
-        if group == "integer":
-            if len(text) - (text[0] == "-") <= _MAX_INT_DIGITS:
-                append((_INTEGER, text, int(text), start))
-                continue
-            sink.error("E002", "integer literal too long", smap.span(start, len(text)))
-        elif group == "string":
-            printable = text.isprintable()  # false for every control character
-            if not printable:
-                for bad in _CONTROL_RE.finditer(text):
-                    sink.error(
-                        "E002",
-                        "control character in string literal",
-                        smap.span(start + bad.start(), 1),
-                    )
-            if m.group("close"):
+            elif first == '"' and close and text.isprintable():
                 # The lexeme keeps the raw source slice; the decoded text is the value.
                 value = text[1:-1]
                 if "\\" in value:
                     value = _ESCAPE_RE.sub(r"\1", value)
-                if not printable:
-                    value = _CONTROL_RE.sub("", value)
                 append((_STRING, text, value, start))
+            elif first in _DIGITS and len(text) <= _MAX_INT_DIGITS:
+                if text[4:5] == "-":
+                    # None for an impossible date; the parser reports it where it expects a value.
+                    append((_DATE, text, iso_date(text), start))
+                else:
+                    append((_INTEGER, text, int(text), start))
             else:
-                sink.error("E001", "unterminated string literal", smap.span(start, 1))
-        elif group == "env":
-            name = m.group("env_name")
-            if name is not None:
-                append((_ENV_REF, text, name, start))
-                continue
-            sink.error(
-                "E002",
-                "malformed env() reference (expected env(UPPER_CASE_NAME))",
-                smap.span(start, 3),
-            )
-        else:
-            sink.error("E002", f"illegal character {text!r}", smap.span(start, 1))
-        if sink.full:  # stop at the cap; EOF goes right after the token that hit it
-            end = m.end()
-            break
-    append((_EOF, "", None, end))
+                tok = _lex_rare(text, close, start, smap, sink)
+                if tok is not None:
+                    append(tok)
+                if sink.full:
+                    break
+        if mark:
+            pos += len(mark)
+            mark = mark[-1]
+            append((fixed(mark)[0], mark, None, pos - 1))
+    append((_EOF, "", None, pos))
     return tokens
+
+
+def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -> _Tok | None:
+    """The token, if any, of a lexeme that ``_lex`` does not decode inline: an
+    env reference, a string with a control character or without its closing
+    quote, a negative or long integer, or an illegal character."""
+    first = text[0]
+    if first == "e":  # env(, since every other word is decoded inline
+        if text[-1] == ")":
+            return (_ENV_REF, text, text[4:-1], start)
+        sink.error(
+            "E002",
+            "malformed env() reference (expected env(UPPER_CASE_NAME))",
+            smap.span(start, 3),
+        )
+    elif first == '"':
+        for bad in _CONTROL_RE.finditer(text):
+            sink.error(
+                "E002", "control character in string literal", smap.span(start + bad.start(), 1)
+            )
+        if close:  # not printable: the value drops its control characters
+            value = _CONTROL_RE.sub("", _ESCAPE_RE.sub(r"\1", text[1:-1]))
+            return (_STRING, text, value, start)
+        sink.error("E001", "unterminated string literal", smap.span(start, 1))
+    elif first in _DIGITS or (first == "-" and len(text) > 1):
+        if len(text) - (first == "-") <= _MAX_INT_DIGITS:
+            return (_INTEGER, text, int(text), start)
+        sink.error("E002", "integer literal too long", smap.span(start, len(text)))
+    else:
+        sink.error("E002", f"illegal character {text!r}", smap.span(start, 1))
+    return None
 
 
 @pause_gc
