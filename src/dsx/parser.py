@@ -414,6 +414,14 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
 
 
 class ParseResult(Record):
+    """What :func:`parse` returns: the model or ``None``, the diagnostics, and
+    the file's :class:`SourceMap`.
+
+    It compares by value, source map included, but does not hash: its
+    ``SourceMap`` is filled while parsing, so the map defines ``__eq__`` and
+    no ``__hash__``, and ``hash()`` of a result raises ``TypeError``.
+    """
+
     ATTRS = ("model", "diagnostics", "source_map")
 
 

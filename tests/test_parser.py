@@ -352,6 +352,30 @@ class TestPositionsOnDemand:
             else:
                 assert _POINTS_AT[d.message](text), (d, text)
 
+    # The DSL-heavy pieces plus one non-ASCII character, after an optional
+    # flood of illegal characters that brings the cap within reach, so the
+    # token that fills it may be followed by a same-line punctuation mark.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(st.just(0), st.integers(90, 100)),
+        st.lists(st.sampled_from((*_PIECES, "\u00e9")), max_size=60).map("".join),
+    )
+    def test_offsets_increase_and_eof_ends_the_source(self, flood, text):
+        source = "@" * flood + text
+        tokens, diagnostics = tokenize(source)
+        for tok in tokens:
+            assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+        offsets = [tok.offset for tok in tokens]
+        assert all(a < b for a, b in zip(offsets, offsets[1:])), offsets
+        assert tokens[-1].kind is TokenKind.EOF
+        if not diagnostics or diagnostics[-1].code != "E099":
+            assert tokens[-1].offset == len(source)
+        else:  # no token after the one that hit the cap, and EOF right after it
+            cap = diagnostics[-1].span
+            cap_offset = _naive_offset(source, cap.line, cap.column)
+            assert all(tok.offset <= cap_offset for tok in tokens[:-1])
+            assert tokens[-1].offset > cap_offset
+
     def test_eof_follows_the_token_that_hit_the_cap(self):
         source = "a $\n" * 150
         tokens, diagnostics = tokenize(source)
@@ -732,10 +756,11 @@ class TestParseErrors:
         assert len(errors(result)) == 2
 
     def test_error_budget_caps_at_e099(self):
-        result = parse("?" * 500, "spam.dsx")
-        assert len(result.diagnostics) == 100
-        assert result.diagnostics[-1].code == "E099"
-        assert result.model is None
+        for source in ("?" * 500, "@" * 5000, "@\n" * 5000):
+            result = parse(source, "spam.dsx")
+            assert len(result.diagnostics) == 100
+            assert result.diagnostics[-1].code == "E099"
+            assert result.model is None
 
     def test_parser_error_budget_caps_at_e099(self):
         lines = "".join(f'    bogus{i} "x"\n' for i in range(150))
@@ -847,6 +872,27 @@ class TestParseProperties:
                 best[index] = min(best[index], time.perf_counter() - start)
                 assert result.model is not None
         assert best[1] / best[0] < 8
+
+    # The lexer matches the whole file before the cap can stop it, so a flood
+    # of illegal characters costs time linear in its length, as valid tokens do.
+    @pytest.mark.parametrize("unit", ["@", "a "], ids=["error-flood", "valid-token-flood"])
+    def test_one_line_floods_parse_in_linear_time(self, unit):
+        texts = [unit * 20000, unit * 80000]
+        best = [float("inf"), float("inf")]
+        for _ in range(3):
+            for index, text in enumerate(texts):
+                start = time.perf_counter()
+                result = parse(text, "flood.dsx")
+                best[index] = min(best[index], time.perf_counter() - start)
+                assert result.model is None
+        assert best[1] / best[0] < 8
+
+    def test_parse_result_compares_by_value_and_does_not_hash(self):
+        text = fixture_text("production-machine.dsx")
+        first, second = parse(text, "a.dsx"), parse(text, "a.dsx")
+        assert first is not second and first == second
+        with pytest.raises(TypeError, match="unhashable type: 'SourceMap'"):
+            hash(first)
 
     @pytest.mark.parametrize("name", FLAGSHIPS)
     def test_every_prefix_parses_within_bounds(self, name):
