@@ -219,8 +219,8 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # the same-line blanks and punctuation mark after the token, if any, such as
 # the ':' of `key:` or the '{' of `section {`, which the lexer appends as a
 # token of its own.  Every character after the blanks matches at least the
-# last alternative (a newline is a blank), so the matches tile the source and
-# offsets are a running sum of group lengths.
+# any-character alternative (a newline is a blank), so the matches tile the
+# source and offsets are a running sum of group lengths.
 # Cost: lexing is linear in the input for every input.  The diagnostic cap
 # stops the diagnostics and the tokens, not the matching, which has already
 # run over the whole file; the match list is freed when ``_lex`` returns,
