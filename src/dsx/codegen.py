@@ -34,11 +34,10 @@ from json.encoder import encode_basestring as _encode_str
 from pathlib import Path, PurePosixPath
 
 from .model import (
+    VARIANTS,
     AccessPolicy,
     ConnectorModel,
     ContractValue,
-    EdcUsage,
-    OpcUaUsage,
     Protocol,
     Record,
     SecretEnvVar,
@@ -209,7 +208,7 @@ def _unsupported(model: ConnectorModel, target: Target) -> str | None:
             )
         return None
     ext = model.usage.extension
-    if not isinstance(ext, EdcUsage if target is Target.EDC else OpcUaUsage):
+    if not isinstance(ext, VARIANTS[target._value_]):
         return (
             f"generator/usage mismatch: {target.value} generator requires "
             f"{target.value} usage, model '{model.name}' has {variant_name(ext)} usage"

@@ -329,7 +329,6 @@ class Span(Record):
     """Half-open source region: 1-based line/column plus length in chars."""
 
     ATTRS = ("file", "line", "column", "length")
-    DEFAULTS = (0,)
 
     def _check(self) -> None:
         if self.line < 1 or self.column < 1:
@@ -340,9 +339,13 @@ class Span(Record):
 
 
 class Diagnostic(Record):
-    """One parser/validator finding with a stable machine-readable code."""
+    """One parser/validator finding; its stable machine-readable code gives its severity."""
 
-    ATTRS = ("severity", "code", "message", "span")
+    ATTRS = ("code", "message", "span")
+
+    @property
+    def severity(self) -> Severity:
+        return Severity.ERROR if self.code[0] == "E" else Severity.WARNING
 
     def render(self) -> str:
         return (
@@ -592,7 +595,6 @@ def join_idlink(identification: IdentificationData) -> str:
     if identification.identifier_type is IdentifierType.SIDI:
         url = f"{url}/{identification.linked_asset_id}"
     return url
-
 
 
 def _quote(text: str) -> str:

@@ -57,7 +57,6 @@ from .model import (
     Role,
     SecretEnvVar,
     SecretLiteral,
-    Severity,
     Span,
     UsageConfig,
     _CONTROL_RE,
@@ -318,12 +317,10 @@ class _Sink:
         if self.full:
             return
         if len(self.diagnostics) >= MAX_DIAGNOSTICS - 1:
-            self.diagnostics.append(
-                Diagnostic(Severity.ERROR, "E099", "too many errors", span)
-            )
+            self.diagnostics.append(Diagnostic("E099", "too many errors", span))
             self.full = True
             return
-        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
+        self.diagnostics.append(Diagnostic(code, message, span))
 
 
 def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
@@ -426,10 +423,9 @@ class ParseResult(Record):
 
 
 class _RawBlock:
-    __slots__ = ("label", "keyword", "fields", "blocks", "roles")
+    __slots__ = ("keyword", "fields", "blocks", "roles")
 
-    def __init__(self, label: str, keyword: _Tok) -> None:
-        self.label = label
+    def __init__(self, keyword: _Tok) -> None:
         self.keyword = keyword  # the token that opens the block
         # Key token, value: a token, or a list (LBRACKET, "[", items, offset).
         # A contract block holds its entries here, by decoded key.
@@ -543,7 +539,7 @@ class _Parser:
     # --- raw block parsing ------------------------------------------------
 
     def parse_raw_block(self, label: str, keyword: _Tok) -> _RawBlock:
-        raw = _RawBlock(label, keyword)
+        raw = _RawBlock(keyword)
         tokens = self.tokens
         tok = tokens[self.pos]
         if tok[0] is not _LBRACE:
@@ -553,7 +549,7 @@ class _Parser:
             self.sync()
             return raw
         self.pos += 1
-        allowed = _SUBBLOCKS.get(label, frozenset())
+        allowed = _SUBBLOCKS[label]
         contract = label == "contract"
         while True:
             tok = tokens[self.pos]
@@ -769,11 +765,9 @@ class _Parser:
                         self.pos += 1
                         variant = variant_tok[1]
                     else:
-                        self.error(
-                            "E003",
-                            "expected usage variant 'edc', 'opcua', or 'plain'",
-                            variant_tok,
-                        )
+                        *others, last = map(repr, VARIANTS)
+                        expected = f"{', '.join(others)}, or {last}"
+                        self.error("E003", f"expected usage variant {expected}", variant_tok)
                 raw = self.parse_raw_block(tok[1], tok)
                 if tok[1] in sections:
                     self.error("E012", f"duplicate {tok[1]} block", tok)
@@ -785,7 +779,7 @@ class _Parser:
                 break
             self.error(
                 "E003",
-                f"expected a section (discovery, metadata, usage, access), got {_describe(tok)}",
+                f"expected a section ({', '.join(SECTION_KEYWORDS)}), got {_describe(tok)}",
                 tok,
             )
             self.sync()

@@ -3,9 +3,9 @@
 The grammar guarantees structure; these checks cover the rules it cannot
 express: URL schemes, participant-id formats, date ordering, policy
 coherence.  Every finding carries a stable code, a public contract for CI
-tooling; README's "Diagnostic codes" table lists every code with its rule.
-A finding's severity is its code's letter: an E code is an error, a W code
-a warning.  ``validate`` runs each rule once.  ``CHECKS`` lists the check
+tooling; README's "Diagnostic codes" table lists every code with its rule,
+and :class:`~dsx.model.Diagnostic` derives a finding's severity from its
+code.  ``validate`` runs each rule once.  ``CHECKS`` lists the check
 families; a W code that is not a family itself belongs to the family of its
 E code (W204 to E204, W206 to E206, W207 to E207), and ``check_single``
 keeps the findings of ``validate`` in one family.
@@ -79,9 +79,8 @@ class _Context:
         self.findings: list[Diagnostic] = []
 
     def report(self, code: str, message: str, path: str) -> None:
-        """Record a finding at ``path``: an E code is an error, a W code a warning."""
-        severity = Severity.ERROR if code[0] == "E" else Severity.WARNING
-        self.findings.append(Diagnostic(severity, code, message, self.source_map.span_for(path)))
+        """Record a finding at ``path``; its code gives its severity."""
+        self.findings.append(Diagnostic(code, message, self.source_map.span_for(path)))
 
 
 def _is_absolute_url(value: str, schemes: tuple[str, ...]) -> bool:

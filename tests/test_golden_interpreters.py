@@ -7,8 +7,12 @@ print exactly the digests in ``GOLDEN`` and ``TOKEN_GOLDEN``::
 
     DSX_GOLDEN_PYTHONS=/usr/bin/python3.10:/usr/bin/python3.13 \\
         pytest tests/test_golden_interpreters.py
+
+Without a 3.10 interpreter at hand, a second test parses every source file
+with the Python 3.10 grammar, the oldest that ``pyproject.toml`` allows.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -37,3 +41,10 @@ def test_golden_script_prints_the_golden_digests(python):
     assert proc.returncode == 0, proc.stderr
     expected = [*GOLDEN.items(), *TOKEN_GOLDEN.items()]
     assert list(_DIGEST_RE.findall(proc.stdout)) == expected
+
+
+def test_every_source_file_parses_with_the_python_3_10_grammar():
+    paths = [path for top in ("src/dsx", "tests", "bench") for path in (ROOT / top).rglob("*.py")]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -16,6 +16,7 @@ from dsx import (
     AssetMetaData,
     AuthenticationMode,
     ConnectorModel,
+    Diagnostic,
     EdcUsage,
     GenerationError,
     IdentificationData,
@@ -30,6 +31,7 @@ from dsx import (
     Role,
     SecretEnvVar,
     SecurityPolicy,
+    Severity,
     Span,
     Target,
     UsageConfig,
@@ -39,7 +41,9 @@ from dsx import (
     print_canonical,
     tokenize,
 )
+from dsx import codegen as codegen_module
 from dsx import model as model_module
+from dsx import parser as parser_module
 from modelgen import build_model
 
 from conftest import fixture_text
@@ -256,6 +260,20 @@ class TestCopying:
             cloned.name = "other"
 
 
+# Each dict mutator, called as a caller would; contract offers refuse them all.
+CONTRACT_MUTATORS = {
+    "setitem": lambda o: o.__setitem__("k", 1),
+    "delitem": lambda o: o.__delitem__("a"),
+    "ior": lambda o: o.__ior__({"k": 1}),
+    "clear": lambda o: o.clear(),
+    "pop": lambda o: o.pop("a"),
+    "popitem": lambda o: o.popitem(),
+    "setdefault": lambda o: o.setdefault("k", 1),
+    "update": lambda o: o.update(k=1),
+    "init": lambda o: o.__init__({"k": object()}),
+}
+
+
 class TestContractOffers:
     """A model's contract offers are a read-only dict that hashes by value."""
 
@@ -266,23 +284,7 @@ class TestContractOffers:
         assert hash(first) == hash(second)
         assert hash(first.access.contract_offers) == hash(second.access.contract_offers)
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda o: o.__setitem__("k", 1),
-            lambda o: o.__delitem__("a"),
-            lambda o: o.__ior__({"k": 1}),
-            lambda o: o.clear(),
-            lambda o: o.pop("a"),
-            lambda o: o.popitem(),
-            lambda o: o.setdefault("k", 1),
-            lambda o: o.update(k=1),
-            lambda o: o.__init__({"k": object()}),
-        ],
-        ids=[
-            "setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update", "init"
-        ],
-    )
+    @pytest.mark.parametrize("mutate", CONTRACT_MUTATORS.values(), ids=list(CONTRACT_MUTATORS))
     def test_every_mutator_is_refused(self, mutate):
         access = AccessPolicy(usage_policy="https://policies.example/p", contract_offers={"a": 1})
         with pytest.raises(TypeError, match="contract offers are read-only"):
@@ -319,21 +321,39 @@ class TestContractOffers:
         assert repr(offers) == "{'b': 'x', 'a': 1}"
 
 
+TABLES = [
+    cls for cls in vars(model_module).values() if isinstance(cls, type) and "FIELDS" in vars(cls)
+]
+
+
 class TestFieldTable:
     def test_every_model_field_has_exactly_one_row(self):
         # Connector and role names and the usage variant are not `key: value` fields.
         outside = {(ConnectorModel, "name"), (Role, "role_name"), (UsageConfig, "extension")}
-        tables = [
-            cls
-            for cls in vars(model_module).values()
-            if isinstance(cls, type) and "FIELDS" in vars(cls)
-        ]
-        assert len(tables) == 13
-        for cls in tables:
+        assert len(TABLES) == 13
+        for cls in TABLES:
             attrs = [spec.attr for spec in cls.FIELDS]
             assert len(attrs) == len(set(attrs)), cls
             declared = set(cls.__slots__)
             assert declared - set(attrs) == {attr for c, attr in outside if c is cls}, cls
+
+    def test_every_row_kind_is_checked_bound_and_printed(self):
+        # A kind in neither _FORMATS nor BLOCK_KINDS would print as a lone '}'.
+        kinds = {spec.kind for cls in TABLES for spec in cls.FIELDS}
+        assert kinds <= model_module._CHECKS.keys() and kinds <= parser_module._BIND.keys()
+        assert kinds <= model_module._FORMATS.keys() | model_module.BLOCK_KINDS
+        assert codegen_module._TO_JSON.keys() <= kinds
+
+    def test_only_the_connector_requires_a_block(self):
+        # The binder reports a missing required row only for fields (E011), so a
+        # required block row elsewhere would reach its class's constructor unset.
+        required_blocks = {
+            (cls, spec.key)
+            for cls in TABLES
+            for spec in cls.FIELDS
+            if spec.required and spec.kind in model_module.BLOCK_KINDS
+        }
+        assert required_blocks == {(ConnectorModel, spec.key) for spec in ConnectorModel.FIELDS}
 
 
 class TestModelEquals:
@@ -457,6 +477,15 @@ class TestCanonicalPrinting:
 
 
 class TestSpanAndDiagnosticTypes:
+    def test_a_diagnostics_severity_is_its_codes_letter(self):
+        span = Span("f.dsx", 1, 1, 1)
+        assert Diagnostic.__slots__ == ("code", "message", "span")
+        assert Diagnostic("E203", "m", span).severity is Severity.ERROR
+        assert Diagnostic("W204", "m", span).severity is Severity.WARNING
+        assert Diagnostic("E099", "m", span).render() == "f.dsx:1:1: error[E099]: m"
+        with pytest.raises(TypeError):
+            Diagnostic(Severity.ERROR, "E203", "m", span)
+
     def test_span_is_one_based(self):
         with pytest.raises(ValueError):
             Span("f.dsx", 0, 1, 1)
