@@ -10,16 +10,17 @@ The surface syntax is block-structured::
     }
 
 The lexer runs one ``findall`` of a compiled regex over the file; each match
-is one token with the blanks and comments before it and any punctuation mark
-after it on the same line, which becomes a token of its own.  Inside the
-parser a token is a plain tuple ``(kind, lexeme, value, offset)``: its
-decoded value, dates included (``None`` for an impossible calendar date
-such as ``2025-02-30``), and its character offset.  A list value has the
-same shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
-:class:`SourceMap` per file holds its name and text, and works out line and
-column from line starts built on first use, only when a diagnostic or a
-reader asks.  :func:`tokenize` wraps each tuple in a :class:`Token`, which
-works out its ``line``, ``column`` and ``span`` from that map on each read.
+is one token with the blanks before it and any punctuation mark after it on
+the same line, which becomes a token of its own.  A ``//`` comment is a match
+of its own, which the lexer drops.  Inside the parser a token is a plain
+tuple ``(kind, lexeme, value, offset)``: its decoded value, dates included
+(``None`` for an impossible calendar date such as ``2025-02-30``), and its
+character offset.  A list value has the same shape, ``(LBRACKET, "[",
+items, offset of the '[')``.  One :class:`SourceMap` per file holds its name
+and text, and works out line and column from line starts built on first
+use, only when a diagnostic or a reader asks.  :func:`tokenize` wraps each
+tuple in a :class:`Token`, which works out its ``line``, ``column`` and
+``span`` from that map on each read.
 
 Blocks are parsed in two steps.  The entry parsers read ``key: value``
 entries, lists and sub-blocks on one token cursor into raw blocks that
@@ -212,14 +213,23 @@ SECTION_KEYWORDS = tuple(spec.key for spec in ConnectorModel.FIELDS)
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
 # The lexer: one ``findall`` over the whole file returns a plain tuple per
-# match, so no match object is made.  A match has four groups: the blanks and
-# `//` comments before a token; the token, one alternative per token class
-# tried in order, or empty at the end of input; a string's closing quote; and
-# the same-line blanks and punctuation mark after the token, if any, such as
-# the ':' of `key:` or the '{' of `section {`, which the lexer appends as a
-# token of its own.  Every character after the blanks matches at least the
-# any-character alternative (a newline is a blank), so the matches tile the
-# source and offsets are a running sum of group lengths.
+# match, so no match object is made.  A match has four groups: the blanks
+# before a token; the token, one alternative per token class tried in order,
+# or empty at the end of input; a string's closing quote; and the same-line
+# blanks and punctuation mark after the token, or nothing, such as the ':' of
+# `key:` or the '{' of `section {`, which the lexer appends as a token of its
+# own.  A `//` comment is a token alternative, which the lexer drops.  Every
+# character after the blanks matches at least the any-character alternative
+# (a newline is a blank), so the matches tile the source and offsets are a
+# running sum of group lengths.
+# No group around a token repeats or is optional: the blanks are one
+# character-class repeat, and an env reference and the mark are alternations.
+# The backtracking engine keeps bookkeeping for each repeated or optional
+# group a match enters, which a `(?:blanks|comment)*` prefix would cost every
+# match, though almost no file holds a comment.  Only a string's escape loop
+# repeats a group, inside the string alternative, since escape pairs are no
+# single-character repeat.  Possessive quantifiers and atomic groups would
+# save as much, but need Python 3.11.
 # Cost: lexing is linear in the input for every input.  The diagnostic cap
 # stops the diagnostics and the tokens, not the matching, which has already
 # run over the whole file; the match list is freed when ``_lex`` returns,
@@ -231,16 +241,18 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # only with '"' or '\', and stays literal before any other character.
 _TOKEN_RE = re.compile(
     r"""
-    ((?:[ \t\r\n\ufeff]+|//[^\n]*)*)
-    (env\((?:[A-Z][A-Z0-9_]*\))?
+    ([ \t\r\n\ufeff]*)
+    (env\([A-Z][A-Z0-9_]*\)
+    |env\(
     |[A-Za-z_][A-Za-z0-9_-]*
     |[{}\[\]:,]
     |"[^"\\\n\r]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n\r]*)*("?)
     |[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])
     |-?[0-9]+
+    |//[^\n]*
     |.
     |\Z)
-    ((?:[ \t]*[{}\[\]:,])?)
+    ([ \t]*[{}\[\]:,]|)
     """,
     re.VERBOSE,
 )
@@ -342,7 +354,7 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
             break
         else:
             first = text[0]
-            if first in _WORD_START and not text.startswith("env("):
+            if first in _WORD_START and "(" not in text:
                 append((_IDENT, text, text, start))
             elif first == '"' and close and text.isprintable():
                 # The lexeme keeps the raw source slice; the decoded text is the value.
@@ -371,9 +383,10 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
 
 
 def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -> _Tok | None:
-    """The token, if any, of a lexeme that ``_lex`` does not decode inline: an
-    env reference, a string with a control character or without its closing
-    quote, a negative or long integer, or an illegal character."""
+    """The token, if any, of a lexeme that ``_lex`` does not decode inline: a
+    comment, which has none, an env reference, a string with a control
+    character or without its closing quote, a negative or long integer, or an
+    illegal character."""
     first = text[0]
     if first == "e":  # env(, since every other word is decoded inline
         if text[-1] == ")":
@@ -396,6 +409,8 @@ def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -
         if len(text) - (first == "-") <= _MAX_INT_DIGITS:
             return (_INTEGER, text, int(text), start)
         sink.error("E002", "integer literal too long", smap.span(start, len(text)))
+    elif text.startswith("//"):
+        return None
     else:
         sink.error("E002", f"illegal character {text!r}", smap.span(start, 1))
     return None

@@ -9,11 +9,15 @@ print exactly the digests in ``GOLDEN`` and ``TOKEN_GOLDEN``::
         pytest tests/test_golden_interpreters.py
 
 Without a 3.10 interpreter at hand, a second test parses every source file
-with the Python 3.10 grammar, the oldest that ``pyproject.toml`` allows.
+with the Python 3.10 grammar, the oldest that ``pyproject.toml`` allows, and
+a third checks every compiled pattern of ``dsx`` for ``re`` syntax that only
+3.11 and later accept.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import dsx
 from test_golden import GOLDEN, TOKEN_GOLDEN
 
 ROOT = Path(__file__).parent.parent
@@ -48,3 +53,48 @@ def test_every_source_file_parses_with_the_python_3_10_grammar():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# The pattern parser of the running interpreter; 3.10 has only sre_parse,
+# which later versions deprecate.
+if sys.version_info >= (3, 11):
+    _parse_pattern = re._parser.parse
+else:
+    import sre_parse
+
+    _parse_pattern = sre_parse.parse
+
+# Possessive quantifiers (*+, ++, ?+, {m,n}+) and atomic groups (?>...) are
+# re syntax from Python 3.11 on; a 3.10 interpreter refuses to compile them.
+_NEWER_OPCODES = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def _opcodes(node):
+    """The name of every opcode in a parsed pattern, nested ones included."""
+    if isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item)
+    elif hasattr(node, "data"):  # a parsed (sub)pattern: (opcode, argument) pairs
+        for opcode, argument in node.data:
+            yield opcode.name
+            yield from _opcodes(argument)
+
+
+def test_no_pattern_uses_re_syntax_newer_than_python_3_10():
+    modules = [dsx] + [
+        importlib.import_module(f"dsx.{info.name}") for info in pkgutil.iter_modules(dsx.__path__)
+    ]
+    patterns = {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, re.Pattern)
+    }
+    assert "dsx.parser._TOKEN_RE" in patterns and len(patterns) >= 8
+    for name, pattern in patterns.items():
+        opcodes = set(_opcodes(_parse_pattern(pattern.pattern, pattern.flags)))
+        assert not opcodes & _NEWER_OPCODES, name
+    if sys.version_info >= (3, 11):  # the walk finds each such construct, also nested
+        for newer in ("a*+", "a++", "a?+", "a{1,2}+", "(?>a|b)", "x(?:y|(z?+))", "[+]++"):
+            assert set(_opcodes(_parse_pattern(newer))) & _NEWER_OPCODES, newer
+        assert not set(_opcodes(_parse_pattern(r"\++[+]+(?:a+)+"))) & _NEWER_OPCODES

@@ -1,4 +1,5 @@
 import enum
+import re
 import sys
 import time
 from datetime import date
@@ -24,6 +25,7 @@ from dsx.codegen import _unsupported
 from dsx.parser import SourceMap, Token, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
+from modelgen import build_model
 from test_golden import groups
 
 
@@ -387,6 +389,82 @@ class TestPositionsOnDemand:
         assert eof.offset == 99 * 4 + 3
         assert (eof.line, eof.column) == (100, 4)
         assert len(tokens) == 101  # one 'a' per line up to the cap, then EOF
+
+
+# Sources for the comment property: every fixture without an unterminated
+# string, since a comment after one on its line would be string text.
+_COMMENTABLE = [
+    text
+    for _, text in next(groups())[1]
+    if all(d.code != "E001" for d in tokenize(text)[1])
+]
+_PUNCTUATION = {
+    TokenKind.LBRACE, TokenKind.RBRACE, TokenKind.LBRACKET, TokenKind.RBRACKET,
+    TokenKind.COLON, TokenKind.COMMA,
+}
+
+
+@st.composite
+def commented_pairs(draw):
+    """A source with `//` comments inserted at line ends, on lines of their
+    own, after punctuation marks and at the end of input without a newline,
+    and the same source with each comment replaced by spaces."""
+    source = draw(
+        st.sampled_from(_COMMENTABLE)
+        | st.integers(0, 599).map(lambda i: print_canonical(build_model(i)))
+    )
+    line_ends = [i for i, char in enumerate(source) if char == "\n"]
+    marks = [t.offset + 1 for t in tokenize(source)[0] if t.kind in _PUNCTUATION]
+    places = st.sampled_from(
+        [(end, " ", "") for end in line_ends]  # at a line end
+        + [(end + 1, "  ", "\n") for end in line_ends]  # on a line of its own
+        + [(mark, " ", "\n") for mark in marks]  # after a mark: `key: // c`
+    )
+    inserts = draw(st.lists(places, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        inserts.append((len(source), "", ""))  # at the end, with no newline after it
+    commented, spaced, last = [], [], 0
+    for offset, before, after in sorted(inserts, key=lambda insert: insert[0]):
+        comment = "//" + draw(st.text(st.characters(blacklist_characters="\n"), max_size=8))
+        commented += [source[last:offset], before, comment, after]
+        spaced += [source[last:offset], before, " " * len(comment), after]
+        last = offset
+    return "".join([*commented, source[last:]]), "".join([*spaced, source[last:]])
+
+
+class TestComments:
+    """A comment is a match of its own that the lexer drops: it lexes and
+    parses as spaces of the same length would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(commented_pairs())
+    def test_comments_lex_and_parse_as_spaces(self, pair):
+        commented, spaced = pair
+        assert commented != spaced
+        results = [tokenize(text, "c.dsx") for text in pair]
+        (tokens, diagnostics), (space_tokens, space_diagnostics) = results
+        assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == [
+            (t.kind, t.lexeme, t.value, t.offset) for t in space_tokens
+        ]
+        assert diagnostics == space_diagnostics
+        assert parse(commented, "c.dsx") == parse(spaced, "c.dsx")
+
+    @pytest.mark.parametrize(
+        "source", ["//", "// c", "x: 1 // c", "x: // c\n1", "a //", "a\n//\n//x"]
+    )
+    def test_a_comment_is_no_token_and_no_diagnostic(self, source):
+        tokens, diagnostics = tokenize(source)
+        spaced, _ = tokenize(re.sub(r"//[^\n]*", lambda m: " " * len(m[0]), source))
+        assert diagnostics == []
+        assert [(t.kind, t.lexeme, t.offset) for t in tokens] == [
+            (t.kind, t.lexeme, t.offset) for t in spaced
+        ]
+        assert tokens[-1].offset == len(source)
+
+    def test_a_single_slash_is_an_illegal_character(self):
+        tokens, diagnostics = tokenize("a / b /")
+        assert [d.message for d in diagnostics] == ["illegal character '/'"] * 2
+        assert [t.lexeme for t in tokens] == ["a", "b", ""]
 
 
 class TestSpansOnDemand:
@@ -874,8 +952,11 @@ class TestParseProperties:
         assert best[1] / best[0] < 8
 
     # The lexer matches the whole file before the cap can stop it, so a flood
-    # of illegal characters costs time linear in its length, as valid tokens do.
-    @pytest.mark.parametrize("unit", ["@", "a "], ids=["error-flood", "valid-token-flood"])
+    # of illegal characters costs time linear in its length, as valid tokens
+    # and comments, each a match of its own, do.
+    @pytest.mark.parametrize(
+        "unit", ["@", "a ", "//c\n"], ids=["error-flood", "valid-token-flood", "comment-flood"]
+    )
     def test_one_line_floods_parse_in_linear_time(self, unit):
         texts = [unit * 20000, unit * 80000]
         best = [float("inf"), float("inf")]
