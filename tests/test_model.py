@@ -30,11 +30,13 @@ from dsx import (
     QosMetrics,
     Role,
     SecretEnvVar,
+    SecretLiteral,
     SecurityPolicy,
     Severity,
     Span,
     Target,
     UsageConfig,
+    ValidationReport,
     generate_all,
     join_idlink,
     parse,
@@ -44,6 +46,7 @@ from dsx import (
 from dsx import codegen as codegen_module
 from dsx import model as model_module
 from dsx import parser as parser_module
+from dsx.model import Record
 from modelgen import build_model
 
 from conftest import fixture_text
@@ -354,6 +357,152 @@ class TestFieldTable:
             if spec.required and spec.kind in model_module.BLOCK_KINDS
         }
         assert required_blocks == {(ConnectorModel, spec.key) for spec in ConnectorModel.FIELDS}
+
+
+# Valid values for the attributes that have no row, and for each row kind.
+_VALID_ATTRS = {"name": "demo", "role_name": "operator", "extension": PlainUsage()}
+_VALID_BY_KIND = {
+    "str": "text",
+    "date": date(2025, 1, 1),
+    "int": 7,
+    "bool": True,
+    "str-list": ("text",),
+    "secret": SecretEnvVar("KEY"),
+    "contract": {"k": 1},
+}
+
+
+def valid_value(spec):
+    """A valid value of a row; a sub-block or roles row's is built from its class."""
+    if spec.kind in ("sub-block", "roles"):
+        value = spec.cls(**valid_kwargs(spec.cls))
+        return value if spec.kind == "sub-block" else (value,)
+    if spec.kind in ("enum", "enum-list"):
+        member = next(iter(spec.cls))
+        return member if spec.kind == "enum" else (member,)
+    return _VALID_BY_KIND[spec.kind]
+
+
+def valid_kwargs(cls):
+    """Constructor arguments that make a valid ``cls``, every optional row set."""
+    kwargs = {attr: _VALID_ATTRS[attr] for attr in vars(cls).get("ATTRS", ())}
+    return kwargs | {spec.attr: valid_value(spec) for spec in cls.FIELDS}
+
+
+def bad_values(spec):
+    """Values each of which the row's check refuses: a wrong type, text with
+    a control character, and an empty or missing value where one is required."""
+    kind = spec.kind
+    bad = [] if kind == "contract" else [object(), b"bytes"]  # a contract must be a dict
+    if spec.required:
+        bad.append(None)
+    if kind == "str":
+        bad += [5, "a\x00b", "two\nlines", "\x7f"] + ([""] if spec.nonempty else [])
+    elif kind == "date":
+        bad += ["2025-01-01", 20250101]
+    elif kind == "int":
+        bad += [True, "7", 1.5] + ([spec.minimum - 1] if spec.minimum is not None else [])
+    elif kind == "bool":
+        bad += [1, "true"]
+    elif kind == "enum":
+        bad += [next(iter(spec.cls)).value]
+    elif kind == "str-list":
+        bad += [("a\x00",), ("ok", 5), [b"x"]]
+    elif kind == "enum-list":
+        member = next(iter(spec.cls))
+        bad += [(member.value,), (member, None)]
+        bad += [(member, member)] if spec.unique else []
+        bad += [()] if spec.nonempty else []
+    elif kind == "secret":
+        bad += ["literal", SecretLiteral]
+    elif kind == "sub-block":
+        bad += [SecretEnvVar("KEY"), spec.cls]
+    elif kind == "contract":
+        bad += [{"k": ["x"]}, {"k\x00": 1}, {5: 1}, {"k": "a\x01"}, {"k": None}]
+    elif kind == "roles":
+        bad += [("operator",), (None,)]
+    return bad
+
+
+def good_values(spec):
+    """Valid values of the row: ones the compiled check accepts inline, and
+    ones only the row's check accepts."""
+    good = [valid_value(spec)]
+    if not spec.required:
+        good.append(None)
+    if spec.kind == "str":
+        # A str subclass, and text that is not printable but holds no control.
+        good += [Permission.READ, "no\xa0break", "\u2028"] + ([] if spec.nonempty else [""])
+    elif spec.kind == "date":
+        good.append(datetime(2025, 1, 1, 12, 30))
+    elif spec.kind == "bool":
+        good.append(False)
+    elif spec.kind == "sub-block":
+        good.append(type("Sub", (spec.cls,), {})(**valid_kwargs(spec.cls)))
+    return good
+
+
+ROWS = [
+    pytest.param(cls, spec, id=f"{cls.__name__}.{spec.attr}")
+    for cls in TABLES
+    for spec in cls.FIELDS
+]
+
+
+class TestCompiledRowChecks:
+    """Each constructor's compiled row checks raise exactly what ``_CHECKS`` raises."""
+
+    @pytest.mark.parametrize("cls, spec", ROWS)
+    def test_a_bad_value_raises_what_the_rows_check_raises(self, cls, spec):
+        kwargs = valid_kwargs(cls)
+        for value in bad_values(spec):
+            with pytest.raises(Exception) as expected:
+                model_module._CHECKS[spec.kind](spec, value)
+            with pytest.raises(Exception) as got:
+                cls(**kwargs | {spec.attr: value})
+            assert type(got.value) is type(expected.value), value
+            assert str(got.value) == str(expected.value), value
+
+    @pytest.mark.parametrize("cls, spec", ROWS)
+    def test_valid_values_are_accepted(self, cls, spec):
+        kwargs = valid_kwargs(cls)
+        for value in good_values(spec):
+            stored = getattr(cls(**kwargs | {spec.attr: value}), spec.attr)
+            assert stored == ({} if value is None and spec.kind == "contract" else value)
+
+    def test_a_subclass_that_adds_no_attribute_keeps_its_parents_constructor(self):
+        class Report(ValidationReport):
+            pass
+
+        class Sub(QosMetrics):
+            pass
+
+        assert Report.__init__ is ValidationReport.__init__ and Report.__slots__ == ("diagnostics",)
+        report = Report(diagnostics=())
+        assert report.valid and repr(report).endswith("Report(diagnostics=())")
+        with pytest.raises(ValueError, match="samplingRateMs must be >= 1"):
+            Sub(sampling_rate_ms=0, max_subscriptions=1)
+        sub = Sub(sampling_rate_ms=5, max_subscriptions=1)
+        assert copy.copy(sub) == sub and not hasattr(sub, "__dict__")
+
+    def test_a_table_without_rows_gets_a_constructor_of_no_arguments(self):
+        class Empty(Record):
+            FIELDS = ()
+
+        for cls in (PlainUsage, Empty):
+            assert cls.__slots__ == () and cls() == cls()
+            with pytest.raises(TypeError):
+                cls(extra=1)
+
+    def test_an_extension_that_is_no_variant_is_refused_naming_every_variant(self):
+        class Extra(Record):
+            FIELDS = ()
+
+        with pytest.raises(TypeError) as raised:
+            UsageConfig(data_address="https://data.example", extension=Extra())
+        assert str(raised.value) == (
+            "usage extension must be one of EdcUsage, OpcUaUsage, PlainUsage"
+        )
 
 
 class TestModelEquals:
