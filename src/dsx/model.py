@@ -151,90 +151,13 @@ def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
         raise ValueError(f"{what} must not contain control characters")
 
 
-def _check_type(spec: FieldSpec, value: object, *expected: type) -> None:
-    if not isinstance(value, expected):
-        names = " or ".join(cls.__name__ for cls in expected)
-        raise TypeError(f"{spec.key} must be {names}, got {type(value).__name__}")
-
-
-def _check_int(spec: FieldSpec, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{spec.key} must be an integer, got {type(value).__name__}")
-    if spec.minimum is not None and value < spec.minimum:
-        raise ValueError(f"{spec.key} must be >= {spec.minimum}")
-
-
-def _check_str_list(spec: FieldSpec, value: tuple[str, ...]) -> None:
-    for item in value:
-        _check_text(item, f"{spec.key} entry")
-
-
-def _check_enum_list(spec: FieldSpec, value: tuple[Enum, ...]) -> None:
-    for item in value:
-        if not isinstance(item, spec.cls):
-            _check_type(spec, item, spec.cls)
-    if spec.nonempty and not value:
-        raise ValueError(f"{spec.key} must not be empty")
-    if spec.unique and len(set(value)) != len(value):
-        raise ValueError(f"{spec.key} must not contain duplicates")
-
-
-def _check_contract(spec: FieldSpec, offers: dict[str, ContractValue]) -> None:
-    for key, value in offers.items():
-        _check_text(key, "contract key")
-        if isinstance(value, str):
-            _check_text(value, f"contract value for {key!r}")
-        elif not isinstance(value, (bool, int, date)):
-            raise TypeError(f"contract value for {key!r} must be a scalar")
-
-
-def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
-    for role in roles:
-        _check_type(spec, role, spec.cls)
-
-
-# What a row of each kind may hold: each check raises on any other value.
-_CHECKS = {
-    "str": lambda spec, value: _check_text(value, spec.key, allow_empty=not spec.nonempty),
-    "date": lambda spec, value: _check_type(spec, value, date),
-    "int": _check_int,
-    "bool": lambda spec, value: _check_type(spec, value, bool),
-    "enum": lambda spec, value: _check_type(spec, value, spec.cls),
-    "str-list": _check_str_list,
-    "enum-list": _check_enum_list,
-    "secret": lambda spec, value: _check_type(spec, value, SecretLiteral, SecretEnvVar),
-    "sub-block": lambda spec, value: _check_type(spec, value, spec.cls),
-    "contract": _check_contract,
-    "roles": _check_roles,
-}
-
-# The values a compiled row check accepts without calling its _CHECKS entry,
-# by kind, as a test of the value's name {0} and the row's class {1}.
-_ACCEPTS = {
-    "str": "{0}.__class__ is str and {0}.isprintable()",
-    "date": "isinstance({0}, date)",
-    "bool": "isinstance({0}, bool)",
-    "enum": "isinstance({0}, {1})",
-    "sub-block": "isinstance({0}, {1})",
-}
-
-
-def _row_check(spec: FieldSpec) -> str:
-    """The line of a compiled ``__init__`` that checks one row's value.
-
-    It accepts the common valid value inline: a printable string, non-empty
-    where the row says so, an instance of the row's type, or None for an
-    optional row.  Any other value goes to the row's ``_CHECKS`` entry, which
-    accepts it or raises.
-    """
-    name = spec.attr
-    accepts = [f"{name} is None"] if not spec.required else []
-    accept = _ACCEPTS.get(spec.kind)
-    if accept is not None:
-        accept = accept.format(name, f"_cls_{name}")
-        accepts.append(f"{name} and {accept}" if spec.nonempty else accept)
-    call = f"_check_{name}(_row_{name}, {name})"
-    return f"    if not ({' or '.join(accepts)}): {call}" if accepts else f"    {call}"
+def _check_fields(obj: Record) -> None:
+    """Enforce the table rows of ``obj``'s class on a freshly built instance."""
+    for spec in obj.FIELDS:
+        value = getattr(obj, spec.attr)
+        if value is None and not spec.required:
+            continue
+        _CHECKS[spec.kind](spec, value)
 
 
 # Optional rows of these kinds default to (), a contract row to {}, any other to None.
@@ -285,11 +208,10 @@ class _RecordType(type):
     From that declaration the type makes ``__slots__`` and compiles an
     ``__init__`` that stores each argument through its slot's own setter,
     which skips the frozen ``__setattr__``.  It then runs the class's
-    ``_check``, if it has one, and one line per row, in row order, which
-    accepts the common valid value inline and passes any other to the row's
-    ``_CHECKS`` entry (see ``_row_check``), so every row is checked on every
-    construction.  A subclass that declares neither ``FIELDS`` nor ``ATTRS``
-    keeps its parent's slots and constructor.
+    ``_check``, if it has one, and ``_check_fields`` on a table-driven class.
+    A subclass that declares neither ``FIELDS`` nor ``ATTRS`` keeps its
+    parent's slots and constructor, so it may not add a ``_check``, which
+    that constructor would never call.
     """
 
     def __new__(mcls, name: str, bases: tuple[type, ...], ns: dict[str, object]) -> type:
@@ -297,6 +219,9 @@ class _RecordType(type):
         if rows is None and "ATTRS" not in ns:
             # Record itself, or a subclass that adds no attribute: it keeps its
             # parent's constructor and attribute names, and has no __dict__.
+            if bases and "_check" in ns:
+                # The parent's constructor was compiled without a call to it.
+                raise TypeError(f"{name} adds _check, so it must declare FIELDS or ATTRS")
             cls = super().__new__(mcls, name, bases, {**ns, "__slots__": ()})
             cls.__slots__ = bases[0].__slots__ if bases else ()
             return cls
@@ -306,7 +231,8 @@ class _RecordType(type):
         ns["__slots__"] = attrs
         cls = super().__new__(mcls, name, bases, ns)
         params = ", ".join(attrs)
-        body = [
+        lines = [
+            f"def __init__(self, {'*, ' if rows is not None and attrs else ''}{params}):",
             *(
                 f"    {spec.attr} = ContractOffers.__new__(ContractOffers,"
                 f" {{}} if {spec.attr} is None else {spec.attr})"
@@ -315,16 +241,11 @@ class _RecordType(type):
             ),
             *(f"    _set_{attr}(self, {attr})" for attr in attrs),
             *(["    self._check()"] if "_check" in ns else []),
-            *map(_row_check, rows or ()),
+            *(["    _check_fields(self)"] if rows is not None else []),
         ]
-        header = f"def __init__(self, {'*, ' if rows is not None and attrs else ''}{params}):"
         scope = {f"_set_{attr}": getattr(cls, attr).__set__ for attr in attrs}
-        for spec in rows or ():
-            attr = spec.attr
-            scope[f"_row_{attr}"], scope[f"_cls_{attr}"] = spec, spec.cls
-            scope[f"_check_{attr}"] = _CHECKS[spec.kind]
-        scope.update(ContractOffers=ContractOffers, date=date)
-        exec("\n".join([header, *(body or ["    pass"])]), scope)
+        scope.update(_check_fields=_check_fields, ContractOffers=ContractOffers)
+        exec("\n".join(lines), scope)
         init = cls.__init__ = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"  # as named in argument errors
         if rows is None:
@@ -604,6 +525,73 @@ _EXTENSIONS = tuple(VARIANTS.values())
 def variant_name(extension: UsageExtension) -> str:
     """The DSL keyword (``edc``, ``opcua``, ``plain``) of a usage extension."""
     return next(name for name, cls in VARIANTS.items() if isinstance(extension, cls))
+
+
+def _check_str(spec: FieldSpec, value: object) -> None:
+    if value.__class__ is str and value.isprintable() and (value or not spec.nonempty):
+        return
+    _check_text(value, spec.key, allow_empty=not spec.nonempty)
+
+
+def _check_type(spec: FieldSpec, value: object, *expected: type) -> None:
+    if not isinstance(value, expected):
+        names = " or ".join(cls.__name__ for cls in expected)
+        raise TypeError(f"{spec.key} must be {names}, got {type(value).__name__}")
+
+
+def _check_int(spec: FieldSpec, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{spec.key} must be an integer, got {type(value).__name__}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ValueError(f"{spec.key} must be >= {spec.minimum}")
+
+
+def _check_str_list(spec: FieldSpec, value: tuple[str, ...]) -> None:
+    for item in value:
+        _check_text(item, f"{spec.key} entry")
+
+
+def _check_enum_list(spec: FieldSpec, value: tuple[Enum, ...]) -> None:
+    for item in value:
+        if not isinstance(item, spec.cls):
+            _check_type(spec, item, spec.cls)
+    if spec.nonempty and not value:
+        raise ValueError(f"{spec.key} must not be empty")
+    if spec.unique and len(set(value)) != len(value):
+        raise ValueError(f"{spec.key} must not contain duplicates")
+
+
+def _check_contract(spec: FieldSpec, offers: dict[str, ContractValue]) -> None:
+    for key, value in offers.items():
+        _check_text(key, "contract key")
+        if isinstance(value, str):
+            _check_text(value, f"contract value for {key!r}")
+        elif not isinstance(value, (bool, int, date)):
+            raise TypeError(f"contract value for {key!r} must be a scalar")
+
+
+def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
+    for role in roles:
+        _check_type(spec, role, spec.cls)
+
+
+# The date, bool, enum and sub-block checks accept by an inline isinstance and
+# call _check_type only to raise.
+_CHECKS = {
+    "str": _check_str,
+    "date": lambda spec, value: isinstance(value, date) or _check_type(spec, value, date),
+    "int": _check_int,
+    "bool": lambda spec, value: isinstance(value, bool) or _check_type(spec, value, bool),
+    "enum": lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls),
+    "str-list": _check_str_list,
+    "enum-list": _check_enum_list,
+    "secret": lambda spec, value: _check_type(spec, value, SecretLiteral, SecretEnvVar),
+    "sub-block": (
+        lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls)
+    ),
+    "contract": _check_contract,
+    "roles": _check_roles,
+}
 
 
 def join_idlink(identification: IdentificationData) -> str:

@@ -425,8 +425,8 @@ def bad_values(spec):
 
 
 def good_values(spec):
-    """Valid values of the row: ones the compiled check accepts inline, and
-    ones only the row's check accepts."""
+    """Valid values of the row: common ones, and rarer ones such as a ``str``
+    subclass, a ``datetime`` or non-ASCII text that is printable."""
     good = [valid_value(spec)]
     if not spec.required:
         good.append(None)
@@ -449,8 +449,8 @@ ROWS = [
 ]
 
 
-class TestCompiledRowChecks:
-    """Each constructor's compiled row checks raise exactly what ``_CHECKS`` raises."""
+class TestConstructorRowChecks:
+    """Each constructor checks every row and raises exactly what ``_CHECKS`` raises."""
 
     @pytest.mark.parametrize("cls, spec", ROWS)
     def test_a_bad_value_raises_what_the_rows_check_raises(self, cls, spec):
@@ -484,6 +484,17 @@ class TestCompiledRowChecks:
             Sub(sampling_rate_ms=0, max_subscriptions=1)
         sub = Sub(sampling_rate_ms=5, max_subscriptions=1)
         assert copy.copy(sub) == sub and not hasattr(sub, "__dict__")
+
+    def test_a_subclass_that_adds_only_a_check_is_refused(self):
+        # The parent's constructor never calls a _check added later, so the
+        # class would build records that skip it.
+        with pytest.raises(
+            TypeError, match="Strict adds _check, so it must declare FIELDS or ATTRS"
+        ):
+
+            class Strict(QosMetrics):
+                def _check(self) -> None:
+                    raise ValueError("never called")
 
     def test_a_table_without_rows_gets_a_constructor_of_no_arguments(self):
         class Empty(Record):
