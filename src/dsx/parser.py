@@ -225,11 +225,14 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # No group around a token repeats or is optional: the blanks are one
 # character-class repeat, and an env reference and the mark are alternations.
 # The backtracking engine keeps bookkeeping for each repeated or optional
-# group a match enters, which a `(?:blanks|comment)*` prefix would cost every
-# match, though almost no file holds a comment.  Only a string's escape loop
-# repeats a group, inside the string alternative, since escape pairs are no
-# single-character repeat.  Possessive quantifiers and atomic groups would
-# save as much, but need Python 3.11.
+# group a match enters, which a `(?:blanks|comment)*` prefix costs every
+# match.  The trade-off: a file without comments lexes faster, and each
+# comment costs a match and a `_lex_rare` call of its own, so a file with
+# many comments lexes slower (README's lexer paragraph has the costs).
+# Only a string's escape loop repeats a group, inside the string
+# alternative, since escape pairs are no single-character repeat.
+# Possessive quantifiers and atomic groups would save as much, but need
+# Python 3.11.
 # Cost: lexing is linear in the input for every input.  The diagnostic cap
 # stops the diagnostics and the tokens, not the matching, which has already
 # run over the whole file; the match list is freed when ``_lex`` returns,
