@@ -897,6 +897,80 @@ class TestParseErrors:
         result = parse("﻿" + fixture_text("sensor-idlink.dsx"), "bom.dsx")
         assert result.diagnostics == ()
 
+    def test_binding_alone_can_fill_the_budget(self):
+        roles = "".join(f"      role r{i:03d} {{ permissions: [NOPE] }}\n" for i in range(150))
+        text = fixture_text("production-machine.dsx").replace(
+            "    roles {\n", "    roles {\n" + roles, 1
+        )
+        result = parse(text, "spam.dsx")
+        assert tokenize(text)[1] == []
+        assert len(result.diagnostics) == 100
+        assert {d.code for d in result.diagnostics[:-1]} == {"E014"}
+        assert result.diagnostics[-1].code == "E099"
+        assert result.model is None
+
+
+# An unbound body: a wrong-typed value, an unknown key and a key with no value.
+_UNBOUND_BODY = '{pad}{typed}\n{pad}bogus: "x"\n{pad}{empty}:\n'
+_NO_VALUE = ("E003", "expected a value, got '}'")
+
+
+class TestUnboundBlocks:
+    """Blocks the parser never binds report only syntax errors and record no path."""
+
+    # Each case replaces text of the fixture: the block it inserts, or the
+    # block it becomes, is unbound.
+    CASES = {
+        "second-metadata-section": (
+            "  usage plain {\n",
+            "  metadata {\n"
+            + _UNBOUND_BODY.format(pad="    ", typed="title: 42", empty="version")
+            + "  }\n  usage plain {\n",
+            [("E012", "duplicate metadata block"), _NO_VALUE],
+        ),
+        "second-identity-block": (
+            "  }\n}\n",
+            "    identity {\n"
+            + _UNBOUND_BODY.format(pad="      ", typed="endpoint: 42", empty="clientId")
+            + "    }\n  }\n}\n",
+            [("E015", "duplicate identity block"), _NO_VALUE],
+        ),
+        "usage-without-variant": (
+            '  usage plain {\n    dataAddress: "https://api.sensorworks.example/calibration"\n',
+            "  usage {\n"
+            + _UNBOUND_BODY.format(pad="    ", typed="dataAddress: 42", empty="schemaAddress"),
+            [("E003", "expected usage variant 'edc', 'opcua', or 'plain'"), _NO_VALUE],
+        ),
+        "push-block-in-plain-usage": (
+            "  }\n  access {\n",
+            "    push {\n"
+            + _UNBOUND_BODY.format(pad="      ", typed="callbackUrl: 42", empty="cloudPush")
+            + "    }\n  }\n  access {\n",
+            [("E010", "unknown block 'push' in plain usage block"), _NO_VALUE],
+        ),
+        "invalid-role-name": (
+            "      role partner {\n        permissions: [READ, SUBSCRIBE]\n",
+            "      role _x {\n"
+            + _UNBOUND_BODY.format(pad="        ", typed="permissions: 42", empty="scope"),
+            [("E014", "invalid role name '_x'"), _NO_VALUE],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_an_unbound_body_reports_only_syntax_errors(self, case):
+        old, new, expected = self.CASES[case]
+        text = fixture_text("sensor-idlink.dsx")
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        result = parse(text, "unbound.dsx")
+        assert result.model is None
+        assert [(d.code, d.message) for d in result.diagnostics] == expected
+        block = new.removesuffix(old)
+        first = text.count("\n", 0, text.index(block)) + 1
+        body = range(first, first + block.count("\n"))
+        recorded = result.source_map.spans
+        assert recorded and not [path for path, s in recorded.items() if s.line in body]
+
 
 class TestParseProperties:
     def test_determinism(self):
