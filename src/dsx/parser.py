@@ -22,10 +22,14 @@ use, only when a diagnostic or a reader asks.  :func:`tokenize` wraps each
 tuple in a :class:`Token`, which works out its ``line``, ``column`` and
 ``span`` from that map on each read.
 
-Blocks are parsed in two steps.  The entry parsers read ``key: value``
-entries, lists and sub-blocks on one token cursor into raw blocks that
-hold the lexer's own tuples.  The binder then checks each raw block
-against the model's field table.
+The parser walks the tokens once and binds each block as it parses it:
+each ``key: value`` field, contract entry and role is checked against its
+class's rows as soon as its value is read, the row found by key in a table
+built at import, and a missing required field is reported when the block
+closes.  A block the model has no place for, such as a second section or
+sub-block, a usage block without its variant or a block that its variant
+lacks, or the body of a role whose name is invalid, is parsed unbound: it
+reports only syntax errors and records no path.
 
 ``parse`` never raises on malformed input: every problem becomes a
 :class:`~dsx.model.Diagnostic` and the parser resynchronizes at block
@@ -51,7 +55,6 @@ from .model import (
     NAME_RE,
     VARIANTS,
     ConnectorModel,
-    ContractValue,
     Diagnostic,
     FieldSpec,
     Record,
@@ -122,7 +125,13 @@ class SourceMap:
 
     @property
     def spans(self) -> dict[str, Span]:
-        """A new dict of every recorded path's span, built when read."""
+        """A new dict of every recorded path's span, built when read.
+
+        Paths come in the order the parser bound them: the header's and the
+        name's first, then source order, except that a list's items come
+        before the list itself.  A path recorded twice, as a repeated role
+        name's is, keeps its first place and the later token.
+        """
         span_of = self.span_of
         return {path: span_of(tok) for path, tok in self._tokens.items()}
 
@@ -183,28 +192,40 @@ class Token:
         return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
-def _subblock_table() -> dict[str, frozenset[str]]:
-    """Which keyword blocks each block label accepts, from the table's block rows."""
-    table: dict[str, frozenset[str]] = {}
-    pending = [(spec.key, spec.cls) for spec in ConnectorModel.FIELDS]
+def _block_tables() -> tuple[dict[str, frozenset[str]], dict[str, dict[str, FieldSpec]]]:
+    """From one walk over the model's block rows: which keyword blocks each
+    block label accepts, and the rows each label's block binds, by key.  A
+    usage block binds the shared usage rows and its variant's, which are
+    filed under the variant's keyword; a contract or roles block binds no
+    `key: value` field."""
+    subblocks: dict[str, frozenset[str]] = {}
+    tables: dict[str, dict[str, FieldSpec]] = {}
+    pending: list[tuple[str, type]] = [("connector", ConnectorModel)]
     while pending:
         label, cls = pending.pop()
-        classes = (UsageConfig, *VARIANTS.values()) if cls is UsageConfig else (cls,)
+        if cls is UsageConfig:
+            classes = (UsageConfig, *VARIANTS.values())
+            for variant, extension in VARIANTS.items():
+                tables[variant] = {row.key: row for row in cls.FIELDS + extension.FIELDS}
+        else:
+            classes = (cls,)
+            tables[label] = {row.key: row for row in cls.FIELDS}
         rows = [row for c in classes for row in c.FIELDS if row.kind in BLOCK_KINDS]
-        table[label] = frozenset(row.key for row in rows)
+        subblocks[label] = frozenset(row.key for row in rows)
         for row in rows:
             if row.kind == "sub-block":
                 pending.append((row.key, row.cls))
-                continue
-            # A contract block holds `"key": value` entries, a roles block only
-            # `role NAME { ... }` entries.
-            table[row.key] = frozenset()
-            if row.kind == "roles":
-                pending.append(("role", row.cls))
-    return table
+            elif row.kind in ("contract", "roles"):
+                # A contract block holds `"key": value` entries, a roles block only
+                # `role NAME { ... }` entries.
+                subblocks[row.key] = frozenset()
+                tables[row.key] = {}
+                if row.kind == "roles":
+                    pending.append(("role", row.cls))
+    return subblocks, tables
 
 
-_SUBBLOCKS = _subblock_table()
+_SUBBLOCKS, _ROWS = _block_tables()
 
 # Block labels, the connector header and usage variants are reserved words.
 KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
@@ -236,7 +257,7 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # Cost: lexing is linear in the input for every input.  The diagnostic cap
 # stops the diagnostics and the tokens, not the matching, which has already
 # run over the whole file; the match list is freed when ``_lex`` returns,
-# before raw parsing starts.
+# before parsing starts.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -440,18 +461,6 @@ class ParseResult(Record):
     ATTRS = ("model", "diagnostics", "source_map")
 
 
-class _RawBlock:
-    __slots__ = ("keyword", "fields", "blocks", "roles")
-
-    def __init__(self, keyword: _Tok) -> None:
-        self.keyword = keyword  # the token that opens the block
-        # Key token, value: a token, or a list (LBRACKET, "[", items, offset).
-        # A contract block holds its entries here, by decoded key.
-        self.fields: dict[str, tuple[_Tok, _Tok]] = {}
-        self.blocks: dict[str, _RawBlock] = {}
-        self.roles: list[tuple[_Tok, _RawBlock]] = []  # name token, body
-
-
 class _Abort(Exception):
     pass
 
@@ -554,122 +563,199 @@ class _Parser:
         if tok[3] < self.smap.line_end(key_tok[3]) and tok[0] not in _CONTRACT_RESUME_KINDS:
             self.skip_line()
 
-    # --- raw block parsing ------------------------------------------------
+    # --- blocks -----------------------------------------------------------
 
-    def parse_raw_block(self, label: str, keyword: _Tok) -> _RawBlock:
-        raw = _RawBlock(keyword)
+    def parse_block(
+        self,
+        label: str,
+        keyword: _Tok,
+        rows: dict[str, FieldSpec] | None = None,
+        path: str = "",
+        what: str = "",
+    ) -> object:
+        """Parse the block that ``keyword`` opens, binding each entry against
+        ``rows``, its block's rows by key, as soon as its value is read.
+
+        A missing required field (E011) is reported when the block closes.
+        ``path`` is the block's model path and ``what`` names it in binding
+        errors.  Returns a field block's attribute values, a contract block's
+        offers or a roles block's roles; None when the block reported an
+        error, or when ``rows`` is None: such a block is not bound, so it
+        reports only syntax errors and records no path.
+        """
         tokens = self.tokens
+        diagnostics = self.sink.diagnostics
+        reported = len(diagnostics)
+        seen: set[str] = set()  # field keys, contract keys and block names read
+        values: dict[str, object] = {}
+        roles: list[Role] = []
         tok = tokens[self.pos]
         if tok[0] is not _LBRACE:
             self.error(
                 "E003", f"expected '{{' to open the {label} block, got {_describe(tok)}", tok
             )
             self.sync()
-            return raw
-        self.pos += 1
-        allowed = _SUBBLOCKS[label]
-        contract = label == "contract"
-        while True:
-            tok = tokens[self.pos]
-            kind = tok[0]
-            if kind is _IDENT and not contract:  # most entries are `key: value`
-                self.parse_field_entry(raw)
-                continue
-            if kind is _RBRACE:
-                self.pos += 1
-                return raw
-            if kind is _EOF:
-                self.error("E003", f"unexpected end of file inside {label} block", tok)
-                return raw
-            if kind is _KEYWORD:
-                word = tok[1]
-                if word in _STRUCTURAL:
-                    self.error("E003", f"missing '}}' before {_describe(tok)}", tok)
-                    return raw
-                if word == "role" and label == "roles":
+        else:
+            self.pos += 1
+            allowed = _SUBBLOCKS[label]
+            contract = label == "contract"
+            while True:
+                tok = tokens[self.pos]
+                kind = tok[0]
+                if kind is _IDENT and not contract:  # most entries are `key: value`
                     self.pos += 1
-                    self.parse_role_entry(raw)
-                    continue
-                if word in allowed:
+                    colon = tokens[self.pos]
+                    if colon[0] is not _COLON:
+                        self.error("E003", f"expected ':' after field name '{tok[1]}'", colon)
+                        self.skip_stray()
+                        continue
                     self.pos += 1
-                    sub = self.parse_raw_block(word, tok)
-                    if word in raw.blocks:
-                        self.error("E015", f"duplicate {word} block", tok)
-                    else:
-                        raw.blocks[word] = sub
+                    value = self.parse_value()
+                    if value is None:
+                        self.skip_stray()
+                        continue
+                    key = tok[1]
+                    if key in seen:
+                        self.error("E015", f"duplicate field '{key}'", tok)
+                        continue
+                    seen.add(key)
+                    if rows is None:
+                        continue
+                    spec = rows.get(key)
+                    if spec is None:
+                        self.error("E010", f"unknown field '{key}' in {what} block", tok)
+                        continue
+                    value = _BIND[spec.kind](self, spec, value, f"{path}.{key}")
+                    if value is not None:
+                        values[spec.attr] = value
                     continue
-                if word in _SUBBLOCKS:
-                    self.error("E010", f"unknown block '{word}' in {label} block", tok)
+                if kind is _RBRACE:
                     self.pos += 1
-                    self.skip_balanced_block()
-                    continue
-            if contract:
-                if kind is _STRING:
-                    self.parse_contract_entry(raw)
+                    break
+                if kind is _EOF:
+                    self.error("E003", f"unexpected end of file inside {label} block", tok)
+                    break
+                if kind is _KEYWORD:
+                    word = tok[1]
+                    if word in _STRUCTURAL:
+                        self.error("E003", f"missing '}}' before {_describe(tok)}", tok)
+                        break
+                    if word == "role" and label == "roles":
+                        self.pos += 1
+                        role = self.parse_role(rows, path)
+                        if role is not None:
+                            roles.append(role)
+                        continue
+                    if word in allowed:
+                        self.pos += 1
+                        if word in seen:
+                            self.parse_block(word, tok)
+                            self.error("E015", f"duplicate {word} block", tok)
+                            continue
+                        seen.add(word)
+                        spec = None if rows is None else rows.get(word)
+                        if spec is None:
+                            if rows is not None:
+                                self.error(
+                                    "E010", f"unknown block '{word}' in {what} block", tok
+                                )
+                            self.parse_block(word, tok)
+                            continue
+                        sub_path = f"{path}.{word}"
+                        self.smap.record(sub_path, tok)
+                        value = self.parse_block(word, tok, _ROWS[word], sub_path, word)
+                        if value is not None:
+                            values[spec.attr] = (
+                                spec.cls(**value) if spec.kind == "sub-block" else value
+                            )
+                        continue
+                    if word in _SUBBLOCKS:
+                        self.error("E010", f"unknown block '{word}' in {label} block", tok)
+                        self.pos += 1
+                        self.skip_balanced_block()
+                        continue
+                if contract:
+                    if kind is _STRING:
+                        value = self.parse_contract_entry(seen)
+                        if value is None or rows is None:
+                            continue
+                        if value[0] is _IDENT:
+                            self.error(
+                                "E014",
+                                "contract values must be a string, integer, date, or boolean",
+                                value,
+                            )
+                        elif value[2] is not None:  # None: an invalid date, already reported
+                            values[tok[2]] = value[2]
+                            self.smap.record(f"{path}.{tok[2]}", value)
+                        continue
+                    self.error(
+                        "E003", f"expected a quoted contract key or '}}', got {_describe(tok)}", tok
+                    )
+                    self.skip_line()
                     continue
                 self.error(
-                    "E003", f"expected a quoted contract key or '}}', got {_describe(tok)}", tok
+                    "E003",
+                    f"expected a field name or '}}' in {label} block, got {_describe(tok)}",
+                    tok,
                 )
                 self.skip_line()
-                continue
-            self.error(
-                "E003",
-                f"expected a field name or '}}' in {label} block, got {_describe(tok)}",
-                tok,
-            )
-            self.skip_line()
+        if rows is None:
+            return None
+        for spec in rows.values():
+            if spec.required and spec.key not in seen:
+                self.error("E011", f"missing required field '{spec.key}' in {what} block", keyword)
+        if len(diagnostics) > reported:
+            return None
+        return tuple(roles) if label == "roles" else values
 
-    def parse_field_entry(self, raw: _RawBlock) -> None:
-        key_tok = self.tokens[self.pos]
-        self.pos += 1
-        tok = self.tokens[self.pos]
-        if tok[0] is not _COLON:
-            self.error("E003", f"expected ':' after field name '{key_tok[1]}'", tok)
-            self.skip_stray()
-            return
-        self.pos += 1
-        value = self.parse_value()
-        if value is None:
-            self.skip_stray()
-            return
-        key = key_tok[1]
-        if key in raw.fields:
-            self.error("E015", f"duplicate field '{key}'", key_tok)
-            return
-        raw.fields[key] = (key_tok, value)
-
-    def parse_contract_entry(self, raw: _RawBlock) -> None:
+    def parse_contract_entry(self, seen: set[str]) -> _Tok | None:
+        """The value of a `"key": value` entry whose key is new to its block;
+        None after an error."""
         key_tok = self.tokens[self.pos]
         self.pos += 1
         tok = self.tokens[self.pos]
         if tok[0] is not _COLON:
             self.error("E003", "expected ':' after contract key", tok)
             self.skip_contract_stray(key_tok)
-            return
+            return None
         self.pos += 1
         value = self.parse_scalar()
         if value is None:
             self.skip_contract_stray(key_tok)
-            return
+            return None
         if self.tokens[self.pos][0] is _COMMA:
             self.pos += 1
         key = key_tok[2]
-        if key in raw.fields:
+        if key in seen:
             self.error("E015", f"duplicate contract key \"{key}\"", key_tok)
-            return
-        raw.fields[key] = (key_tok, value)
+            return None
+        seen.add(key)
+        return value
 
-    def parse_role_entry(self, raw: _RawBlock) -> None:
+    def parse_role(self, rows: dict[str, FieldSpec] | None, path: str) -> Role | None:
+        """A `role NAME { ... }` entry after its keyword, in a roles block at
+        ``path`` that ``rows`` binds.  The body of a role with an invalid name
+        is not bound."""
         name_tok = self.tokens[self.pos]
         if name_tok[0] is not _IDENT:
             self.error(
                 "E003", f"expected a role name, got {_describe(name_tok)}", name_tok
             )
             self.skip_balanced_block()
-            return
+            return None
         self.pos += 1
-        body = self.parse_raw_block("role", name_tok)
-        raw.roles.append((name_tok, body))
+        name = name_tok[1]
+        if rows is not None and not NAME_RE.fullmatch(name):
+            self.error("E014", f"invalid role name {name!r}", name_tok)
+            rows = None
+        if rows is None:
+            self.parse_block("role", name_tok)
+            return None
+        path = f"{path}[{name}]"
+        self.smap.record(path, name_tok)
+        values = self.parse_block("role", name_tok, _ROWS["role"], path, f"role {name}")
+        return None if values is None else Role(role_name=name, **values)
 
     def parse_value(self) -> _Tok | None:
         tok = self.tokens[self.pos]
@@ -750,13 +836,14 @@ class _Parser:
             name = tok[2]
             if not NAME_RE.fullmatch(name):
                 self.error("E014", f"invalid connector name {name!r}", tok)
-                name = None
             else:
                 self.smap.record("name", tok)
         else:
             self.error("E003", f"expected a quoted connector name, got {_describe(tok)}", tok)
 
-        sections: dict[str, tuple[_RawBlock, str | None]] = {}
+        sections = _ROWS["connector"]
+        seen: set[str] = set()
+        values: dict[str, object] = {}
         tok = tokens[self.pos]
         if tok[0] is _LBRACE:
             self.pos += 1
@@ -774,23 +861,43 @@ class _Parser:
             if kind is _EOF:
                 self.error("E003", "unexpected end of file inside connector block", tok)
                 break
-            if kind is _KEYWORD and tok[1] in SECTION_KEYWORDS:
+            if kind is _KEYWORD and tok[1] in sections:
+                section = tok[1]
                 self.pos += 1
-                variant = None
-                if tok[1] == "usage":
+                table = what = section  # a usage block binds its variant's table
+                if section == "usage":
                     variant_tok = tokens[self.pos]
                     if variant_tok[0] is _KEYWORD and variant_tok[1] in VARIANTS:
                         self.pos += 1
-                        variant = variant_tok[1]
+                        table = variant_tok[1]
+                        what = f"{table} usage"
                     else:
                         *others, last = map(repr, VARIANTS)
                         expected = f"{', '.join(others)}, or {last}"
                         self.error("E003", f"expected usage variant {expected}", variant_tok)
-                raw = self.parse_raw_block(tok[1], tok)
-                if tok[1] in sections:
-                    self.error("E012", f"duplicate {tok[1]} block", tok)
-                else:
-                    sections[tok[1]] = (raw, variant)
+                        table = None
+                if section in seen:
+                    self.parse_block(section, tok)
+                    self.error("E012", f"duplicate {section} block", tok)
+                    continue
+                seen.add(section)
+                if table is None:
+                    self.parse_block(section, tok)
+                    continue
+                block = self.parse_block(section, tok, _ROWS[table], section, what)
+                if block is not None:
+                    spec = sections[section]
+                    if spec.cls is UsageConfig:
+                        extension = VARIANTS[table]
+                        ext_values = {
+                            row.attr: block.pop(row.attr)
+                            for row in extension.FIELDS
+                            if row.attr in block
+                        }
+                        block = UsageConfig(extension=extension(**ext_values), **block)
+                    else:
+                        block = spec.cls(**block)
+                    values[spec.attr] = block
                 continue
             if kind is _KEYWORD and tok[1] == "connector":
                 self.error("E003", "missing '}' before 'connector'", tok)
@@ -820,136 +927,62 @@ class _Parser:
                 )
 
         for section in SECTION_KEYWORDS:
-            if section not in sections:
+            if section not in seen:
                 self.error("E011", f"missing required section '{section}'", connector)
 
-        values: dict[str, object] = {}
-        for spec in ConnectorModel.FIELDS:
-            if spec.key not in sections:
-                continue
-            raw, variant = sections[spec.key]
-            if spec.cls is UsageConfig:
-                values[spec.attr] = self.bind_usage(raw, variant)
-            else:
-                values[spec.attr] = self.bind(spec.cls, raw, spec.key, spec.key)
-
-        if name is None or len(sections) < len(SECTION_KEYWORDS) or None in values.values():
+        if self.sink.diagnostics:
             return None
         return ConnectorModel(name=name, **values)
 
     # --- binding ----------------------------------------------------------
+    # Each binder checks the value of one `key: value` entry against its row,
+    # records the entry's path and returns the model value, or None after
+    # reporting why it has none.
 
-    def bind(self, cls: type, raw: _RawBlock, label: str, path: str, **extra: object) -> object:
-        """Bind a raw block against the table rows of ``cls``; None on any error."""
-        values = _Binder(self, raw, label, path, cls.FIELDS).bind()
-        return None if values is None else cls(**extra, **values)
-
-    def bind_usage(self, raw: _RawBlock, variant: str | None) -> UsageConfig | None:
-        if variant is None:
-            return None
-        extension = VARIANTS[variant]
-        rows = UsageConfig.FIELDS + extension.FIELDS
-        values = _Binder(self, raw, f"{variant} usage", "usage", rows).bind()
-        if values is None:
-            return None
-        ext_values = {
-            spec.attr: values.pop(spec.attr) for spec in extension.FIELDS if spec.attr in values
-        }
-        return UsageConfig(extension=extension(**ext_values), **values)
-
-
-class _Binder:
-    """Binds the fields and blocks of one raw block against table rows.
-
-    Every problem becomes a diagnostic; ``bind`` returns the attribute
-    values of the rows present, or None when any of them failed.
-    """
-
-    def __init__(
-        self, parser: _Parser, raw: _RawBlock, label: str, path: str, rows: tuple[FieldSpec, ...]
-    ) -> None:
-        self.parser = parser
-        self.raw = raw
-        self.label = label
-        self.path = path
-        self.rows = rows
-        self.values: dict[str, object] = {}
-        self.ok = True
-
-    def bind(self) -> dict[str, object] | None:
-        found = 0
-        for spec in self.rows:
-            if spec.kind in BLOCK_KINDS:
-                entry = self.raw.blocks.get(spec.key)
-                if entry is not None:
-                    self.parser.smap.record(f"{self.path}.{spec.key}", entry.keyword)
-            else:
-                entry = self.raw.fields.get(spec.key)
-                if entry is not None:
-                    entry = entry[1]
-                elif spec.required:
-                    self._fail(
-                        "E011",
-                        f"missing required field '{spec.key}' in {self.label} block",
-                        self.raw.keyword,
-                    )
-            if entry is not None:
-                found += 1
-                _BIND[spec.kind](self, spec, entry)
-        if found < len(self.raw.fields) + len(self.raw.blocks):
-            self.report_unknown()
-        return self.values if self.ok else None
-
-    def _fail(self, code: str, message: str, tok: _Tok) -> None:
-        self.parser.error(code, message, tok)
-        self.ok = False
-
-    def _set(self, spec: FieldSpec, tok: _Tok, value: object) -> None:
-        self.parser.smap.record(f"{self.path}.{spec.key}", tok)
-        self.values[spec.attr] = value
-
-    def scalar(self, spec: FieldSpec, value: _Tok) -> None:
+    def bind_scalar(self, spec: FieldSpec, value: _Tok, path: str) -> object:
         token_kind, expects = _SCALARS[spec.kind]
         if value[0] is not token_kind:
             if spec.kind == "enum":
                 expects = f"one of: {_enum_values(spec.cls)}"
-            return self._fail("E014", f"field '{spec.key}' expects {expects}", value)
+            return self.error("E014", f"field '{spec.key}' expects {expects}", value)
         result = value[2]
-        if spec.kind == "date" and result is None:  # invalid calendar date, already reported
-            self.ok = False
-            return
+        if result is None:  # an invalid calendar date, already reported
+            return None
         if spec.kind == "enum":
             result = _enum_members(spec.cls).get(result)
             if result is None:
-                return self._fail(
+                return self.error(
                     "E014",
                     f"invalid value '{value[2]}' for field '{spec.key}' "
                     f"(expected one of: {_enum_values(spec.cls)})",
                     value,
                 )
         if spec.nonempty and not result:
-            return self._fail("E014", f"field '{spec.key}' must be non-empty", value)
+            return self.error("E014", f"field '{spec.key}' must be non-empty", value)
         if spec.minimum is not None and result < spec.minimum:
-            return self._fail("E014", f"field '{spec.key}' must be >= {spec.minimum}", value)
-        self._set(spec, value, result)
+            return self.error("E014", f"field '{spec.key}' must be >= {spec.minimum}", value)
+        self.smap.record(path, value)
+        return result
 
-    def string_list(self, spec: FieldSpec, value: _Tok) -> None:
+    def bind_string_list(self, spec: FieldSpec, value: _Tok, path: str) -> object:
         if value[0] is not _LBRACKET:
-            return self._fail("E014", f"field '{spec.key}' expects a list of strings", value)
+            return self.error("E014", f"field '{spec.key}' expects a list of strings", value)
         entries = value[2]
         items: list[str] = []
         for index, item in enumerate(entries):
             if item[0] is not _STRING:
-                self._fail("E014", f"entries of '{spec.key}' must be quoted strings", item)
+                self.error("E014", f"entries of '{spec.key}' must be quoted strings", item)
                 continue
             items.append(item[2])
-            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
-        if len(items) == len(entries):
-            self._set(spec, _bracket(value), tuple(items))
+            self.smap.record(f"{path}[{index}]", item)
+        if len(items) < len(entries):
+            return None
+        self.smap.record(path, _bracket(value))
+        return tuple(items)
 
-    def enum_list(self, spec: FieldSpec, value: _Tok) -> None:
+    def bind_enum_list(self, spec: FieldSpec, value: _Tok, path: str) -> object:
         if value[0] is not _LBRACKET:
-            return self._fail(
+            return self.error(
                 "E014",
                 f"field '{spec.key}' expects a list of: {_enum_values(spec.cls)}",
                 value,
@@ -960,7 +993,7 @@ class _Binder:
         bad = False
         for index, item in enumerate(entries):
             if item[0] is not _IDENT:
-                self._fail(
+                self.error(
                     "E014",
                     f"entries of '{spec.key}' must be one of: {_enum_values(spec.cls)}",
                     item,
@@ -969,7 +1002,7 @@ class _Binder:
                 continue
             member = by_value.get(item[2])
             if member is None:
-                self._fail(
+                self.error(
                     "E014",
                     f"invalid value '{item[2]}' in '{spec.key}' "
                     f"(expected one of: {_enum_values(spec.cls)})",
@@ -980,82 +1013,31 @@ class _Binder:
             # A unique list holds each member at most once, so this scan is bounded
             # by the size of the enum.
             if spec.unique and member in members:
-                self._fail("E015", f"duplicate entry '{item[2]}' in '{spec.key}'", item)
+                self.error("E015", f"duplicate entry '{item[2]}' in '{spec.key}'", item)
                 bad = True
                 continue
             members.append(member)
-            self.parser.smap.record(f"{self.path}.{spec.key}[{index}]", item)
+            self.smap.record(f"{path}[{index}]", item)
         if spec.nonempty and not entries:
-            return self._fail("E014", f"field '{spec.key}' must not be empty", value)
-        if not bad:
-            self._set(spec, _bracket(value), tuple(members))
+            return self.error("E014", f"field '{spec.key}' must not be empty", value)
+        if bad:
+            return None
+        self.smap.record(path, _bracket(value))
+        return tuple(members)
 
-    def secret(self, spec: FieldSpec, value: _Tok) -> None:
+    def bind_secret(self, spec: FieldSpec, value: _Tok, path: str) -> object:
         if value[0] is _ENV_REF:
-            self._set(spec, value, SecretEnvVar(value[2]))
+            result = SecretEnvVar(value[2])
         elif value[0] is _STRING:
-            self._set(spec, value, SecretLiteral(value[2]))
+            result = SecretLiteral(value[2])
         else:
-            self._fail(
+            return self.error(
                 "E014",
                 f"field '{spec.key}' expects a quoted string or env(NAME) reference",
                 value,
             )
-
-    def sub_block(self, spec: FieldSpec, raw: _RawBlock) -> None:
-        value = self.parser.bind(spec.cls, raw, spec.key, f"{self.path}.{spec.key}")
-        if value is None:
-            self.ok = False
-        else:
-            self.values[spec.attr] = value
-
-    def contract(self, spec: FieldSpec, raw: _RawBlock) -> None:
-        offers: dict[str, ContractValue] = {}
-        for key, (_, tok) in raw.fields.items():
-            if tok[0] is _IDENT:
-                self._fail(
-                    "E014",
-                    "contract values must be a string, integer, date, or boolean",
-                    tok,
-                )
-                continue
-            if tok[2] is None:  # invalid calendar date, already reported
-                self.ok = False
-                continue
-            offers[key] = tok[2]
-            self.parser.smap.record(f"{self.path}.{spec.key}.{key}", tok)
-        self.values[spec.attr] = offers
-
-    def roles(self, spec: FieldSpec, raw: _RawBlock) -> None:
-        roles: list[Role] = []
-        for name_tok, body in raw.roles:
-            name = name_tok[1]
-            if not NAME_RE.fullmatch(name):
-                self._fail("E014", f"invalid role name {name!r}", name_tok)
-                continue
-            path = f"{self.path}.{spec.key}[{name}]"
-            self.parser.smap.record(path, name_tok)
-            role = self.parser.bind(spec.cls, body, f"role {name}", path, role_name=name)
-            if role is None:
-                self.ok = False
-            else:
-                roles.append(role)
-        # A roles block holds only `role NAME { ... }` entries.
-        for key, (key_tok, _) in raw.fields.items():
-            self._fail("E010", f"unknown field '{key}' in {spec.key} block", key_tok)
-        self.values[spec.attr] = tuple(roles)
-
-    def report_unknown(self) -> None:
-        blocks = {spec.key for spec in self.rows if spec.kind in BLOCK_KINDS}
-        fields = {spec.key for spec in self.rows} - blocks
-        for key, (key_tok, _) in self.raw.fields.items():
-            if key not in fields:
-                self._fail("E010", f"unknown field '{key}' in {self.label} block", key_tok)
-        for name, sub in self.raw.blocks.items():
-            if name not in blocks:
-                self._fail(
-                    "E010", f"unknown block '{name}' in {self.label} block", sub.keyword
-                )
+        self.smap.record(path, value)
+        return result
 
 
 # Scalar kinds: the token kind each accepts and what the E014 message says it expects.
@@ -1068,13 +1050,10 @@ _SCALARS = {
 }
 
 _BIND = {
-    **{kind: _Binder.scalar for kind in _SCALARS},
-    "str-list": _Binder.string_list,
-    "enum-list": _Binder.enum_list,
-    "secret": _Binder.secret,
-    "sub-block": _Binder.sub_block,
-    "contract": _Binder.contract,
-    "roles": _Binder.roles,
+    **{kind: _Parser.bind_scalar for kind in _SCALARS},
+    "str-list": _Parser.bind_string_list,
+    "enum-list": _Parser.bind_enum_list,
+    "secret": _Parser.bind_secret,
 }
 
 
@@ -1106,13 +1085,12 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     model: ConnectorModel | None = None
     if not sink.full:
         try:
-            model = parser.parse_document()
+            model = parser.parse_document()  # None after any diagnostic, all of them errors
         except _Abort:
             model = None
-    if sink.diagnostics:  # the sink holds only errors
-        model = None
-    # Binding reports in declaration order; present findings in source order.
-    # An E099 marks truncation and stays last.
+    # A block reports its missing fields when it closes, after the syntax
+    # errors of its later lines; present findings in source order.  An E099
+    # marks truncation and stays last.
     diagnostics = tuple(
         sorted(sink.diagnostics, key=lambda d: (d.code == "E099", d.span.line, d.span.column))
     )

@@ -1,22 +1,22 @@
 """Golden digests of every output the toolchain produces for a fixed corpus.
 
 Inputs are the fixtures, the canonical prints of ``modelgen.build_model(i)``
-for i in 0..599, and deterministic token and line mutations of the three
-flagship fixtures.  For each input the test records the rendered parse
-diagnostics (with span lengths), the source-map spans, ``validate`` and
-every ``check_single`` code, the canonical print, and ``generate_all`` for
-every target set with and without a report.  Each input group hashes to
-one sha256 digest, so a refactor that changes any output byte names the
-first group that differs.  ``TOKEN_GOLDEN`` holds a second digest per group,
-and one for the capped inputs, over what ``tokenize`` returns: each token's
-kind name, lexeme, ``repr`` of its value and offset, then the lexer's
-rendered diagnostics.
+for i in 0..599, deterministic token and line mutations of the three
+flagship fixtures, and two inputs that hit the diagnostic cap.  For each
+input the test records the rendered parse diagnostics (with span lengths),
+the source-map spans, ``validate`` and every ``check_single`` code, the
+canonical print, and ``generate_all`` for every target set with and without
+a report.  Each input group hashes to one sha256 digest, so a refactor that
+changes any output byte names the first group that differs.
+``TOKEN_GOLDEN`` holds a second digest per group over what ``tokenize``
+returns: each token's kind name, lexeme, ``repr`` of its value and offset,
+then the lexer's rendered diagnostics.
 
 The digests are computed with the cyclic garbage collector off, with every
-input also tokenized and two inputs that hit the diagnostic cap run too;
-afterwards the collector must find nothing unreachable.  ``parse``,
-``tokenize`` and ``generate_all`` pause the collector, which is sound only
-while the toolchain makes no reference cycles.
+input also tokenized; afterwards the collector must find nothing
+unreachable.  ``parse``, ``tokenize`` and ``generate_all`` pause the
+collector, which is sound only while the toolchain makes no reference
+cycles.
 
 Run ``python tests/test_golden.py`` to print the current digests, or
 ``python tests/test_golden.py --dump DIR`` to write each input's record to
@@ -87,6 +87,7 @@ GOLDEN = {
     "sensor-idlink:replace-token": "cb610a38f54654b7d048e688117aa84d67ede91b49d254cfec4a315c2841043b",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
+    "capped": "51b5d203e3f7f76d42708a9114a8893050b6a53eb298ac8d7bf45ef3ee68f8af",
 }
 
 TOKEN_GOLDEN = {
@@ -161,6 +162,7 @@ def groups() -> Iterator[tuple[str, list[tuple[str, str]]]]:
         source = (FIXTURES / f"{stem}.dsx").read_text(encoding="utf-8")
         for kind, variants in _mutations(source).items():
             yield f"{stem}:{kind}", [(f"{stem}.dsx", text) for text in variants]
+    yield "capped", [("capped.dsx", source) for source in CAPPED]
 
 
 def _diagnostics(diagnostics) -> str:
@@ -219,14 +221,12 @@ def golden_run() -> tuple[dict[str, str], dict[str, str], int]:
     gc.disable()
     try:
         result, token_result = {}, {}
-        named = [*groups(), ("capped", [("capped.dsx", source) for source in CAPPED])]
-        for name, inputs in named:
+        for name, inputs in groups():
             h, t = hashlib.sha256(), hashlib.sha256()
             for file, source in inputs:
                 t.update(token_record(file, source).encode("utf-8"))
                 h.update(outputs(file, source).encode("utf-8"))
-            if name != "capped":
-                result[name] = h.hexdigest()
+            result[name] = h.hexdigest()
             token_result[name] = t.hexdigest()
         return result, token_result, gc.collect()
     finally:
@@ -263,13 +263,15 @@ def test_no_input_leaves_cyclic_garbage():
 
 
 def test_dump_writes_each_record_of_a_group(tmp_path):
-    name, inputs = next(groups())
-    assert name == "fixtures"
-    dump(tmp_path, [(name, inputs)])
-    assert [p.name for p in tmp_path.iterdir()] == ["fixtures"]
-    assert len(list((tmp_path / name).iterdir())) == len(inputs)
-    written = [(tmp_path / name / f"{n}.txt").read_bytes() for n in range(len(inputs))]
-    assert hashlib.sha256(b"".join(written)).hexdigest() == GOLDEN[name]
+    named = list(groups())
+    chosen = [named[0], named[-1]]
+    assert [name for name, _ in chosen] == ["fixtures", "capped"]
+    dump(tmp_path, chosen)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["capped", "fixtures"]
+    for name, inputs in chosen:
+        assert len(list((tmp_path / name).iterdir())) == len(inputs)
+        written = [(tmp_path / name / f"{n}.txt").read_bytes() for n in range(len(inputs))]
+        assert hashlib.sha256(b"".join(written)).hexdigest() == GOLDEN[name]
 
 
 if __name__ == "__main__":

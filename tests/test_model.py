@@ -343,13 +343,20 @@ class TestFieldTable:
     def test_every_row_kind_is_checked_bound_and_printed(self):
         # A kind in neither _FORMATS nor BLOCK_KINDS would print as a lone '}'.
         kinds = {spec.kind for cls in TABLES for spec in cls.FIELDS}
-        assert kinds <= model_module._CHECKS.keys() and kinds <= parser_module._BIND.keys()
-        assert kinds <= model_module._FORMATS.keys() | model_module.BLOCK_KINDS
+        assert kinds <= model_module._CHECKS.keys()
+        # A value row binds through _BIND.  A block row's block binds against the
+        # block parser's key table for its label, a usage block against its
+        # variant's; the parser builds tables only for the block kinds it binds.
+        blocks = model_module.BLOCK_KINDS
+        assert kinds - blocks <= parser_module._BIND.keys()
+        labels = {spec.key for cls in TABLES for spec in cls.FIELDS if spec.kind in blocks}
+        assert labels - {"usage"} | set(model_module.VARIANTS) <= parser_module._ROWS.keys()
+        assert kinds <= model_module._FORMATS.keys() | blocks
         assert codegen_module._TO_JSON.keys() <= kinds
 
     def test_only_the_connector_requires_a_block(self):
-        # The binder reports a missing required row only for fields (E011), so a
-        # required block row elsewhere would reach its class's constructor unset.
+        # A missing section is an E011 of its own; the block parser words any
+        # other missing required row as a missing field, which no block row is.
         required_blocks = {
             (cls, spec.key)
             for cls in TABLES

@@ -513,7 +513,7 @@ class TestSpanFor:
 
         monkeypatch.setattr(SourceMap, "span_for", recording)
         models = 0
-        for _, inputs in groups():  # fixtures, modelgen 0-599, golden mutations
+        for _, inputs in groups():  # fixtures, modelgen 0-599, mutations, capped inputs
             for file, source in inputs:
                 result = parse(source, file)
                 if result.model is not None:
