@@ -20,6 +20,7 @@ import re
 from datetime import date
 from enum import Enum
 from functools import wraps
+from types import FunctionType
 
 # Type checkers read this as typing.TYPE_CHECKING; importing typing would slow start-up.
 TYPE_CHECKING = False
@@ -103,7 +104,7 @@ def pause_gc(function: _Fn) -> _Fn:
     """Wrap ``function`` so that the cyclic garbage collector is off while it runs.
 
     ``parse``, ``tokenize`` and ``generate_all`` allocate tens of thousands
-    of containers on a large input (token tuples, raw blocks, records), and
+    of containers on a large input (token tuples, value dicts, records), and
     each allocation counts toward the collector's thresholds, so it would
     scan those graphs again and again.  That work frees nothing: the
     toolchain makes no reference cycles, so reference counting frees every
@@ -139,12 +140,10 @@ def pause_gc(function: _Fn) -> _Fn:
     return paused  # type: ignore[return-value]
 
 
-def _check_text(value: str, what: str, *, allow_empty: bool = True) -> None:
+def _check_text(value: str, what: str) -> None:
     """Reject strings the canonical printer cannot represent on one line."""
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, got {type(value).__name__}")
-    if not allow_empty and not value:
-        raise ValueError(f"{what} must be non-empty")
     # isprintable() is false for every C0 control and DEL, so it accepts
     # most text at C speed; the pattern decides the rest.
     if not value.isprintable() and _CONTROL_RE.search(value):
@@ -209,6 +208,8 @@ class _RecordType(type):
     ``__init__`` that stores each argument through its slot's own setter,
     which skips the frozen ``__setattr__``.  It then runs the class's
     ``_check``, if it has one, and ``_check_fields`` on a table-driven class.
+    Such a class also gets ``_init_parsed``, a function on that same code whose
+    ``_check_fields`` is a no-op, for records whose rows the parser has checked.
     A subclass that declares neither ``FIELDS`` nor ``ATTRS`` keeps its
     parent's slots and constructor, so it may not add a ``_check``, which
     that constructor would never call.
@@ -256,6 +257,9 @@ class _RecordType(type):
                 for spec in rows
                 if not spec.required
             }
+            twin = FunctionType(init.__code__, {**scope, "_check_fields": lambda obj: None})
+            twin.__kwdefaults__ = init.__kwdefaults__
+            cls._init_parsed = twin
         return cls
 
 
@@ -305,6 +309,15 @@ class FieldSpec(Record):
 
     ATTRS = ("key", "attr", "kind", "required", "nonempty", "minimum", "unique", "cls", "form")
     DEFAULTS = (True, False, None, False, None, None)
+
+    def fault(self, value: object) -> str | None:
+        """How a value of the row's type breaks its ``nonempty`` or ``minimum`` rule, as a
+        message tail after ``field 'key'`` (parser) or the key (constructor); else None."""
+        if self.nonempty and not value:
+            return "must not be empty" if self.kind == "enum-list" else "must be non-empty"
+        if self.minimum is not None and value < self.minimum:
+            return f"must be >= {self.minimum}"
+        return None
 
 
 _F = FieldSpec
@@ -527,10 +540,15 @@ def variant_name(extension: UsageExtension) -> str:
     return next(name for name, cls in VARIANTS.items() if isinstance(extension, cls))
 
 
+def _check_rules(spec: FieldSpec, value: object) -> None:
+    fault = spec.fault(value)
+    if fault is not None:
+        raise ValueError(f"{spec.key} {fault}")
+
+
 def _check_str(spec: FieldSpec, value: object) -> None:
-    if value.__class__ is str and value.isprintable() and (value or not spec.nonempty):
-        return
-    _check_text(value, spec.key, allow_empty=not spec.nonempty)
+    _check_text(value, spec.key)
+    _check_rules(spec, value)
 
 
 def _check_type(spec: FieldSpec, value: object, *expected: type) -> None:
@@ -542,8 +560,7 @@ def _check_type(spec: FieldSpec, value: object, *expected: type) -> None:
 def _check_int(spec: FieldSpec, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{spec.key} must be an integer, got {type(value).__name__}")
-    if spec.minimum is not None and value < spec.minimum:
-        raise ValueError(f"{spec.key} must be >= {spec.minimum}")
+    _check_rules(spec, value)
 
 
 def _check_str_list(spec: FieldSpec, value: tuple[str, ...]) -> None:
@@ -551,12 +568,11 @@ def _check_str_list(spec: FieldSpec, value: tuple[str, ...]) -> None:
         _check_text(item, f"{spec.key} entry")
 
 
-def _check_enum_list(spec: FieldSpec, value: tuple[Enum, ...]) -> None:
+def _check_members(spec: FieldSpec, value: tuple[object, ...]) -> None:
+    """An enum list's or a roles row's check: each item is a ``spec.cls``."""
     for item in value:
-        if not isinstance(item, spec.cls):
-            _check_type(spec, item, spec.cls)
-    if spec.nonempty and not value:
-        raise ValueError(f"{spec.key} must not be empty")
+        _check_type(spec, item, spec.cls)
+    _check_rules(spec, value)
     if spec.unique and len(set(value)) != len(value):
         raise ValueError(f"{spec.key} must not contain duplicates")
 
@@ -570,27 +586,18 @@ def _check_contract(spec: FieldSpec, offers: dict[str, ContractValue]) -> None:
             raise TypeError(f"contract value for {key!r} must be a scalar")
 
 
-def _check_roles(spec: FieldSpec, roles: tuple[Role, ...]) -> None:
-    for role in roles:
-        _check_type(spec, role, spec.cls)
-
-
-# The date, bool, enum and sub-block checks accept by an inline isinstance and
-# call _check_type only to raise.
 _CHECKS = {
     "str": _check_str,
-    "date": lambda spec, value: isinstance(value, date) or _check_type(spec, value, date),
+    "date": lambda spec, value: _check_type(spec, value, date),
     "int": _check_int,
-    "bool": lambda spec, value: isinstance(value, bool) or _check_type(spec, value, bool),
-    "enum": lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls),
+    "bool": lambda spec, value: _check_type(spec, value, bool),
+    "enum": lambda spec, value: _check_type(spec, value, spec.cls),
     "str-list": _check_str_list,
-    "enum-list": _check_enum_list,
+    "enum-list": _check_members,
     "secret": lambda spec, value: _check_type(spec, value, SecretLiteral, SecretEnvVar),
-    "sub-block": (
-        lambda spec, value: isinstance(value, spec.cls) or _check_type(spec, value, spec.cls)
-    ),
+    "sub-block": lambda spec, value: _check_type(spec, value, spec.cls),
     "contract": _check_contract,
-    "roles": _check_roles,
+    "roles": _check_members,
 }
 
 

@@ -665,9 +665,10 @@ class _Parser:
                         self.smap.record(sub_path, tok)
                         value = self.parse_block(word, tok, _ROWS[word], sub_path, word)
                         if value is not None:
-                            values[spec.attr] = (
-                                spec.cls(**value) if spec.kind == "sub-block" else value
-                            )
+                            if spec.kind == "sub-block":
+                                value, fields = object.__new__(spec.cls), value
+                                spec.cls._init_parsed(value, **fields)
+                            values[spec.attr] = value
                         continue
                     if word in _SUBBLOCKS:
                         self.error("E010", f"unknown block '{word}' in {label} block", tok)
@@ -755,7 +756,11 @@ class _Parser:
         path = f"{path}[{name}]"
         self.smap.record(path, name_tok)
         values = self.parse_block("role", name_tok, _ROWS["role"], path, f"role {name}")
-        return None if values is None else Role(role_name=name, **values)
+        if values is None:
+            return None
+        role = object.__new__(Role)
+        Role._init_parsed(role, role_name=name, **values)
+        return role
 
     def parse_value(self) -> _Tok | None:
         tok = self.tokens[self.pos]
@@ -888,16 +893,17 @@ class _Parser:
                 if block is not None:
                     spec = sections[section]
                     if spec.cls is UsageConfig:
-                        extension = VARIANTS[table]
+                        variant = VARIANTS[table]
                         ext_values = {
                             row.attr: block.pop(row.attr)
-                            for row in extension.FIELDS
+                            for row in variant.FIELDS
                             if row.attr in block
                         }
-                        block = UsageConfig(extension=extension(**ext_values), **block)
-                    else:
-                        block = spec.cls(**block)
-                    values[spec.attr] = block
+                        block["extension"] = extension = object.__new__(variant)
+                        variant._init_parsed(extension, **ext_values)
+                    record = object.__new__(spec.cls)
+                    spec.cls._init_parsed(record, **block)
+                    values[spec.attr] = record
                 continue
             if kind is _KEYWORD and tok[1] == "connector":
                 self.error("E003", "missing '}' before 'connector'", tok)
@@ -932,7 +938,9 @@ class _Parser:
 
         if self.sink.diagnostics:
             return None
-        return ConnectorModel(name=name, **values)
+        model = object.__new__(ConnectorModel)
+        ConnectorModel._init_parsed(model, name=name, **values)
+        return model
 
     # --- binding ----------------------------------------------------------
     # Each binder checks the value of one `key: value` entry against its row,
@@ -957,10 +965,8 @@ class _Parser:
                     f"(expected one of: {_enum_values(spec.cls)})",
                     value,
                 )
-        if spec.nonempty and not result:
-            return self.error("E014", f"field '{spec.key}' must be non-empty", value)
-        if spec.minimum is not None and result < spec.minimum:
-            return self.error("E014", f"field '{spec.key}' must be >= {spec.minimum}", value)
+        if (spec.nonempty or spec.minimum is not None) and (fault := spec.fault(result)):
+            return self.error("E014", f"field '{spec.key}' {fault}", value)
         self.smap.record(path, value)
         return result
 
@@ -1018,8 +1024,8 @@ class _Parser:
                 continue
             members.append(member)
             self.smap.record(f"{path}[{index}]", item)
-        if spec.nonempty and not entries:
-            return self.error("E014", f"field '{spec.key}' must not be empty", value)
+        if (spec.nonempty or spec.minimum is not None) and (fault := spec.fault(entries)):
+            return self.error("E014", f"field '{spec.key}' {fault}", value)
         if bad:
             return None
         self.smap.record(path, _bracket(value))

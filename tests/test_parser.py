@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dsx import (
     EdcUsage,
     IdentifierType,
+    QosMetrics,
     Severity,
     Span,
     Target,
@@ -21,12 +22,15 @@ from dsx import (
     tokenize,
     validate,
 )
+from dsx import model as model_module
 from dsx.codegen import _unsupported
+from dsx.model import Record
 from dsx.parser import SourceMap, Token, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
 from modelgen import build_model
 from test_golden import groups
+from test_roundtrip import models as roundtrip_models
 
 
 FLAGSHIPS = ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
@@ -591,6 +595,88 @@ class TestNoEnumCalls:
             assert targets
             traced("generate", generate_all, result.model, targets, report)
         assert calls == {"parse": [], "validate": [], "print": [], "generate": []}
+
+
+def records(value):
+    """Every record reachable from ``value``, ``value`` included."""
+    if isinstance(value, Record):
+        yield value
+        for item in value.__getstate__():
+            yield from records(item)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from records(item)
+
+
+def assert_rows_hold(model):
+    """Each record of a parsed model passes the checks its public constructor runs."""
+    for record in records(model):
+        if hasattr(record, "FIELDS"):
+            model_module._check_fields(record)
+        if hasattr(record, "_check"):
+            record._check()
+
+
+def _roles_file(count):
+    role = "      role r{} {{\n        permissions: [READ]\n      }}\n"
+    roles = "".join(role.format(n) for n in range(count))
+    return fixture_text("production-machine.dsx").replace("    roles {\n", "    roles {\n" + roles)
+
+
+class TestParsedRecords:
+    """The parser builds its records without the constructors' row checks,
+    because its binders have enforced every row: the premise, then the
+    mechanism."""
+
+    def test_every_parsed_record_keeps_its_rows(self):
+        sources = [source for _, inputs in groups() for _, source in inputs]
+        # Each list of a flagship emptied, which no golden mutation does in one step.
+        for name in FLAGSHIPS:
+            text = fixture_text(name)
+            lists = re.finditer(r"\[[^\]\n]*\]", text)
+            sources += [text[: m.start()] + "[]" + text[m.end() :] for m in lists]
+        models = [model for source in sources if (model := parse(source).model) is not None]
+        assert len(models) > 700  # the fixtures, modelgen[0:600] and the mutations that parse
+        for model in models:
+            assert_rows_hold(model)
+
+    @settings(max_examples=100, deadline=None)
+    @given(roundtrip_models)
+    def test_every_record_of_a_printed_model_keeps_its_rows(self, model):
+        assert_rows_hold(parse(print_canonical(model)).model)
+
+    def test_parse_runs_no_row_check_and_a_public_constructor_runs_one(self):
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code is model_module._check_fields.__code__:
+                calls.append(frame.f_code.co_name)
+
+        inputs = [(name, fixture_text(name)) for name in FLAGSHIPS] + [("r.dsx", _roles_file(1000))]
+        sys.setprofile(hook)
+        try:
+            results = [parse(source, name) for name, source in inputs]
+        finally:
+            sys.setprofile(None)
+        assert all(result.model is not None for result in results)
+        assert len(results[-1].model.access.roles) == 1002
+        assert calls == []
+        sys.setprofile(hook)
+        try:
+            QosMetrics(sampling_rate_ms=1, max_subscriptions=1)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["_check_fields"]
+
+    def test_each_table_class_builds_parsed_records_from_its_constructors_code(self):
+        tables = [
+            cls for cls in vars(model_module).values() if isinstance(cls, type) and "FIELDS" in vars(cls)
+        ]
+        assert len(tables) == 13
+        for cls in tables:
+            twin = cls._init_parsed
+            assert twin is not cls.__init__ and twin.__code__ is cls.__init__.__code__
+            assert twin.__kwdefaults__ == cls.__init__.__kwdefaults__
 
 
 class TestParseBasics:
