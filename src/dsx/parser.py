@@ -945,7 +945,8 @@ class _Parser:
     # --- binding ----------------------------------------------------------
     # Each binder checks the value of one `key: value` entry against its row,
     # records the entry's path and returns the model value, or None after
-    # reporting why it has none.
+    # reporting why it has none.  They enforce every row, so the parser builds
+    # each record with its class's _init_parsed, which checks no row again.
 
     def bind_scalar(self, spec: FieldSpec, value: _Tok, path: str) -> object:
         token_kind, expects = _SCALARS[spec.kind]

@@ -25,7 +25,7 @@ from dsx import (
 from dsx import model as model_module
 from dsx.codegen import _unsupported
 from dsx.model import Record
-from dsx.parser import SourceMap, Token, _lex, _Sink
+from dsx.parser import _ROWS, SourceMap, Token, _lex, _Sink
 
 from conftest import FIXTURE_TODAY, fixture_text
 from modelgen import build_model
@@ -735,6 +735,26 @@ class TestParseBasics:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize(
+        "name, old, new, key, value, tail",
+        [
+            ("machine-opcua.dsx", "[OPC_TCP, MQTT]", "[]", "protocols", (), "must not be empty"),
+            ("production-machine.dsx", '"BPNL000000000MB7"', '""', "remoteId", "", "must be non-empty"),
+            ("machine-opcua.dsx", "Ms: 250", "Ms: 0", "samplingRateMs", 0, "must be >= 1"),
+        ],
+    )
+    def test_a_broken_row_rule_has_the_constructors_message_tail(
+        self, name, old, new, key, value, tail
+    ):
+        result = parse(fixture_text(name).replace(old, new, 1), name)
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E014", f"field '{key}' {tail}")
+        ]
+        spec = next(row for rows in _ROWS.values() for row in rows.values() if row.key == key)
+        with pytest.raises(ValueError) as raised:
+            model_module._CHECKS[spec.kind](spec, value)
+        assert str(raised.value) == f"{key} {tail}"
+
     def test_unknown_field_with_key_span(self):
         text = fixture_text("sensor-idlink.dsx").replace(
             'endpoint: "products/flow-sensor"',
