@@ -30,6 +30,7 @@ from dsx.parser import _ROWS, SourceMap, Token, _lex, _Sink
 from conftest import FIXTURE_TODAY, fixture_text
 from modelgen import build_model
 from test_golden import groups
+from test_model import TABLES
 from test_roundtrip import models as roundtrip_models
 
 
@@ -669,11 +670,8 @@ class TestParsedRecords:
         assert calls == ["_check_fields"]
 
     def test_each_table_class_builds_parsed_records_from_its_constructors_code(self):
-        tables = [
-            cls for cls in vars(model_module).values() if isinstance(cls, type) and "FIELDS" in vars(cls)
-        ]
-        assert len(tables) == 13
-        for cls in tables:
+        assert len(TABLES) == 13
+        for cls in TABLES:
             twin = cls._init_parsed
             assert twin is not cls.__init__ and twin.__code__ is cls.__init__.__code__
             assert twin.__kwdefaults__ == cls.__init__.__kwdefaults__
@@ -739,7 +737,7 @@ class TestParseErrors:
         "name, old, new, key, value, tail",
         [
             ("machine-opcua.dsx", "[OPC_TCP, MQTT]", "[]", "protocols", (), "must not be empty"),
-            ("production-machine.dsx", '"BPNL000000000MB7"', '""', "remoteId", "", "must be non-empty"),
+            ("production-machine.dsx", '"1.2.0"', '""', "version", "", "must be non-empty"),
             ("machine-opcua.dsx", "Ms: 250", "Ms: 0", "samplingRateMs", 0, "must be >= 1"),
         ],
     )
