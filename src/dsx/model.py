@@ -119,7 +119,9 @@ def pause_gc(function: _Fn) -> _Fn:
     it to the old generation.  Left to the next allocation, a young
     collection would move the whole graph to the middle generation, and
     whatever code next triggers a middle collection, outside this call,
-    would scan it again.
+    would scan it again.  After ``parse`` that graph is the model and the
+    diagnostics: its source map holds only strings and ints, which the
+    collector never tracks, and the tokens are freed as it returns.
     """
 
     @wraps(function)
@@ -151,7 +153,12 @@ def _check_text(value: str, what: str) -> None:
 
 
 def _check_fields(obj: Record) -> None:
-    """Enforce the table rows of ``obj``'s class on a freshly built instance."""
+    """Enforce the name rule, then the table rows, of ``obj``'s class on a fresh instance."""
+    if obj.NAMED is not None:
+        attr, what = obj.NAMED
+        name = getattr(obj, attr)
+        if not NAME_RE.fullmatch(name):
+            raise ValueError(f"invalid {what} name: {name!r}")
     for spec in obj.FIELDS:
         value = getattr(obj, spec.attr)
         if value is None and not spec.required:
@@ -199,7 +206,9 @@ class _RecordType(type):
     attributes that have no row.  Its constructor is keyword-only.  ``ATTRS``
     and required rows must be given; an optional row defaults to ``()`` for
     lists and roles, to ``{}`` for a contract, and to None otherwise.  A
-    contract is stored as a :class:`ContractOffers` copy.
+    contract is stored as a :class:`ContractOffers` copy.  ``NAMED`` may
+    give the attribute that must match ``NAME_RE``, and what its error calls
+    that name, checked before any row.
     Any other record lists its attributes in ``ATTRS`` in positional order,
     with ``DEFAULTS`` for the last of them, as ``collections.namedtuple``
     does.
@@ -267,6 +276,7 @@ class Record(metaclass=_RecordType):
     """Immutable value object; see :class:`_RecordType` for how to declare one."""
 
     __slots__ = ()
+    NAMED: tuple[str, str] | None = None
 
     def __getstate__(self) -> tuple[object, ...]:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -476,15 +486,12 @@ ContractValue = str | int | bool | date
 
 class Role(Record):
     ATTRS = ("role_name",)
+    NAMED = ("role_name", "role")
     FIELDS = (
         # Emptiness and duplicates are validator findings (E205), not
         # construction errors, so defective models stay representable.
         _F("permissions", "permissions", "enum-list", cls=Permission),
     )
-
-    def _check(self) -> None:
-        if not NAME_RE.fullmatch(self.role_name):
-            raise ValueError(f"invalid role name: {self.role_name!r}")
 
 
 class IdentityProviderConfig(Record):
@@ -519,16 +526,13 @@ class AccessPolicy(Record):
 
 class ConnectorModel(Record):
     ATTRS = ("name",)
+    NAMED = ("name", "connector")
     FIELDS = (
         _F("discovery", "identification", "sub-block", cls=IdentificationData),
         _F("metadata", "metadata", "sub-block", cls=AssetMetaData),
         _F("usage", "usage", "sub-block", cls=UsageConfig),
         _F("access", "access", "sub-block", cls=AccessPolicy),
     )
-
-    def _check(self) -> None:
-        if not NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid connector name: {self.name!r}")
 
 
 VARIANTS: dict[str, type] = {"edc": EdcUsage, "opcua": OpcUaUsage, "plain": PlainUsage}

@@ -37,9 +37,10 @@ boundaries so several errors can be reported per run.  A model is only
 returned when the file produced zero errors.
 
 Alongside the model, ``parse`` returns that map.  It also maps model paths
-(``"metadata.modified"``, ``"access.roles[operator]"``) to the tokens they
-were parsed from, and builds their spans when read; the validator uses it
-to anchor its findings, and a path never recorded gets the header's span.
+(``"metadata.modified"``, ``"access.roles[operator]"``) to the character
+offsets of the tokens they were parsed from, and builds their spans when
+read; the validator uses it to anchor its findings, and a path never
+recorded gets the header's span.
 """
 
 from __future__ import annotations
@@ -94,16 +95,19 @@ class TokenKind(Enum):
 
 
 class SourceMap:
-    """One parsed file: its name and text, and the token each model path was
-    parsed from.  Line starts are built on first use, spans when read."""
+    """One parsed file: its name and text, and the offset of the token each
+    model path was parsed from.  Line starts are built on first use, spans
+    when read, each token's length by matching the lexer's pattern once at
+    its offset: a recorded token starts a match, and the pattern has no
+    lookbehind, so that match gives the token's lexeme again."""
 
-    __slots__ = ("file", "source", "_starts", "_tokens")
+    __slots__ = ("file", "source", "_starts", "_offsets")
 
     def __init__(self, file: str, source: str = "") -> None:
         self.file = file
         self.source = source
         self._starts: list[int] | None = None
-        self._tokens: dict[str, _Tok] = {}
+        self._offsets: dict[str, int] = {}
 
     def span(self, offset: int, length: int) -> Span:
         """The span of ``length`` characters from a character offset."""
@@ -118,6 +122,10 @@ class SourceMap:
     def span_of(self, tok: _Tok) -> Span:
         return self.span(tok[3], len(tok[1]))
 
+    def _span_at(self, offset: int) -> Span:
+        """The span of the recorded token at a character offset."""
+        return self.span(offset, _TOKEN_RE.match(self.source, offset).end(2) - offset)
+
     def line_end(self, offset: int) -> int:
         """The offset of the newline that ends the line holding ``offset``."""
         end = self.source.find("\n", offset)
@@ -130,24 +138,26 @@ class SourceMap:
         Paths come in the order the parser bound them: the header's and the
         name's first, then source order, except that a list's items come
         before the list itself.  A path recorded twice, as a repeated role
-        name's is, keeps its first place and the later token.
+        name's is, keeps its first place and the later offset.
         """
-        span_of = self.span_of
-        return {path: span_of(tok) for path, tok in self._tokens.items()}
+        span_at = self._span_at
+        return {path: span_at(offset) for path, offset in self._offsets.items()}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SourceMap:
             return NotImplemented
         return self.file == other.file and self.spans == other.spans
 
-    def record(self, path: str, tok: _Tok) -> None:
-        self._tokens[path] = tok
+    def record(self, path: str, offset: int) -> None:
+        self._offsets[path] = offset
 
     def span_for(self, path: str) -> Span:
         """The span recorded for a path; the connector header's for a path
         not recorded, and 1:1 in a map that recorded nothing."""
-        tok = self._tokens.get(path) or self._tokens.get("")
-        return Span(self.file, 1, 1, 0) if tok is None else self.span_of(tok)
+        offset = self._offsets.get(path)
+        if offset is None:  # not `or`: offset 0 is the header of most files
+            offset = self._offsets.get("")
+        return Span(self.file, 1, 1, 0) if offset is None else self._span_at(offset)
 
 
 class Token:
@@ -662,7 +672,7 @@ class _Parser:
                             self.parse_block(word, tok)
                             continue
                         sub_path = f"{path}.{word}"
-                        self.smap.record(sub_path, tok)
+                        self.smap.record(sub_path, tok[3])
                         value = self.parse_block(word, tok, _ROWS[word], sub_path, word)
                         if value is not None:
                             if spec.kind == "sub-block":
@@ -688,7 +698,7 @@ class _Parser:
                             )
                         elif value[2] is not None:  # None: an invalid date, already reported
                             values[tok[2]] = value[2]
-                            self.smap.record(f"{path}.{tok[2]}", value)
+                            self.smap.record(f"{path}.{tok[2]}", value[3])
                         continue
                     self.error(
                         "E003", f"expected a quoted contract key or '}}', got {_describe(tok)}", tok
@@ -754,7 +764,7 @@ class _Parser:
             self.parse_block("role", name_tok)
             return None
         path = f"{path}[{name}]"
-        self.smap.record(path, name_tok)
+        self.smap.record(path, name_tok[3])
         values = self.parse_block("role", name_tok, _ROWS["role"], path, f"role {name}")
         if values is None:
             return None
@@ -831,7 +841,7 @@ class _Parser:
             self.error("E011", "expected 'connector'", tok)
             return None
         connector = tok
-        self.smap.record("", connector)
+        self.smap.record("", connector[3])
         self.pos += 1
 
         name: str | None = None
@@ -842,7 +852,7 @@ class _Parser:
             if not NAME_RE.fullmatch(name):
                 self.error("E014", f"invalid connector name {name!r}", tok)
             else:
-                self.smap.record("name", tok)
+                self.smap.record("name", tok[3])
         else:
             self.error("E003", f"expected a quoted connector name, got {_describe(tok)}", tok)
 
@@ -968,7 +978,7 @@ class _Parser:
                 )
         if (spec.nonempty or spec.minimum is not None) and (fault := spec.fault(result)):
             return self.error("E014", f"field '{spec.key}' {fault}", value)
-        self.smap.record(path, value)
+        self.smap.record(path, value[3])
         return result
 
     def bind_string_list(self, spec: FieldSpec, value: _Tok, path: str) -> object:
@@ -981,10 +991,10 @@ class _Parser:
                 self.error("E014", f"entries of '{spec.key}' must be quoted strings", item)
                 continue
             items.append(item[2])
-            self.smap.record(f"{path}[{index}]", item)
+            self.smap.record(f"{path}[{index}]", item[3])
         if len(items) < len(entries):
             return None
-        self.smap.record(path, _bracket(value))
+        self.smap.record(path, value[3])
         return tuple(items)
 
     def bind_enum_list(self, spec: FieldSpec, value: _Tok, path: str) -> object:
@@ -1024,12 +1034,12 @@ class _Parser:
                 bad = True
                 continue
             members.append(member)
-            self.smap.record(f"{path}[{index}]", item)
+            self.smap.record(f"{path}[{index}]", item[3])
         if (spec.nonempty or spec.minimum is not None) and (fault := spec.fault(entries)):
             return self.error("E014", f"field '{spec.key}' {fault}", value)
         if bad:
             return None
-        self.smap.record(path, _bracket(value))
+        self.smap.record(path, value[3])
         return tuple(members)
 
     def bind_secret(self, spec: FieldSpec, value: _Tok, path: str) -> object:
@@ -1043,7 +1053,7 @@ class _Parser:
                 f"field '{spec.key}' expects a quoted string or env(NAME) reference",
                 value,
             )
-        self.smap.record(path, value)
+        self.smap.record(path, value[3])
         return result
 
 
@@ -1062,11 +1072,6 @@ _BIND = {
     "enum-list": _Parser.bind_enum_list,
     "secret": _Parser.bind_secret,
 }
-
-
-def _bracket(value: _Tok) -> _Tok:
-    """The '[' of a list value without its items, which the source map need not keep."""
-    return (_LBRACKET, "[", None, value[3])
 
 
 @cache

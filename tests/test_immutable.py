@@ -64,7 +64,7 @@ def _children(obj):
     if isinstance(obj, dict):
         return [*obj.keys(), *obj.values()]
     if isinstance(obj, SourceMap):
-        return [obj.file, obj.source, *obj._tokens.values()]
+        return [obj.file, obj.source, *obj._offsets.keys(), *obj._offsets.values()]
     if isinstance(obj, (tuple, frozenset)):
         return obj
     assert isinstance(obj, _LEAVES), f"unexpected {type(obj).__name__}: {obj!r}"

@@ -168,6 +168,17 @@ class TestConstructionInvariants:
                 ValueError,
                 "invalid role name: '7-op'",
             ),
+            # The name is checked before any row.
+            (
+                lambda m: Role(role_name="7-op", permissions=("READ",)),
+                ValueError,
+                "invalid role name: '7-op'",
+            ),
+            (
+                lambda m: replace(m, name="my connector", metadata=None),
+                ValueError,
+                "invalid connector name: 'my connector'",
+            ),
             (
                 lambda m: QosMetrics(sampling_rate_ms=True, max_subscriptions=10),
                 TypeError,
@@ -193,6 +204,8 @@ class TestConstructionInvariants:
             "text",
             "usage-extension",
             "role-name",
+            "role-name-before-rows",
+            "connector-name-before-rows",
             "bool-as-int",
             "zero-sampling-rate",
             "enum-list-item",
