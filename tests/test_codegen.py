@@ -349,12 +349,30 @@ class TestDeterminismAndSchemas:
 _json_strings = st.text() | st.sampled_from(
     ["", '"', "\\", "\x00\x1f\x7f", "\t\n\r\b\f", "caf\u00e9", "\U0001f600", "\u2028"]
 )
+_json_leaves = st.none() | st.booleans() | st.integers() | _json_strings
 _json_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | _json_strings,
+    _json_leaves,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(_json_strings, children, max_size=4),
     max_leaves=30,
 )
+
+
+@st.composite
+def _object_runs(draw, values=_json_leaves | _json_documents):
+    """A list of objects drawn from 1-3 key sets, empty ones mixed in, each
+    object inserting its keys in its own order, so shapes repeat and alternate."""
+    key_set = st.lists(_json_strings, min_size=1, max_size=4, unique=True)
+    key_sets = draw(st.lists(key_set, min_size=1, max_size=3))
+    shapes = st.sampled_from(key_sets) | st.just([])
+    return [
+        {key: draw(values) for key in draw(st.permutations(shape))}
+        for shape in draw(st.lists(shapes, min_size=1, max_size=40))
+    ]
+
+
+# Runs at depth, and runs whose members hold runs.
+_json_runs = _object_runs() | _object_runs(_object_runs()).map(lambda runs: {"outer": [runs]})
 
 
 class TestJsonEncoding:
@@ -364,10 +382,52 @@ class TestJsonEncoding:
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert codegen._dump(document) == expected.encode("utf-8")
 
+    @settings(max_examples=200, deadline=None)
+    @given(_json_runs)
+    def test_runs_of_same_shaped_objects_match_json_dumps(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
+
+    def test_a_run_encodes_its_keys_once(self, monkeypatch):
+        document = [{"name": f"n{i}", "operator": "eq", "count": i} for i in range(1000)]
+        for obj in document[1::2]:  # insertion order must not matter
+            obj["name"] = obj.pop("name")
+        encoded = []
+
+        def counting(text):
+            encoded.append(text)
+            return json.encoder.encode_basestring(text)
+
+        monkeypatch.setattr(codegen, "_encode_str", counting)
+        dumped = codegen._dump(document)
+        assert sum(text in ("name", "operator", "count") for text in encoded) <= 6
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert dumped == expected.encode("utf-8")
+
     @pytest.mark.parametrize(
         "document",
-        [1.5, {"a": [date(2026, 1, 1)]}, ("a", "b"), {1: "a"}, {"a": {None: 1}}],
-        ids=["float", "date", "tuple", "int-key", "none-key"],
+        [
+            1.5,
+            {"a": [date(2026, 1, 1)]},
+            ("a", "b"),
+            {1: "a"},
+            {"a": {None: 1}},
+            [{"a": 1}, {"a": 1.5}],
+            [{"a": 1}, {"a": 2}, {"a": ("x",)}],
+            [{"a": 1}, {"a": date(2026, 1, 1)}],
+            [{"a": 1}, {1: "a"}],
+        ],
+        ids=[
+            "float",
+            "date",
+            "tuple",
+            "int-key",
+            "none-key",
+            "float-in-run",
+            "tuple-late-in-run",
+            "date-in-run",
+            "int-key-after-object",
+        ],
     )
     def test_other_types_raise_type_error(self, document):
         with pytest.raises(TypeError):
