@@ -25,7 +25,12 @@ role.  In a list, an object whose keys equal the previous object's is
 written from member heads (separator, indentation, encoded key and
 ``": "``) built once for the run, in sorted key order, with its str and
 int values encoded inline.  A run's first object and a lone object take
-the plain path, so they cost one key comparison more.  On CPython 3.11 the
+the plain path, so they cost one key comparison more; it too writes str and
+int members inline.  Each container reads its opener, separator and closer
+(bracket, comma, newline and indentation) from a table per nesting depth,
+built at import for the shallow depths, instead of joining them itself.
+``generate_all`` turns the contract terms into JSON once per call and
+passes them to every builder that writes them.  On CPython 3.11 the
 encoder is about twice as fast as ``json.dumps`` on small documents and
 about three times on a policy of 4096 contract terms.
 
@@ -126,22 +131,38 @@ def _dump(document: object) -> bytes:
     plus a newline, as UTF-8, for documents of str-keyed dicts, lists, str,
     bool, int and None; any other value raises TypeError."""
     out: list[str] = []
-    _encode(document, "\n", out)
+    _encode(document, 0, out)
     out.append("\n")
     return "".join(out).encode("utf-8")
 
 
-def _encode(value: object, indent: str, out: list[str]) -> None:
-    # ``indent`` is the newline plus the indentation of ``value``'s own line.
+def _brackets(depth: int, pair: str) -> tuple[str, str, str]:
+    """A non-empty container's opener, separator and closer at ``depth``: the
+    bracket and the newline and indentation of its members' lines, the comma
+    and the same, and the newline and indentation of its own line before the
+    closing bracket."""
+    inner = "\n" + "  " * (depth + 1)
+    return pair[0] + inner, "," + inner, inner[:-2] + pair[1]
+
+
+# The brackets of the shallow depths, built once; ``_encode`` builds deeper
+# ones per container.  The tables never change, so threads share them.
+_PREBUILT_DEPTHS = 16
+_OBJECT_BRACKETS = tuple(_brackets(depth, "{}") for depth in range(_PREBUILT_DEPTHS))
+_LIST_BRACKETS = tuple(_brackets(depth, "[]") for depth in range(_PREBUILT_DEPTHS))
+
+
+def _encode(value: object, depth: int, out: list[str]) -> None:
+    # ``depth`` is the nesting level of ``value``'s own line, 0 at top level.
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        inner = indent + "  "
-        comma = "," + inner
-        separator = "{" + inner
+        separator, comma, close = (
+            _OBJECT_BRACKETS[depth] if depth < _PREBUILT_DEPTHS else _brackets(depth, "{}")
+        )
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
@@ -149,16 +170,19 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
             separator = comma
             if type(item) is str:
                 out.append(_encode_str(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
             else:
-                _encode(item, inner, out)
-        out.append(indent + "}")
+                _encode(item, depth + 1, out)
+        out.append(close)
     elif isinstance(value, list):
         if not value:
             out.append("[]")
             return
-        inner = indent + "  "
-        comma = "," + inner
-        separator = "[" + inner
+        separator, comma, close = (
+            _LIST_BRACKETS[depth] if depth < _PREBUILT_DEPTHS else _brackets(depth, "[]")
+        )
+        inner = depth + 1
         keys = heads = None  # the previous object's keys; their heads once repeated
         for item in value:
             out.append(separator)
@@ -173,9 +197,7 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
                 _encode(item, inner, out)
             else:
                 if heads is None:
-                    heads = _member_heads(keys, inner)
-                    member_indent = inner + "  "
-                    close = inner + "}"
+                    heads, object_close = _member_heads(keys, inner)
                 for head, key in heads:
                     member = item[key]
                     out.append(head)
@@ -184,9 +206,9 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
                     elif type(member) is int:
                         out.append(int.__repr__(member))
                     else:
-                        _encode(member, member_indent, out)
-                out.append(close)
-        out.append(indent + "]")
+                        _encode(member, inner + 1, out)
+                out.append(object_close)
+        out.append(close)
     elif value is True:
         out.append("true")
     elif value is False:
@@ -199,19 +221,19 @@ def _encode(value: object, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _member_heads(keys: KeysView[str], indent: str) -> list[tuple[str, str]]:
-    """Each key of objects at ``indent`` paired with its member's text up to
-    the value: ``{`` or ``,``, newline and indentation, the key and ``": "``."""
+def _member_heads(keys: KeysView[str], depth: int) -> tuple[list[tuple[str, str]], str]:
+    """Each key of objects at ``depth`` paired with its member's text up to
+    the value: ``{`` or ``,``, newline and indentation, the key and ``": "``;
+    and the objects' closer."""
     for key in keys:
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-    inner = indent + "  "
-    separator = "{" + inner
+    separator, comma, close = _brackets(depth, "{}")
     heads = []
     for key in sorted(keys):
         heads.append((separator + _encode_str(key) + ": ", key))
-        separator = "," + inner
-    return heads
+        separator = comma
+    return heads, close
 
 
 def _secret(ref: SecretRef) -> str:
@@ -269,12 +291,13 @@ def _unsupported(model: ConnectorModel, target: Target) -> str | None:
     return None
 
 
-# Each target's builder takes a clean model the target supports and returns
+# Each target's builder takes a clean model the target supports and its
+# contract terms, which generate_all builds once for all builders, and returns
 # its files as (name, content) pairs in artifact order; generate_all wraps
 # each pair in a GeneratedArtifact once.
 
 
-def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
+def _edc_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     identification = _members(model.identification)
     asset_id = identification.pop("linkedAssetId")
@@ -295,7 +318,7 @@ def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
 
     constraints: list[dict[str, object]] = [
         {"leftOperand": key, "operator": "eq", "rightOperand": term}
-        for key, term in sorted(_contract_terms(model.access).items())
+        for key, term in sorted(terms.items())
     ]
     if model.access.roles:
         constraints.append(
@@ -336,7 +359,7 @@ def _edc_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     ]
 
 
-def _opcua_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
+def _opcua_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     asset = _members(model.identification)
     asset["id"] = asset.pop("linkedAssetId")
@@ -348,7 +371,7 @@ def _opcua_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
         "protocols": [PROTOCOL_WIRE_NAMES[p] for p in ext.protocols],
     }
 
-    roles = _access_document(model)
+    roles = _access_document(model, terms)
 
     return [
         ("catalog.json", _dump(catalog)),
@@ -357,9 +380,11 @@ def _opcua_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     ]
 
 
-def _idlink_aas_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
+def _idlink_aas_files(
+    model: ConnectorModel, terms: dict[str, object]
+) -> list[tuple[str, bytes]]:
     url = join_idlink(model.identification)
-    security = _access_document(model)
+    security = _access_document(model, terms)
     security["asset"] = {
         "id": model.identification.linked_asset_id,
         "idLink": url,
@@ -372,9 +397,9 @@ def _idlink_aas_files(model: ConnectorModel) -> list[tuple[str, bytes]]:
     ]
 
 
-def _access_document(model: ConnectorModel) -> dict[str, object]:
+def _access_document(model: ConnectorModel, terms: dict[str, object]) -> dict[str, object]:
     return {
-        "contractOffers": _contract_terms(model.access),
+        "contractOffers": terms,
         "roles": [
             {"name": role.role_name, "permissions": [p._value_ for p in role.permissions]}
             for role in model.access.roles
@@ -424,6 +449,7 @@ def generate_all(
         )
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
+    terms = _contract_terms(model.access)
     for target, build in _BUILDERS.items():
         if target not in targets:
             continue
@@ -434,7 +460,7 @@ def generate_all(
         prefix = target._value_ + "/"
         artifacts.extend(
             GeneratedArtifact(prefix + name, content, target)
-            for name, content in build(model)
+            for name, content in build(model, terms)
         )
     if failures:
         raise GenerationError(*failures)

@@ -324,7 +324,8 @@ _CONTRACT_RESUME_KINDS = frozenset({_KEYWORD, _RBRACE, _EOF})
 _SCALAR_KINDS = frozenset({_STRING, _INTEGER, _DATE, _BOOLEAN, _IDENT})
 
 # Lexemes whose kind and value are fixed: punctuation marks, keywords and
-# booleans.  Any other token's kind follows from its first character.
+# booleans.  A closed string is decided first, by its closing quote, before
+# this table is read; any other token's kind follows from its first character.
 _FIXED = {
     "{": (_LBRACE, None),
     "}": (_RBRACE, None),
@@ -381,8 +382,13 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
     for blanks, text, close, mark in _TOKEN_RE.findall(smap.source):
         start = pos + len(blanks)
         pos = start + len(text)
-        known = fixed(text)
-        if known is not None:
+        if close and text.isprintable():
+            # The lexeme keeps the raw source slice; the decoded text is the value.
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+            append((_STRING, text, value, start))
+        elif (known := fixed(text)) is not None:
             append((known[0], text, known[1], start))
         elif not text:  # blanks up to the end of input
             break
@@ -390,12 +396,6 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
             first = text[0]
             if first in _WORD_START and "(" not in text:
                 append((_IDENT, text, text, start))
-            elif first == '"' and close and text.isprintable():
-                # The lexeme keeps the raw source slice; the decoded text is the value.
-                value = text[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE_RE.sub(r"\1", value)
-                append((_STRING, text, value, start))
             elif first in _DIGITS and len(text) <= _MAX_INT_DIGITS:
                 if text[4:5] == "-":
                     # None for an impossible date; the parser reports it where it expects a value.

@@ -1,4 +1,8 @@
 import json
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import PurePosixPath
 
@@ -33,6 +37,17 @@ from modelgen import build_model
 from test_model import minimal_model
 
 from conftest import FIXTURE_TODAY, fixture_text, parse_fixture
+
+
+def _opcua_with_identity():
+    """The OPC UA flagship with the EDC flagship's identity block, so that the
+    OPC UA and ID-Link/AAS generators both accept it."""
+    identity = re.search(
+        r"^    identity \{\n.*?^    \}\n", fixture_text("production-machine.dsx"), re.M | re.S
+    ).group()
+    text = fixture_text("machine-opcua.dsx")
+    end = text.rindex("  }\n}")  # the end of the access block
+    return text[:end] + identity + text[end:]
 
 
 def artifact_json(bundle, name):
@@ -244,6 +259,28 @@ class TestGenerateAll:
         generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
         assert calls == [production_machine.model]
 
+    @pytest.mark.parametrize(
+        "source, targets",
+        [
+            (fixture_text("production-machine.dsx"), {Target.EDC, Target.IDLINK_AAS}),
+            (_opcua_with_identity(), {Target.OPCUA, Target.IDLINK_AAS}),
+        ],
+        ids=["edc-idlink-aas", "opcua-idlink-aas"],
+    )
+    def test_builds_the_contract_terms_once(self, source, targets, monkeypatch):
+        model = parse(source).model
+        calls = []
+        terms = codegen._contract_terms
+
+        def counting_terms(access):
+            calls.append(access)
+            return terms(access)
+
+        monkeypatch.setattr(codegen, "_contract_terms", counting_terms)
+        bundle = generate_all(model, targets)
+        assert calls == [model.access]
+        assert {a.target for a in bundle.artifacts} == targets
+
     def test_builds_each_artifact_once(self, production_machine, monkeypatch):
         checked = []
         check = GeneratedArtifact._check
@@ -375,6 +412,18 @@ def _object_runs(draw, values=_json_leaves | _json_documents):
 _json_runs = _object_runs() | _object_runs(_object_runs()).map(lambda runs: {"outer": [runs]})
 
 
+def _nested(depth):
+    """``depth`` levels of alternating lists and dicts, each holding int, bool
+    and str leaves beside the next level, and runs of same-shaped objects."""
+    document = {"leaf": "bottom", "n": depth, "ok": True}
+    for level in range(depth, 0, -1):
+        if level % 2:
+            document = [level, False, f"s{level}", document, {"k": level}, {"k": -level}]
+        else:
+            document = {"inner": document, "int": level, "no": False, "str": f"s{level}"}
+    return document
+
+
 class TestJsonEncoding:
     @settings(max_examples=300, deadline=None)
     @given(_json_documents)
@@ -403,6 +452,37 @@ class TestJsonEncoding:
         assert sum(text in ("name", "operator", "count") for text in encoded) <= 6
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert dumped == expected.encode("utf-8")
+
+    def test_documents_deeper_than_the_prebuilt_brackets_match_json_dumps(self):
+        depth = 40
+        assert depth > codegen._PREBUILT_DEPTHS
+        document = _nested(depth)
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
+
+    def test_threads_dumping_at_different_depths_get_the_same_bytes(self):
+        documents = [_nested(depth) for depth in (1, 3, 15, 16, 17, 33, 40)]
+        expected = [
+            (json.dumps(d, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+            for d in documents
+        ]
+        start = threading.Barrier(8, timeout=30)
+
+        def dump_all(offset):
+            start.wait()
+            return [
+                codegen._dump(documents[(offset + n) % len(documents)]) for n in range(70)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside each container
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(dump_all, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, dumped in enumerate(results):
+            assert dumped == [expected[(offset + n) % len(documents)] for n in range(70)]
 
     @pytest.mark.parametrize(
         "document",

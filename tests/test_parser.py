@@ -196,6 +196,17 @@ LEX_CASES = {
         [("E002", _E002_CTRL, 1, column, 1) for column in range(5, 104)]
         + [("E099", "too many errors", 1, 104, 1)],
     ),
+    # Closed strings that are not printable but hold no C0 control and no DEL
+    # are decoded by the rare path, whole and without a diagnostic.
+    **{
+        f"unprintable-{name}-in-closed-string": (
+            f'x: "a{char}b"',
+            _X_COLON
+            + [("STRING", f'"a{char}b"', f"a{char}b", 1, 4, 5), ("EOF", "", None, 1, 9, 0)],
+            [],
+        )
+        for name, char in (("nbsp", "\xa0"), ("u2028", "\u2028"), ("ufeff", "\ufeff"))
+    },
 }
 
 
