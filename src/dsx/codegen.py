@@ -224,10 +224,7 @@ def _encode(value: object, depth: int, out: list[str]) -> None:
 def _member_heads(keys: KeysView[str], depth: int) -> tuple[list[tuple[str, str]], str]:
     """Each key of objects at ``depth`` paired with its member's text up to
     the value: ``{`` or ``,``, newline and indentation, the key and ``": "``;
-    and the objects' closer."""
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    and the objects' closer.  ``keys`` are an encoded object's, so all str."""
     separator, comma, close = _brackets(depth, "{}")
     heads = []
     for key in sorted(keys):

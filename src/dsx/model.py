@@ -314,7 +314,8 @@ class FieldSpec(Record):
     ``form``, a key of the validator's ``_FORMS``, names the form a str or
     str-list row's value must have.  A class's rows declare its attributes;
     binding, unknown-field detection, canonical printing, constructor checks
-    and value-form checks all read them, in this order.
+    and value-form checks all read them, in this order.  A row (see ``_F``)
+    gives its attribute only when that is not the DSL key in snake case.
     """
 
     ATTRS = ("key", "attr", "kind", "required", "nonempty", "minimum", "unique", "cls", "form")
@@ -330,7 +331,10 @@ class FieldSpec(Record):
         return None
 
 
-_F = FieldSpec
+def _F(key: str, kind: str, *, attr: str | None = None, **rules: object) -> FieldSpec:
+    snake = "".join(f"_{char}" if "A" <= char <= "Z" else char for char in key).lower()
+    return FieldSpec(key, attr or snake, kind, **rules)
+
 
 # Rows of these kinds are keyword blocks in the DSL rather than `key: value` fields.
 BLOCK_KINDS = frozenset({"sub-block", "contract", "roles"})
@@ -389,48 +393,42 @@ class Diagnostic(Record):
 
 class IdentificationData(Record):
     FIELDS = (
-        _F("linkedAssetId", "linked_asset_id", "str", nonempty=True),
-        _F("baseUrl", "base_url", "str", form="web-url"),
-        _F("endpoint", "endpoint", "str"),
-        _F("identifierType", "identifier_type", "enum", cls=IdentifierType),
+        _F("linkedAssetId", "str", nonempty=True),
+        _F("baseUrl", "str", form="web-url"),
+        _F("endpoint", "str"),
+        _F("identifierType", "enum", cls=IdentifierType),
     )
 
 
 class AssetMetaData(Record):
     FIELDS = (
-        _F("title", "title", "str", nonempty=True),
-        _F("description", "description", "str"),
-        _F("publisher", "publisher", "str", nonempty=True),
-        _F("semanticIds", "semantic_ids", "str-list", required=False, form="iri"),
-        _F("version", "version", "str", nonempty=True),
-        _F("created", "created", "date"),
-        _F("modified", "modified", "date"),
-        _F("language", "language", "str", required=False, form="language"),
+        _F("title", "str", nonempty=True),
+        _F("description", "str"),
+        _F("publisher", "str", nonempty=True),
+        _F("semanticIds", "str-list", required=False, form="iri"),
+        _F("version", "str", nonempty=True),
+        _F("created", "date"),
+        _F("modified", "date"),
+        _F("language", "str", required=False, form="language"),
     )
 
 
 class PushEndpointsConfig(Record):
     FIELDS = (
-        _F("callbackUrl", "callback_url", "str", form="web-url"),
-        _F("cloudPush", "cloud_push", "bool"),
+        _F("callbackUrl", "str", form="web-url"),
+        _F("cloudPush", "bool"),
     )
 
 
 class EdcUsage(Record):
     FIELDS = (
-        _F("edcAddress", "edc_address", "str", form="web-url"),
-        _F("xApiKey", "x_api_key", "secret"),
-        _F("remoteAddress", "remote_address", "str", form="web-url"),
-        _F("remoteId", "remote_id", "str", nonempty=True, form="participant-id"),
-        _F("stsServiceAddress", "sts_service_address", "str", required=False, form="web-url"),
-        _F(
-            "trustedDidRegistries",
-            "trusted_did_registries",
-            "str-list",
-            required=False,
-            form="web-url",
-        ),
-        _F("push", "push_endpoints", "sub-block", required=False, cls=PushEndpointsConfig),
+        _F("edcAddress", "str", form="web-url"),
+        _F("xApiKey", "secret"),
+        _F("remoteAddress", "str", form="web-url"),
+        _F("remoteId", "str", nonempty=True, form="participant-id"),
+        _F("stsServiceAddress", "str", required=False, form="web-url"),
+        _F("trustedDidRegistries", "str-list", required=False, form="web-url"),
+        _F("push", "sub-block", attr="push_endpoints", required=False, cls=PushEndpointsConfig),
     )
 
     @property
@@ -441,21 +439,21 @@ class EdcUsage(Record):
 
 class QosMetrics(Record):
     FIELDS = (
-        _F("samplingRateMs", "sampling_rate_ms", "int", minimum=1),
-        _F("maxSubscriptions", "max_subscriptions", "int", minimum=1),
+        _F("samplingRateMs", "int", minimum=1),
+        _F("maxSubscriptions", "int", minimum=1),
     )
 
 
 class OpcUaUsage(Record):
     FIELDS = (
-        _F("endpointUrl", "endpoint_url", "str", form="opc-url"),
-        _F("securityPolicy", "security_policy", "enum", cls=SecurityPolicy),
-        _F("messageSecurityMode", "message_security_mode", "enum", cls=MessageSecurityMode),
-        _F("authenticationMode", "authentication_mode", "enum", cls=AuthenticationMode),
-        _F("protocols", "protocols", "enum-list", nonempty=True, unique=True, cls=Protocol),
-        _F("companionSpecs", "companion_specs", "str-list", required=False, form="web-url"),
-        _F("addressSpace", "address_space", "str"),
-        _F("qos", "qos", "sub-block", required=False, cls=QosMetrics),
+        _F("endpointUrl", "str", form="opc-url"),
+        _F("securityPolicy", "enum", cls=SecurityPolicy),
+        _F("messageSecurityMode", "enum", cls=MessageSecurityMode),
+        _F("authenticationMode", "enum", cls=AuthenticationMode),
+        _F("protocols", "enum-list", nonempty=True, unique=True, cls=Protocol),
+        _F("companionSpecs", "str-list", required=False, form="web-url"),
+        _F("addressSpace", "str"),
+        _F("qos", "sub-block", required=False, cls=QosMetrics),
     )
 
 
@@ -471,8 +469,8 @@ UsageExtension = EdcUsage | OpcUaUsage | PlainUsage
 class UsageConfig(Record):
     ATTRS = ("extension",)
     FIELDS = (
-        _F("dataAddress", "data_address", "str", form="web-url"),
-        _F("schemaAddress", "schema_address", "str", required=False, form="web-url"),
+        _F("dataAddress", "str", form="web-url"),
+        _F("schemaAddress", "str", required=False, form="web-url"),
     )
 
     def _check(self) -> None:
@@ -490,37 +488,41 @@ class Role(Record):
     FIELDS = (
         # Emptiness and duplicates are validator findings (E205), not
         # construction errors, so defective models stay representable.
-        _F("permissions", "permissions", "enum-list", cls=Permission),
+        _F("permissions", "enum-list", cls=Permission),
     )
 
 
 class IdentityProviderConfig(Record):
     FIELDS = (
-        _F("endpoint", "endpoint", "str", form="web-url"),
-        _F("clientId", "client_id", "str", nonempty=True),
-        _F("grantType", "grant_type", "enum", cls=GrantType),
-        _F("secret", "secret", "secret"),
+        _F("endpoint", "str", form="web-url"),
+        _F("clientId", "str", nonempty=True),
+        _F("grantType", "enum", cls=GrantType),
+        _F("secret", "secret"),
     )
 
 
 class OAuthInfo(Record):
     FIELDS = (
-        _F("identifier", "identifier", "str", nonempty=True),
-        _F("secret", "secret", "secret"),
-        _F("grantType", "grant_type", "str"),
-        _F("scope", "scope", "str"),
+        _F("identifier", "str", nonempty=True),
+        _F("secret", "secret"),
+        _F("grantType", "str"),
+        _F("scope", "str"),
     )
 
 
 class AccessPolicy(Record):
     FIELDS = (
-        _F("usagePolicy", "usage_policy", "str", nonempty=True, form="policy-iri"),
-        _F("contract", "contract_offers", "contract", required=False),
-        _F("roles", "roles", "roles", required=False, cls=Role),
+        _F("usagePolicy", "str", nonempty=True, form="policy-iri"),
+        _F("contract", "contract", attr="contract_offers", required=False),
+        _F("roles", "roles", required=False, cls=Role),
         _F(
-            "identity", "identity_provider", "sub-block", required=False, cls=IdentityProviderConfig
+            "identity",
+            "sub-block",
+            attr="identity_provider",
+            required=False,
+            cls=IdentityProviderConfig,
         ),
-        _F("oauth", "oauth", "sub-block", required=False, cls=OAuthInfo),
+        _F("oauth", "sub-block", required=False, cls=OAuthInfo),
     )
 
 
@@ -528,10 +530,10 @@ class ConnectorModel(Record):
     ATTRS = ("name",)
     NAMED = ("name", "connector")
     FIELDS = (
-        _F("discovery", "identification", "sub-block", cls=IdentificationData),
-        _F("metadata", "metadata", "sub-block", cls=AssetMetaData),
-        _F("usage", "usage", "sub-block", cls=UsageConfig),
-        _F("access", "access", "sub-block", cls=AccessPolicy),
+        _F("discovery", "sub-block", attr="identification", cls=IdentificationData),
+        _F("metadata", "sub-block", cls=AssetMetaData),
+        _F("usage", "sub-block", cls=UsageConfig),
+        _F("access", "sub-block", cls=AccessPolicy),
     )
 
 

@@ -685,3 +685,41 @@ class TestFieldCoverage:
         assert idlink.text.strip() == join_idlink(sensor_idlink.model.identification)
         security = artifact_json(bundle, "aas-security.json")
         assert security["asset"]["idLink"] == idlink.text.strip()
+
+
+class TestRolesAcrossTargets:
+    """Every target names the model's roles and their permissions, in the
+    model's order: EDC in its role constraint and permissions map, OPC UA and
+    ID-Link/AAS in their role lists."""
+
+    def test_every_generated_document_lists_the_models_roles(self):
+        fixtures = [
+            parse_fixture(name).model
+            for name in ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
+        ]
+        generated = edc = 0
+        for model in fixtures + [build_model(index) for index in range(600)]:
+            report = validate(model, today=FIXTURE_TODAY)
+            targets = {t for t in Target if codegen._unsupported(model, t) is None}
+            if not report.valid or not targets:
+                continue
+            bundle = generate_all(model, targets, report)
+            generated += 1
+            roles = [
+                (role.role_name, [p.value for p in role.permissions])
+                for role in model.access.roles
+            ]
+            if Target.EDC in targets:
+                edc += 1
+                policy = artifact_json(bundle, "policy.json")
+                # Found by its operator: a contract key "role" is an eq constraint.
+                role_lists = [
+                    c["rightOperand"] for c in policy["constraints"] if c["operator"] == "isAnyOf"
+                ]
+                assert role_lists == ([[name for name, _ in roles]] if roles else [])
+                assert policy["permissions"] == dict(roles)
+            for name in ("roles.json", "aas-security.json"):
+                if any(a.relative_path.endswith(name) for a in bundle.artifacts):
+                    document = artifact_json(bundle, name)
+                    assert [(r["name"], r["permissions"]) for r in document["roles"]] == roles
+        assert (generated, edc) == (506, 201)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import inspect
@@ -367,6 +368,32 @@ class TestFieldTable:
         assert kinds <= model_module._FORMATS.keys() | blocks
         assert codegen_module._TO_JSON.keys() <= kinds
 
+    def test_a_row_names_its_attribute_only_where_the_key_does_not_give_it(self):
+        # Read from the source: a built row cannot tell whether attr= was written.
+        calls = [
+            node
+            for node in ast.walk(ast.parse(inspect.getsource(model_module)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_F"
+        ]
+        assert len(calls) == sum(len(cls.FIELDS) for cls in TABLES)
+        explicit = {
+            call.args[0].value: keyword.value.value
+            for call in calls
+            for keyword in call.keywords
+            if keyword.arg == "attr"
+        }
+        assert explicit  # else the loop below checks nothing
+        for key, attr in explicit.items():
+            assert model_module._F(key, "str").attr != attr, key
+
+    def test_a_rows_attribute_is_its_key_in_snake_case_unless_given(self):
+        row = model_module._F
+        assert row("xApiKey", "secret").attr == "x_api_key"
+        assert row("samplingRateMs", "int", minimum=1) == model_module.FieldSpec(
+            "samplingRateMs", "sampling_rate_ms", "int", minimum=1
+        )
+        assert row("discovery", "sub-block", attr="identification").attr == "identification"
+
     def test_only_the_connector_requires_a_block(self):
         # A missing section is an E011 of its own; the block parser words any
         # other missing required row as a missing field, which no block row is.
@@ -555,6 +582,13 @@ class TestModelEquals:
             )
         )
         assert a == b
+
+    def test_a_record_of_another_class_or_no_record_is_unequal(self):
+        # Same state, other class: only the class test tells them apart.
+        literal = SecretLiteral("KEY")
+        for other in (SecretEnvVar("KEY"), object()):
+            assert (literal == other) is False
+            assert (literal != other) is True
 
     def test_differing_field_breaks_equality(self):
         a = minimal_model()

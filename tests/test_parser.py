@@ -1225,6 +1225,12 @@ class TestParseProperties:
         with pytest.raises(TypeError, match="unhashable type: 'SourceMap'"):
             hash(first)
 
+    def test_a_source_map_is_unequal_to_a_string(self):
+        smap = SourceMap("t.dsx", "connector")
+        for other in ("t.dsx", "connector"):
+            assert (smap == other) is False and (other == smap) is False
+            assert (smap != other) is True and (other != smap) is True
+
     @pytest.mark.parametrize("name", FLAGSHIPS)
     def test_every_prefix_parses_within_bounds(self, name):
         # Each cut ends the token stream at a different point of the entry
