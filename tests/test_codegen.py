@@ -687,17 +687,24 @@ class TestFieldCoverage:
         assert security["asset"]["idLink"] == idlink.text.strip()
 
 
+# The access members every target that writes them copies unchanged.
+_SHARED_ACCESS_KEYS = ("usagePolicy", "identityProvider", "oauth")
+
+
 class TestRolesAcrossTargets:
-    """Every target names the model's roles and their permissions, in the
-    model's order: EDC in its role constraint and permissions map, OPC UA and
-    ID-Link/AAS in their role lists."""
+    """Every target reads back the model's access policy: the roles and
+    their permissions in the model's order (EDC in its role constraint and
+    permissions map, OPC UA and ID-Link/AAS in their role lists), the
+    contract offers (EDC as ``eq`` constraints, the others as
+    ``contractOffers``), and one ``usagePolicy``, ``identityProvider`` and
+    ``oauth``."""
 
     def test_every_generated_document_lists_the_models_roles(self):
         fixtures = [
             parse_fixture(name).model
             for name in ("production-machine.dsx", "machine-opcua.dsx", "sensor-idlink.dsx")
         ]
-        generated = edc = 0
+        generated = edc = shared_by_two = 0
         for model in fixtures + [build_model(index) for index in range(600)]:
             report = validate(model, today=FIXTURE_TODAY)
             targets = {t for t in Target if codegen._unsupported(model, t) is None}
@@ -709,6 +716,10 @@ class TestRolesAcrossTargets:
                 (role.role_name, [p.value for p in role.permissions])
                 for role in model.access.roles
             ]
+            offers = {
+                key: _projection(value) for key, value in model.access.contract_offers.items()
+            }
+            documents = []
             if Target.EDC in targets:
                 edc += 1
                 policy = artifact_json(bundle, "policy.json")
@@ -718,8 +729,23 @@ class TestRolesAcrossTargets:
                 ]
                 assert role_lists == ([[name for name, _ in roles]] if roles else [])
                 assert policy["permissions"] == dict(roles)
+                terms = [
+                    (c["leftOperand"], c["rightOperand"])
+                    for c in policy["constraints"]
+                    if c["operator"] == "eq"
+                ]
+                assert dict(terms) == offers and len(terms) == len(offers)
+                documents.append(policy)
             for name in ("roles.json", "aas-security.json"):
                 if any(a.relative_path.endswith(name) for a in bundle.artifacts):
                     document = artifact_json(bundle, name)
                     assert [(r["name"], r["permissions"]) for r in document["roles"]] == roles
-        assert (generated, edc) == (506, 201)
+                    assert document["contractOffers"] == offers
+                    documents.append(document)
+            shared = [
+                {key: document.get(key) for key in _SHARED_ACCESS_KEYS} for document in documents
+            ]
+            assert shared[0]["usagePolicy"] == model.access.usage_policy
+            assert all(members == shared[0] for members in shared)
+            shared_by_two += len(documents) > 1
+        assert (generated, edc, shared_by_two) == (506, 201, 206)
