@@ -29,8 +29,8 @@ the plain path, so they cost one key comparison more; it too writes str and
 int members inline.  Each container reads its opener, separator and closer
 (bracket, comma, newline and indentation) from a table per nesting depth,
 built at import for the shallow depths, instead of joining them itself.
-``generate_all`` turns the contract terms into JSON once per call and
-passes them to every builder that writes them.  On CPython 3.11 the
+``generate_all`` builds the access block's JSON once per call, from its
+rows, and passes it to every builder.  On CPython 3.11 the
 encoder is about twice as fast as ``json.dumps`` on small documents and
 about three times on a policy of 4096 contract terms.
 
@@ -239,14 +239,6 @@ def _secret(ref: SecretRef) -> str:
     return ref.value
 
 
-def _contract_terms(access: AccessPolicy) -> dict[str, object]:
-    """The contract offers as JSON: each date as its ISO text."""
-    return {
-        key: value.isoformat() if isinstance(value, date) else value
-        for key, value in access.contract_offers.items()
-    }
-
-
 def _members(record: Record) -> dict[str, object]:
     """A block's JSON object: each row's DSL key mapped to its value, absent
     optional values left out, so a new row reaches every document mirroring it."""
@@ -267,7 +259,20 @@ _TO_JSON = {
     "enum-list": lambda value: [member._value_ for member in value],
     "secret": _secret,
     "sub-block": _members,
+    "contract": lambda offers: {
+        key: value.isoformat() if isinstance(value, date) else value
+        for key, value in offers.items()
+    },
+    "roles": lambda roles: [{"name": role.role_name, **_members(role)} for role in roles],
 }
+
+# The access document's members that are not named by their DSL key.
+_ACCESS_KEYS = {"contract": "contractOffers", "identity": "identityProvider"}
+
+
+def _access_document(access: AccessPolicy) -> dict[str, object]:
+    """The access block's JSON object, with its two renamed members."""
+    return {_ACCESS_KEYS.get(key, key): value for key, value in _members(access).items()}
 
 
 def _unsupported(model: ConnectorModel, target: Target) -> str | None:
@@ -289,12 +294,12 @@ def _unsupported(model: ConnectorModel, target: Target) -> str | None:
 
 
 # Each target's builder takes a clean model the target supports and its
-# contract terms, which generate_all builds once for all builders, and returns
-# its files as (name, content) pairs in artifact order; generate_all wraps
-# each pair in a GeneratedArtifact once.
+# access document, which generate_all builds once for all builders and which
+# no builder changes, and returns its files as (name, content) pairs in
+# artifact order; generate_all wraps each pair in a GeneratedArtifact once.
 
 
-def _edc_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[str, bytes]]:
+def _edc_files(model: ConnectorModel, access: dict[str, object]) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     identification = _members(model.identification)
     asset_id = identification.pop("linkedAssetId")
@@ -313,27 +318,24 @@ def _edc_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[st
         "properties": _members(model.metadata),
     }
 
+    policy = dict(access)
+    offers = policy.pop("contractOffers")
+    roles = policy.pop("roles")
     constraints: list[dict[str, object]] = [
         {"leftOperand": key, "operator": "eq", "rightOperand": term}
-        for key, term in sorted(terms.items())
+        for key, term in sorted(offers.items())
     ]
-    if model.access.roles:
+    if roles:
         constraints.append(
             {
                 "leftOperand": "role",
                 "operator": "isAnyOf",
-                "rightOperand": [role.role_name for role in model.access.roles],
+                "rightOperand": [role["name"] for role in roles],
             }
         )
-    policy: dict[str, object] = {
-        "constraints": constraints,
-        "id": policy_id,
-        "permissions": {
-            role.role_name: [p._value_ for p in role.permissions] for role in model.access.roles
-        },
-        "usagePolicy": model.access.usage_policy,
-        **_credentials_json(model.access),
-    }
+    policy["constraints"] = constraints
+    policy["id"] = policy_id
+    policy["permissions"] = {role["name"]: role["permissions"] for role in roles}
 
     connection = _members(ext)
     counterparty = {key: connection.pop(key) for key in ("remoteAddress", "remoteId")}
@@ -356,7 +358,7 @@ def _edc_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[st
     ]
 
 
-def _opcua_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[str, bytes]]:
+def _opcua_files(model: ConnectorModel, access: dict[str, object]) -> list[tuple[str, bytes]]:
     ext = model.usage.extension
     asset = _members(model.identification)
     asset["id"] = asset.pop("linkedAssetId")
@@ -368,52 +370,30 @@ def _opcua_files(model: ConnectorModel, terms: dict[str, object]) -> list[tuple[
         "protocols": [PROTOCOL_WIRE_NAMES[p] for p in ext.protocols],
     }
 
-    roles = _access_document(model, terms)
-
     return [
         ("catalog.json", _dump(catalog)),
         ("resource.json", _dump(resource)),
-        ("roles.json", _dump(roles)),
+        ("roles.json", _dump(access)),
     ]
 
 
 def _idlink_aas_files(
-    model: ConnectorModel, terms: dict[str, object]
+    model: ConnectorModel, access: dict[str, object]
 ) -> list[tuple[str, bytes]]:
     url = join_idlink(model.identification)
-    security = _access_document(model, terms)
-    security["asset"] = {
-        "id": model.identification.linked_asset_id,
-        "idLink": url,
-        "identifierType": model.identification.identifier_type._value_,
+    security = {
+        **access,
+        "asset": {
+            "id": model.identification.linked_asset_id,
+            "idLink": url,
+            "identifierType": model.identification.identifier_type._value_,
+        },
     }
 
     return [
         ("idlink.txt", (url + "\n").encode("utf-8")),
         ("aas-security.json", _dump(security)),
     ]
-
-
-def _access_document(model: ConnectorModel, terms: dict[str, object]) -> dict[str, object]:
-    return {
-        "contractOffers": terms,
-        "roles": [
-            {"name": role.role_name, "permissions": [p._value_ for p in role.permissions]}
-            for role in model.access.roles
-        ],
-        "usagePolicy": model.access.usage_policy,
-        **_credentials_json(model.access),
-    }
-
-
-def _credentials_json(access: AccessPolicy) -> dict[str, object]:
-    """The identityProvider and oauth members, each present when the model has it."""
-    members: dict[str, object] = {}
-    if access.identity_provider is not None:
-        members["identityProvider"] = _members(access.identity_provider)
-    if access.oauth is not None:
-        members["oauth"] = _members(access.oauth)
-    return members
 
 
 _BUILDERS = {
@@ -446,7 +426,7 @@ def generate_all(
         )
     artifacts: list[GeneratedArtifact] = []
     failures: list[str] = []
-    terms = _contract_terms(model.access)
+    access = _access_document(model.access)
     for target, build in _BUILDERS.items():
         if target not in targets:
             continue
@@ -457,7 +437,7 @@ def generate_all(
         prefix = target._value_ + "/"
         artifacts.extend(
             GeneratedArtifact(prefix + name, content, target)
-            for name, content in build(model, terms)
+            for name, content in build(model, access)
         )
     if failures:
         raise GenerationError(*failures)

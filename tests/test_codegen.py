@@ -25,9 +25,6 @@ from dsx import (
     Target,
     codegen,
     generate_all,
-    generate_edc,
-    generate_idlink_aas,
-    generate_opcua,
     join_idlink,
     parse,
     schema_path_for,
@@ -48,6 +45,17 @@ def _opcua_with_identity():
     text = fixture_text("machine-opcua.dsx")
     end = text.rindex("  }\n}")  # the end of the access block
     return text[:end] + identity + text[end:]
+
+
+# Two target sets whose builders all read one access document.
+_SHARING_THE_ACCESS_DOCUMENT = pytest.mark.parametrize(
+    "source, targets",
+    [
+        (fixture_text("production-machine.dsx"), {Target.EDC, Target.IDLINK_AAS}),
+        (_opcua_with_identity(), {Target.OPCUA, Target.IDLINK_AAS}),
+    ],
+    ids=["edc-idlink-aas", "opcua-idlink-aas"],
+)
 
 
 def artifact_json(bundle, name):
@@ -259,27 +267,29 @@ class TestGenerateAll:
         generate_all(production_machine.model, {Target.EDC, Target.IDLINK_AAS})
         assert calls == [production_machine.model]
 
-    @pytest.mark.parametrize(
-        "source, targets",
-        [
-            (fixture_text("production-machine.dsx"), {Target.EDC, Target.IDLINK_AAS}),
-            (_opcua_with_identity(), {Target.OPCUA, Target.IDLINK_AAS}),
-        ],
-        ids=["edc-idlink-aas", "opcua-idlink-aas"],
-    )
-    def test_builds_the_contract_terms_once(self, source, targets, monkeypatch):
+    @_SHARING_THE_ACCESS_DOCUMENT
+    def test_builds_the_access_document_once(self, source, targets, monkeypatch):
         model = parse(source).model
         calls = []
-        terms = codegen._contract_terms
+        build = codegen._access_document
 
-        def counting_terms(access):
+        def counting_build(access):
             calls.append(access)
-            return terms(access)
+            return build(access)
 
-        monkeypatch.setattr(codegen, "_contract_terms", counting_terms)
+        monkeypatch.setattr(codegen, "_access_document", counting_build)
         bundle = generate_all(model, targets)
         assert calls == [model.access]
         assert {a.target for a in bundle.artifacts} == targets
+
+    @_SHARING_THE_ACCESS_DOCUMENT
+    def test_builder_order_does_not_change_the_bytes(self, source, targets, monkeypatch):
+        # The builders share one access document, so none may change it.
+        model = parse(source).model
+        expected = generate_all(model, targets)
+        reversed_builders = dict(reversed(codegen._BUILDERS.items()))
+        monkeypatch.setattr(codegen, "_BUILDERS", reversed_builders)
+        assert generate_all(model, targets) == expected
 
     def test_builds_each_artifact_once(self, production_machine, monkeypatch):
         checked = []
@@ -653,16 +663,16 @@ class TestFieldCoverage:
     """Every scalar of a target's active sections lands in the bundle."""
 
     @pytest.mark.parametrize(
-        "fixture,target,generator",
+        "fixture,target",
         [
-            ("production-machine.dsx", Target.EDC, generate_edc),
-            ("machine-opcua.dsx", Target.OPCUA, generate_opcua),
-            ("sensor-idlink.dsx", Target.IDLINK_AAS, generate_idlink_aas),
+            ("production-machine.dsx", Target.EDC),
+            ("machine-opcua.dsx", Target.OPCUA),
+            ("sensor-idlink.dsx", Target.IDLINK_AAS),
         ],
     )
-    def test_every_active_scalar_appears(self, fixture, target, generator):
+    def test_every_active_scalar_appears(self, fixture, target):
         model = parse_fixture(fixture).model
-        bundle = generator(model)
+        bundle = generate_all(model, {target})
         leaves_per_artifact = {
             a.relative_path: (
                 _json_leaves(json.loads(a.text))
