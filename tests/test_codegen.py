@@ -697,10 +697,6 @@ class TestFieldCoverage:
         assert security["asset"]["idLink"] == idlink.text.strip()
 
 
-# The access members every target that writes them copies unchanged.
-_SHARED_ACCESS_KEYS = ("usagePolicy", "identityProvider", "oauth")
-
-
 class TestRolesAcrossTargets:
     """Every target reads back the model's access policy: the roles and
     their permissions in the model's order (EDC in its role constraint and
@@ -753,7 +749,8 @@ class TestRolesAcrossTargets:
                     assert document["contractOffers"] == offers
                     documents.append(document)
             shared = [
-                {key: document.get(key) for key in _SHARED_ACCESS_KEYS} for document in documents
+                {key: d.get(key) for key in ("usagePolicy", "identityProvider", "oauth")}
+                for d in documents
             ]
             assert shared[0]["usagePolicy"] == model.access.usage_policy
             assert all(members == shared[0] for members in shared)
