@@ -9,16 +9,18 @@ The surface syntax is block-structured::
       access { ... }
     }
 
-The lexer runs one ``findall`` of a compiled regex over the file; each match
-is one token with the blanks before it and any punctuation mark after it on
-the same line, which becomes a token of its own.  A ``//`` comment is a match
-of its own, which the lexer drops.  Inside the parser a token is a plain
-tuple ``(kind, lexeme, value, offset)``: its decoded value, dates included
-(``None`` for an impossible calendar date such as ``2025-02-30``), and its
-character offset.  A list value has the same shape, ``(LBRACKET, "[",
-items, offset of the '[')``.  One :class:`SourceMap` per file holds its name
-and text, and works out line and column from line starts built on first
-use, only when a diagnostic or a reader asks.  :func:`tokenize` wraps each
+The lexer runs ``findall`` of a compiled regex over one window of the file
+at a time; the parser asks for the next window as it reads, and drops the
+tokens it has read.  Each match is one token with the blanks before it and
+any punctuation mark after it on the same line, which becomes a token of its
+own.  A ``//`` comment is a match of its own, which the lexer drops.  Inside
+the parser a token is a plain tuple ``(kind, lexeme, value, offset)``: its
+decoded value, dates included (``None`` for an impossible calendar date such
+as ``2025-02-30``), and its character offset.  A list value has the same
+shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
+:class:`SourceMap` per file holds its name and text, and works out line and
+column from line starts built on first use, only when a diagnostic or a
+reader asks.  :func:`tokenize` wraps each
 tuple in a :class:`Token`, which works out its ``line``, ``column`` and
 ``span`` from that map on each read.
 
@@ -46,6 +48,7 @@ recorded gets the header's span.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from enum import Enum
 from functools import cache
@@ -264,10 +267,10 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # alternative, since escape pairs are no single-character repeat.
 # Possessive quantifiers and atomic groups would save as much, but need
 # Python 3.11.
-# Cost: lexing is linear in the input for every input.  The diagnostic cap
-# stops the diagnostics and the tokens, not the matching, which has already
-# run over the whole file; the match list is freed when ``_lex`` returns,
-# before parsing starts.
+# Cost: lexing is linear in the input for every input.  ``_lex`` matches one
+# window of the file at a time, so the diagnostic cap stops the matching at
+# the end of the window that fills it, and a match list lives only as long
+# as its window.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -370,16 +373,52 @@ class _Sink:
         self.diagnostics.append(Diagnostic(code, message, span))
 
 
-def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
-    """The file's tokens, EOF last; lexical problems go to ``sink``.
+# Characters per lexer window; a window runs on to the end of the line it
+# stops in.  Tests set it low, so that every file crosses windows.
+_WINDOW = 16384
+# Tokens the parser may read between two refill checks.  A check sits at the
+# top of every loop that reads any number of tokens, and no path from one
+# check to the next reads more than a few.
+_MARGIN = 64
 
-    After the token that fills the sink, EOF follows at that token's end.
+
+def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
+    """Append the tokens of the window from offset ``start`` to ``tokens``,
+    with lexical problems going to ``sink``; return where the next window
+    starts, or -1 once EOF is appended.
+
+    A window is ``_WINDOW`` characters up to the end of the line it stops
+    in, since no token spans a newline; its last match, the empty one at the
+    window's end, is EOF only at the end of the source.  A line that runs on
+    for more than another window is cut at the window's end, and the last
+    three tokens before the cut are left to the next window: the last may be
+    cut itself, and a date or env reference cut short falls back to shorter
+    tokens, at most three (``2025``, ``-01``, ``-0``).  A cut window that
+    holds no more tokens than those runs on to the end of its line instead,
+    so a token longer than a window, such as a 1 MiB string, is matched
+    once.  After the token that fills the sink, EOF follows at that token's
+    end.
     """
-    tokens: list[_Tok] = []
+    source = smap.source
+    length = len(source)
+    end = start + _WINDOW
+    newline = source.find("\n", end, end + _WINDOW)
+    if newline >= 0:
+        end = newline + 1
+    elif end + _WINDOW >= length:
+        end = length
+    matches = _TOKEN_RE.findall(source, start, end)
+    if newline < 0 and end < length:  # a long line, cut at the window's end
+        if len(matches) > 4:  # the three tokens to leave, and the window's end
+            del matches[-4:]
+        elif len(matches) > 1:  # no more than those: lex to the line's end
+            newline = source.find("\n", end)
+            end = length if newline < 0 else newline + 1
+            matches = _TOKEN_RE.findall(source, start, end)
     append = tokens.append
     fixed = _FIXED.get
-    pos = 0
-    for blanks, text, close, mark in _TOKEN_RE.findall(smap.source):
+    pos = start
+    for blanks, text, close, mark in matches:
         start = pos + len(blanks)
         pos = start + len(text)
         if close and text.isprintable():
@@ -390,7 +429,7 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
             append((_STRING, text, value, start))
         elif (known := fixed(text)) is not None:
             append((known[0], text, known[1], start))
-        elif not text:  # blanks up to the end of input
+        elif not text:  # blanks up to the end of the window
             break
         else:
             first = text[0]
@@ -412,8 +451,10 @@ def _lex(smap: SourceMap, sink: _Sink) -> list[_Tok]:
             pos += len(mark)
             mark = mark[-1]
             append((fixed(mark)[0], mark, None, pos - 1))
+    if pos < length and not sink.full:
+        return pos
     append((_EOF, "", None, pos))
-    return tokens
+    return -1
 
 
 def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -> _Tok | None:
@@ -452,11 +493,18 @@ def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -
 
 @pause_gc
 def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    """Split source text into tokens; lexical problems become diagnostics."""
+    """Split source text into tokens; lexical problems become diagnostics.
+
+    The windows of ``_lex`` are joined into one list, EOF last, so the
+    tokens do not depend on where a window ends.
+    """
     sink = _Sink()
     smap = SourceMap(file, source)
-    tokens = [Token(*tok, smap) for tok in _lex(smap, sink)]
-    return tokens, sink.diagnostics
+    lexed: list[_Tok] = []
+    window = 0
+    while window >= 0:
+        window = _lex(smap, sink, lexed, window)
+    return [Token(*tok, smap) for tok in lexed], sink.diagnostics
 
 
 class ParseResult(Record):
@@ -478,17 +526,68 @@ class _Abort(Exception):
 class _Parser:
     # Every parser reads the cursor as ``self.tokens[self.pos]`` and moves
     # ``pos`` past a token only once its kind is known and is not EOF, so the
-    # cursor never runs past the EOF token.
-    def __init__(self, tokens: list[_Tok], smap: SourceMap, sink: _Sink) -> None:
-        self.tokens = tokens
+    # cursor never runs past the EOF token.  The list holds the tokens of the
+    # windows lexed so far that the parser has not read.  Each loop that can
+    # read any number of tokens first checks ``pos`` against ``refill_at``,
+    # so at least ``_MARGIN`` tokens lie ahead until EOF is in the list.  A
+    # refill moves the tokens ahead to the front of the same list, so a
+    # ``tokens = self.tokens`` alias stays valid, and no frame may hold an
+    # index across a check.
+    def __init__(self, smap: SourceMap, lexical: list[Diagnostic] | None = None) -> None:
+        self.tokens: list[_Tok] = []
         self.pos = 0
+        self.refill_at = -1
+        self.window = 0  # where the next window starts; -1 once EOF is lexed
         self.smap = smap
-        self.sink = sink
+        self.lexical = _Sink()
+        # The lexical findings the cap counts: those of the windows lexed so
+        # far, or, given ``lexical``, all of the file's.
+        self.counted = self.lexical.diagnostics if lexical is None else lexical
+        # The parser's own findings as (code, message, span), kept apart from
+        # the lexer's: a block that grows this list reported an error.
+        self.diagnostics: list[tuple[str, str, Span]] = []
+        self.stopped = False  # whether the cap stopped the parser at its last finding
+
+    def run(self) -> ConnectorModel | None:
+        """The model; None after any diagnostic or once the cap stops the parser."""
+        try:
+            self.refill()
+            return self.parse_document()
+        except _Abort:
+            return None
+
+    def refill(self) -> None:
+        """Drop the tokens already read, then lex windows until more than
+        ``_MARGIN`` tokens lie ahead or EOF is in; abort once the lexer has
+        filled its sink, which leaves no room for the parser's findings."""
+        tokens = self.tokens
+        del tokens[: self.pos]
+        self.pos = 0
+        window = self.window
+        while window >= 0 and len(tokens) <= _MARGIN:
+            window = _lex(self.smap, self.lexical, tokens, window)
+        self.window = window
+        if window >= 0:
+            self.refill_at = len(tokens) - _MARGIN
+            return
+        self.refill_at = sys.maxsize
+        if self.lexical.full:
+            raise _Abort
+
+    def lex_rest(self) -> None:
+        """Lex the windows the parser did not reach, for their diagnostics."""
+        tokens = self.tokens
+        while self.window >= 0:
+            tokens.clear()
+            self.window = _lex(self.smap, self.lexical, tokens, self.window)
 
     def error(self, code: str, message: str, tok: _Tok) -> None:
-        """Report an error at a token (or list), and abort at the cap."""
-        self.sink.error(code, message, self.smap.span_of(tok))
-        if self.sink.full:
+        """Report an error at a token (or list), and abort once the file
+        holds MAX_DIAGNOSTICS findings."""
+        diagnostics = self.diagnostics
+        diagnostics.append((code, message, self.smap.span_of(tok)))
+        if len(diagnostics) + len(self.counted) >= MAX_DIAGNOSTICS:
+            self.stopped = True
             raise _Abort
 
     # --- error recovery ---------------------------------------------------
@@ -499,6 +598,8 @@ class _Parser:
         tokens = self.tokens
         depth = 0
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             tok = tokens[self.pos]
             kind = tok[0]
             if kind is _EOF:
@@ -515,6 +616,8 @@ class _Parser:
         """Consume tokens up to and including a balanced '{ ... }'."""
         tokens = self.tokens
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             tok = tokens[self.pos]
             kind = tok[0]
             if kind is _LBRACE:
@@ -524,6 +627,8 @@ class _Parser:
             self.pos += 1
         depth = 0
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             kind = tokens[self.pos][0]
             if kind is _EOF:
                 return
@@ -544,6 +649,8 @@ class _Parser:
         line_end = self.smap.line_end(tok[3])
         depth = 0
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             if tok[0] is _LBRACE:
                 depth += 1
             elif tok[0] is _RBRACE:
@@ -594,7 +701,7 @@ class _Parser:
         reports only syntax errors and records no path.
         """
         tokens = self.tokens
-        diagnostics = self.sink.diagnostics
+        diagnostics = self.diagnostics
         reported = len(diagnostics)
         seen: set[str] = set()  # field keys, contract keys and block names read
         values: dict[str, object] = {}
@@ -610,6 +717,8 @@ class _Parser:
             allowed = _SUBBLOCKS[label]
             contract = label == "contract"
             while True:
+                if self.pos > self.refill_at:
+                    self.refill()
                 tok = tokens[self.pos]
                 kind = tok[0]
                 if kind is _IDENT and not contract:  # most entries are `key: value`
@@ -803,6 +912,8 @@ class _Parser:
         items: list[_Tok] = []
         bad_line_end = -1  # the end of the first bad item's line, once there is one
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             tok = tokens[self.pos]
             kind = tok[0]
             if kind is _RBRACKET:
@@ -867,6 +978,8 @@ class _Parser:
             self.sync()
         closed = False
         while True:
+            if self.pos > self.refill_at:
+                self.refill()
             tok = tokens[self.pos]
             kind = tok[0]
             if kind is _RBRACE:
@@ -930,6 +1043,8 @@ class _Parser:
                 break
 
         if closed:
+            if self.pos > self.refill_at:
+                self.refill()
             trailing = tokens[self.pos]
             if trailing[0] is _KEYWORD and trailing[1] == "connector":
                 self.error(
@@ -946,7 +1061,7 @@ class _Parser:
             if section not in seen:
                 self.error("E011", f"missing required section '{section}'", connector)
 
-        if self.sink.diagnostics:
+        if self.diagnostics or self.lexical.diagnostics:
             return None
         model = object.__new__(ConnectorModel)
         ConnectorModel._init_parsed(model, name=name, **values)
@@ -1090,16 +1205,32 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
 
     The returned model is present exactly when no ERROR-severity diagnostic
     was produced.  Identical input always yields an identical result.
+
+    The diagnostics are those of one sink that took every lexical finding
+    of the file and then the parser's, capped at MAX_DIAGNOSTICS, although
+    the parser runs while the file is still being lexed.
     """
-    sink = _Sink()
     smap = SourceMap(file, source)
-    parser = _Parser(_lex(smap, sink), smap, sink)
-    model: ConnectorModel | None = None
-    if not sink.full:
-        try:
-            model = parser.parse_document()  # None after any diagnostic, all of them errors
-        except _Abort:
-            model = None
+    parser = _Parser(smap)
+    model = parser.run()  # None after any diagnostic, all of them errors
+    parser.lex_rest()
+    sink = parser.lexical
+    room = MAX_DIAGNOSTICS - len(sink.diagnostics)  # for the parser's findings
+    found = parser.diagnostics
+    if len(found) > room or len(found) == room and not parser.stopped:
+        # The lexer found errors ahead of the parser, so the cap falls at an
+        # earlier finding of the parser's than it could tell.  Parse again
+        # up to that finding, so the map records only the paths recorded
+        # before it; with no room left, the parser does not run.
+        smap = SourceMap(file, source)
+        parser = _Parser(smap, sink.diagnostics)
+        if room > 0:
+            parser.run()
+        found = parser.diagnostics
+    for finding in found:
+        sink.error(*finding)
+    if sink.diagnostics:
+        model = None
     # A block reports its missing fields when it closes, after the syntax
     # errors of its later lines; present findings in source order.  An E099
     # marks truncation and stays last.

@@ -21,6 +21,9 @@ cycles.
 Run ``python tests/test_golden.py`` to print the current digests, or
 ``python tests/test_golden.py --dump DIR`` to write each input's record to
 ``DIR/<group>/<n>.txt``, so the outputs of two trees compare with ``diff -r``.
+Run as a script, it also computes every digest with the lexer's window set
+to 64 characters and fails if one differs: no golden input is a window
+long, so only that run matches windows that end inside a file.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from dsx import (
     tokenize,
     validate,
 )
+from dsx import parser as parser_module
 from dsx.validator import CHECKS
 from modelgen import build_model
 
@@ -291,3 +295,10 @@ if __name__ == "__main__":
             print("}")
         if unreachable:
             sys.exit(f"{unreachable} objects in reference cycles after the golden run")
+        golden_run.cache_clear()
+        parser_module._WINDOW = 64
+        windowed, windowed_tokens, _ = golden_run()
+        for found, other in ((digests, windowed), (token_digests, windowed_tokens)):
+            changed = [name for name in found if other[name] != found[name]]
+            if changed:
+                sys.exit(f"64-character lexer windows change the digests of: {', '.join(changed)}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsx import (
+    Diagnostic,
     EdcUsage,
     IdentifierType,
     QosMetrics,
@@ -25,6 +26,7 @@ from dsx import (
     validate,
 )
 from dsx import model as model_module
+from dsx import parser as parser_module
 from dsx.codegen import _unsupported
 from dsx.model import NAME_RE, Record
 from dsx.parser import _ROWS, SourceMap, Token, _lex, _Sink
@@ -631,7 +633,8 @@ class TestTokensOnDemand:
             assert parse(fixture_text(name), name).model is not None
         assert built == []
         for source, _, _ in LEX_CASES.values():
-            lexed = _lex(SourceMap("t.dsx", source), _Sink())
+            lexed = []
+            assert _lex(SourceMap("t.dsx", source), _Sink(), lexed, 0) == -1
             tokens, _ = tokenize(source, "t.dsx")
             assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == lexed
             assert len(built) == len(tokens)  # the count sees tokenize's Tokens
@@ -1201,9 +1204,10 @@ class TestParseProperties:
                 assert result.model is not None
         assert best[1] / best[0] < 8
 
-    # The lexer matches the whole file before the cap can stop it, so a flood
-    # of illegal characters costs time linear in its length, as valid tokens
-    # and comments, each a match of its own, do.
+    # Valid tokens and comments, each a match of its own, are lexed to the
+    # end of the file in time linear in its length.  A flood of illegal
+    # characters stops at the end of the window that fills the cap, so its
+    # time does not grow with its length at all.
     @pytest.mark.parametrize(
         "unit", ["@", "a ", "//c\n"], ids=["error-flood", "valid-token-flood", "comment-flood"]
     )
@@ -1280,3 +1284,159 @@ class TestParseProperties:
     def test_fuzz_bytes_never_crash(self, blob):
         result = parse(blob.decode("utf-8", errors="replace"), "fuzz.dsx")
         assert result.diagnostics is not None
+
+
+def _windowed(window, source, file="w.dsx"):
+    """What parse and tokenize return for a source lexed in windows of
+    ``window`` characters."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser_module, "_WINDOW", window)
+        tokens, lexical = tokenize(source, file)
+        return parse(source, file), [(t.kind, t.lexeme, t.value, t.offset) for t in tokens], lexical
+
+
+# A flagship with its header misspelt and 120 runs of 400 comment lines and
+# an '@' line after it: the parser stops at its first token, so only the
+# drain of the later windows finds the 99 E002s and the E099.
+_LATE_ERRORS = fixture_text("production-machine.dsx").replace("connector", "connectr", 1) + (
+    "// comment\n" * 400 + "@\n"
+) * 120
+
+# The cap reached with lexical errors in windows the parser has not reached:
+# the lexer alone fills it after the parser has bound the whole connector,
+# and the parser holds more findings than, or exactly as many as, the room
+# that the later lexical errors leave it.
+_CAP_CASES = {
+    "lexer-fills-late": fixture_text("production-machine.dsx") + ("// c\n" * 400 + "@\n") * 120,
+    **{
+        f"parser-{n}-lexer-50": fixture_text("production-machine.dsx").replace(
+            "access {\n", "access {\n" + "".join(f'    bogus{i} "x"\n' for i in range(n))
+        )
+        + ("// c\n" * 400 + "@\n") * 50
+        for n in (50, 60)
+    },
+}
+
+# Pieces of the long lines the window property writes: dates and env
+# references, which fall back to several shorter tokens when a window cuts
+# them short, the other token kinds, errors and blanks.
+_LINE_PIECES = (
+    "2025-01-01", "2025-01-0", "2025-", "env(ABC_D)", "env(", "ABC_D)", "-01", "12", "x-y",
+    '"s t"', '"a\\"b"', '"open', "@", "$", "{", "}", "[", "]", ":", ",", "// c", " ", "\t",
+    "READ", "role", "true",
+)
+_VALUES = st.one_of(
+    st.dates(date(2000, 1, 1), date(2099, 12, 31)).map(date.isoformat),
+    st.integers(-99999, 99999).map(str),
+    st.sampled_from(['"v"', "true", "env(ABC)", "2025-02-30"]),
+)
+_LONG_LINES = st.one_of(
+    st.lists(st.sampled_from(_LINE_PIECES), min_size=20, max_size=120).map("".join),
+    st.integers(1, 150).map(lambda n: "@\n" * n),
+    st.integers(1, 150).map(lambda n: "@" * n),
+    st.integers(1, 30).map(lambda n: "  // a comment line\n" * n),
+    st.integers(30, 300).map(lambda n: '    title: "' + "ab " * n + '"'),
+    st.integers(65, 400).map(lambda n: "    " + "x" * n + ": 1"),
+)
+
+
+@st.composite
+def windowed_files(draw):
+    """A flagship that crosses many 64-character windows: long contract,
+    list and string lines in place of its own, other long lines, errors
+    spread over it and past the cap, runs of comment lines that fill whole
+    windows, and content after its connector block."""
+    text = fixture_text(draw(st.sampled_from(FLAGSHIPS)))
+    if draw(st.booleans()):
+        text = text.replace("connector", "connectr", 1)
+    separator = draw(st.sampled_from([" ", ""]))
+    values = draw(st.lists(_VALUES, min_size=1, max_size=40))
+    entries = separator.join(f'"k{i}": {value},' for i, value in enumerate(values))
+    text = text.replace('"maxRetentionDays": 30,', entries)
+    count = draw(st.integers(1, 40))
+    text = text.replace("permissions: [READ]", f"permissions: [{', '.join(['READ'] * count)}]")
+    text = text.replace("semanticIds: [", "semanticIds: [" + '"https://a.example/i", ' * count)
+    lines = text.split("\n")
+    for index, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), _LONG_LINES), max_size=8)):
+        lines.insert(index, line)
+    return "\n".join(lines) + draw(st.one_of(st.just(""), _LONG_LINES))
+
+
+class TestLexerWindows:
+    """A parse lexes the file one window at a time and drops the tokens it
+    has read; no output depends on where a window ends."""
+
+    def test_every_golden_input_parses_alike_in_any_window(self):
+        inputs = [item for _, group in groups() for item in group]  # capped inputs last
+        inputs += [("late.dsx", _LATE_ERRORS)] + [(f"{k}.dsx", v) for k, v in _CAP_CASES.items()]
+        inputs += [(f"{name}.dsx", case[0]) for name, case in LEX_CASES.items()]
+        assert len(inputs) > 2500
+        for file, source in inputs:
+            assert _windowed(64, source, file) == _windowed(1 << 30, source, file), file
+
+    def test_the_cap_counts_the_lexical_findings_of_windows_not_yet_parsed(self):
+        result, _, lexical = _windowed(64, _LATE_ERRORS, "late.dsx")
+        assert [d.code for d in result.diagnostics] == ["E002"] * 99 + ["E099"]
+        assert result.diagnostics == tuple(lexical)
+        assert result.diagnostics[-1].span.line == 59 + 100 * 401
+        assert result.model is None
+
+    # A window that cuts a line falls back to shorter tokens inside a date or
+    # an env reference; shifting the line moves every cut across each of them.
+    @pytest.mark.parametrize(
+        "entry", ['"k": 2025-01-01,', "s: env(ABC_DEF)"], ids=["date", "env-reference"]
+    )
+    def test_a_cut_inside_any_token_lexes_alike(self, entry):
+        for shift in range(len(entry) + 1):
+            source = " " * shift + entry * 20
+            assert _windowed(64, source) == _windowed(1 << 30, source), shift
+
+    @pytest.mark.parametrize("name", _CAP_CASES)
+    def test_the_map_holds_only_what_the_parser_bound_before_the_cap(self, name):
+        result, _, lexical = _windowed(64, _CAP_CASES[name])
+        parsed = [d for d in result.diagnostics if d.code == "E003"]
+        assert len(lexical) == 100 if name == "lexer-fills-late" else 50
+        assert len(parsed) == max(0, 99 - len(lexical))
+        spans = result.source_map.spans
+        assert ("discovery.baseUrl" in spans) == bool(parsed)
+        assert "access.usagePolicy" not in spans  # after the parser's last finding
+
+    @settings(max_examples=150, deadline=None)
+    @given(windowed_files())
+    def test_large_files_parse_alike_in_any_window(self, source):
+        assert _windowed(64, source) == _windowed(1 << 30, source)
+
+    # Traced peak minus what the result keeps, per input byte, on CPython
+    # 3.11: ≈1.5 for the 4096-role file, ≈1.0 for 1 MiB of '@' and ≈2.3 for
+    # 1 MiB of '{', where a parse that built the whole token list first
+    # peaked ≈25, ≈80 and ≈152 bytes per byte above what it kept.
+    @pytest.mark.parametrize(
+        "source",
+        [_roles_file(4096), "@" * (1 << 20), "{" * (1 << 20)],
+        ids=["4096-roles", "error-flood", "brace-flood"],
+    )
+    def test_a_parse_holds_about_one_window_beyond_what_it_keeps(self, source):
+        parse(source)  # fills the caches built on first use
+        tracemalloc.start()
+        try:
+            result = parse(source)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.model is None) == (source[0] != "c")
+        assert (peak - kept) / len(source) < 4
+
+    def test_an_error_flood_stops_lexing_at_the_cap(self):
+        source = "@" * (1 << 20)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            result = parse(source, "flood.dsx")
+            best = min(best, time.perf_counter() - start)
+        illegal = [
+            Diagnostic("E002", "illegal character '@'", Span("flood.dsx", 1, column, 1))
+            for column in range(1, 100)
+        ]
+        cap = Diagnostic("E099", "too many errors", Span("flood.dsx", 1, 100, 1))
+        assert result.diagnostics == (*illegal, cap)
+        assert best < 0.020
