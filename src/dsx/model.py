@@ -121,7 +121,8 @@ def pause_gc(function: _Fn) -> _Fn:
     whatever code next triggers a middle collection, outside this call,
     would scan it again.  After ``parse`` that graph is the model and the
     diagnostics: its source map holds only strings and ints, which the
-    collector never tracks, and the tokens are freed as it returns.
+    collector never tracks, and the tokens are freed a window at a time
+    as the parser reads past them, the last window's as it returns.
     """
 
     @wraps(function)

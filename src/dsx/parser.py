@@ -20,9 +20,8 @@ as ``2025-02-30``), and its character offset.  A list value has the same
 shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
 :class:`SourceMap` per file holds its name and text, and works out line and
 column from line starts built on first use, only when a diagnostic or a
-reader asks.  :func:`tokenize` wraps each
-tuple in a :class:`Token`, which works out its ``line``, ``column`` and
-``span`` from that map on each read.
+reader asks.  :func:`tokenize` wraps each tuple in a :class:`Token`, which
+works out its ``line``, ``column`` and ``span`` from that map on each read.
 
 The parser walks the tokens once and binds each block as it parses it:
 each ``key: value`` field, contract entry and role is checked against its
@@ -391,13 +390,13 @@ def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
     in, since no token spans a newline; its last match, the empty one at the
     window's end, is EOF only at the end of the source.  A line that runs on
     for more than another window is cut at the window's end, and the last
-    three tokens before the cut are left to the next window: the last may be
-    cut itself, and a date or env reference cut short falls back to shorter
-    tokens, at most three (``2025``, ``-01``, ``-0``).  A cut window that
-    holds no more tokens than those runs on to the end of its line instead,
-    so a token longer than a window, such as a 1 MiB string, is matched
-    once.  After the token that fills the sink, EOF follows at that token's
-    end.
+    three matches before the cut are left to the next window: the last may
+    be cut itself, and a date or env reference cut short falls back to
+    shorter tokens, at most three (``2025``, ``-01``, ``-0``).  A cut window
+    that holds no more matches than those runs on to the end of its line
+    instead, so a token longer than a window, such as a 1 MiB string, is
+    matched once.  After the token that fills the sink, EOF follows at that
+    token's end.
     """
     source = smap.source
     length = len(source)
@@ -409,7 +408,7 @@ def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
         end = length
     matches = _TOKEN_RE.findall(source, start, end)
     if newline < 0 and end < length:  # a long line, cut at the window's end
-        if len(matches) > 4:  # the three tokens to leave, and the window's end
+        if len(matches) > 4:  # the three matches to leave, and the window's end
             del matches[-4:]
         elif len(matches) > 1:  # no more than those: lex to the line's end
             newline = source.find("\n", end)
@@ -1223,10 +1222,11 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
         # up to that finding, so the map records only the paths recorded
         # before it; with no room left, the parser does not run.
         smap = SourceMap(file, source)
-        parser = _Parser(smap, sink.diagnostics)
+        found = []
         if room > 0:
+            parser = _Parser(smap, sink.diagnostics)
             parser.run()
-        found = parser.diagnostics
+            found = parser.diagnostics
     for finding in found:
         sink.error(*finding)
     if sink.diagnostics:

@@ -1416,7 +1416,7 @@ class TestLexerWindows:
         ids=["4096-roles", "error-flood", "brace-flood"],
     )
     def test_a_parse_holds_about_one_window_beyond_what_it_keeps(self, source):
-        parse(source)  # fills the caches built on first use
+        parse(fixture_text("production-machine.dsx"))  # fills the caches built on first use
         tracemalloc.start()
         try:
             result = parse(source)
