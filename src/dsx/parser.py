@@ -1216,7 +1216,7 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     sink = parser.lexical
     room = MAX_DIAGNOSTICS - len(sink.diagnostics)  # for the parser's findings
     found = parser.diagnostics
-    if len(found) > room or len(found) == room and not parser.stopped:
+    if len(found) > room or (len(found) == room and not parser.stopped):
         # The lexer found errors ahead of the parser, so the cap falls at an
         # earlier finding of the parser's than it could tell.  Parse again
         # up to that finding, so the map records only the paths recorded

@@ -1395,7 +1395,7 @@ class TestLexerWindows:
     def test_the_map_holds_only_what_the_parser_bound_before_the_cap(self, name):
         result, _, lexical = _windowed(64, _CAP_CASES[name])
         parsed = [d for d in result.diagnostics if d.code == "E003"]
-        assert len(lexical) == 100 if name == "lexer-fills-late" else 50
+        assert len(lexical) == (100 if name == "lexer-fills-late" else 50)
         assert len(parsed) == max(0, 99 - len(lexical))
         spans = result.source_map.spans
         assert ("discovery.baseUrl" in spans) == bool(parsed)
@@ -1409,7 +1409,7 @@ class TestLexerWindows:
     # Traced peak minus what the result keeps, per input byte, on CPython
     # 3.11: ≈1.5 for the 4096-role file, ≈1.0 for 1 MiB of '@' and ≈2.3 for
     # 1 MiB of '{', where a parse that built the whole token list first
-    # peaked ≈25, ≈80 and ≈152 bytes per byte above what it kept.
+    # peaked ≈24, ≈80 and ≈152 bytes per byte above what it kept.
     @pytest.mark.parametrize(
         "source",
         [_roles_file(4096), "@" * (1 << 20), "{" * (1 << 20)],
