@@ -525,27 +525,24 @@ class _Abort(Exception):
 class _Parser:
     # Every parser reads the cursor as ``self.tokens[self.pos]`` and moves
     # ``pos`` past a token only once its kind is known and is not EOF, so the
-    # cursor never runs past the EOF token.  The list holds the tokens of the
-    # windows lexed so far that the parser has not read.  Each loop that can
-    # read any number of tokens first checks ``pos`` against ``refill_at``,
-    # so at least ``_MARGIN`` tokens lie ahead until EOF is in the list.  A
-    # refill moves the tokens ahead to the front of the same list, so a
+    # cursor never runs past the EOF token, and where the parser stops is
+    # the token at the cursor.  The list holds the tokens of the windows
+    # lexed so far that the parser has not read.  Each loop that can read
+    # any number of tokens first checks ``pos`` against ``refill_at``, so at
+    # least ``_MARGIN`` tokens lie ahead until EOF is in the list.  A refill
+    # moves the tokens ahead to the front of the same list, so a
     # ``tokens = self.tokens`` alias stays valid, and no frame may hold an
     # index across a check.
-    def __init__(self, smap: SourceMap, lexical: list[Diagnostic] | None = None) -> None:
+    def __init__(self, smap: SourceMap) -> None:
         self.tokens: list[_Tok] = []
         self.pos = 0
         self.refill_at = -1
         self.window = 0  # where the next window starts; -1 once EOF is lexed
         self.smap = smap
         self.lexical = _Sink()
-        # The lexical findings the cap counts: those of the windows lexed so
-        # far, or, given ``lexical``, all of the file's.
-        self.counted = self.lexical.diagnostics if lexical is None else lexical
-        # The parser's own findings as (code, message, span), kept apart from
-        # the lexer's: a block that grows this list reported an error.
-        self.diagnostics: list[tuple[str, str, Span]] = []
-        self.stopped = False  # whether the cap stopped the parser at its last finding
+        # The parser's own findings, kept apart from the lexer's: a block
+        # that grows this list reported an error.
+        self.diagnostics: list[Diagnostic] = []
 
     def run(self) -> ConnectorModel | None:
         """The model; None after any diagnostic or once the cap stops the parser."""
@@ -557,8 +554,7 @@ class _Parser:
 
     def refill(self) -> None:
         """Drop the tokens already read, then lex windows until more than
-        ``_MARGIN`` tokens lie ahead or EOF is in; abort once the lexer has
-        filled its sink, which leaves no room for the parser's findings."""
+        ``_MARGIN`` tokens lie ahead or EOF is in."""
         tokens = self.tokens
         del tokens[: self.pos]
         self.pos = 0
@@ -566,27 +562,14 @@ class _Parser:
         while window >= 0 and len(tokens) <= _MARGIN:
             window = _lex(self.smap, self.lexical, tokens, window)
         self.window = window
-        if window >= 0:
-            self.refill_at = len(tokens) - _MARGIN
-            return
-        self.refill_at = sys.maxsize
-        if self.lexical.full:
-            raise _Abort
-
-    def lex_rest(self) -> None:
-        """Lex the windows the parser did not reach, for their diagnostics."""
-        tokens = self.tokens
-        while self.window >= 0:
-            tokens.clear()
-            self.window = _lex(self.smap, self.lexical, tokens, self.window)
+        self.refill_at = len(tokens) - _MARGIN if window >= 0 else sys.maxsize
 
     def error(self, code: str, message: str, tok: _Tok) -> None:
-        """Report an error at a token (or list), and abort once the file
-        holds MAX_DIAGNOSTICS findings."""
+        """Report an error at a token (or list), and stop the parser at its
+        MAX_DIAGNOSTICS-th finding."""
         diagnostics = self.diagnostics
-        diagnostics.append((code, message, self.smap.span_of(tok)))
-        if len(diagnostics) + len(self.counted) >= MAX_DIAGNOSTICS:
-            self.stopped = True
+        diagnostics.append(Diagnostic(code, message, self.smap.span_of(tok)))
+        if len(diagnostics) >= MAX_DIAGNOSTICS:
             raise _Abort
 
     # --- error recovery ---------------------------------------------------
@@ -1205,36 +1188,33 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
     The returned model is present exactly when no ERROR-severity diagnostic
     was produced.  Identical input always yields an identical result.
 
-    The diagnostics are those of one sink that took every lexical finding
-    of the file and then the parser's, capped at MAX_DIAGNOSTICS, although
-    the parser runs while the file is still being lexed.
+    The parser stops at its MAX_DIAGNOSTICS-th finding, at a first token
+    that is not ``connector``, or at EOF, and no window is lexed after it
+    stops.  If it stopped at the EOF that the lexer's cap placed, the
+    diagnostics are the lexer's.  Otherwise they are the lexer's findings
+    before the token the parser stopped at and the parser's, in source
+    order; from MAX_DIAGNOSTICS findings on, the first MAX_DIAGNOSTICS - 1
+    and an E099 at the next.  Neither depends on where a window ends.
     """
     smap = SourceMap(file, source)
     parser = _Parser(smap)
     model = parser.run()  # None after any diagnostic, all of them errors
-    parser.lex_rest()
-    sink = parser.lexical
-    room = MAX_DIAGNOSTICS - len(sink.diagnostics)  # for the parser's findings
-    found = parser.diagnostics
-    if len(found) > room or (len(found) == room and not parser.stopped):
-        # The lexer found errors ahead of the parser, so the cap falls at an
-        # earlier finding of the parser's than it could tell.  Parse again
-        # up to that finding, so the map records only the paths recorded
-        # before it; with no room left, the parser does not run.
-        smap = SourceMap(file, source)
-        found = []
-        if room > 0:
-            parser = _Parser(smap, sink.diagnostics)
-            parser.run()
-            found = parser.diagnostics
-    for finding in found:
-        sink.error(*finding)
-    if sink.diagnostics:
+    lexical = parser.lexical
+    stop = parser.tokens[parser.pos]
+    if lexical.full and stop[0] is _EOF:
+        diagnostics = lexical.diagnostics
+    else:
+        diagnostics = parser.diagnostics
+        if lexical.diagnostics:
+            before = smap.span_of(stop).sort_key()
+            lexed = [d for d in lexical.diagnostics if d.span.sort_key() < before]
+            diagnostics = lexed + diagnostics
+        # A block reports its missing fields when it closes, after the syntax
+        # errors of its later lines; present findings in source order.
+        diagnostics.sort(key=lambda d: d.span.sort_key())
+        if len(diagnostics) >= MAX_DIAGNOSTICS:
+            cap = diagnostics[MAX_DIAGNOSTICS - 1].span
+            diagnostics[MAX_DIAGNOSTICS - 1 :] = [Diagnostic("E099", "too many errors", cap)]
+    if diagnostics:
         model = None
-    # A block reports its missing fields when it closes, after the syntax
-    # errors of its later lines; present findings in source order.  An E099
-    # marks truncation and stays last.
-    diagnostics = tuple(
-        sorted(sink.diagnostics, key=lambda d: (d.code == "E099", d.span.line, d.span.column))
-    )
-    return ParseResult(model=model, diagnostics=diagnostics, source_map=smap)
+    return ParseResult(model=model, diagnostics=tuple(diagnostics), source_map=smap)

@@ -1296,16 +1296,16 @@ def _windowed(window, source, file="w.dsx"):
 
 
 # A flagship with its header misspelt and 120 runs of 400 comment lines and
-# an '@' line after it: the parser stops at its first token, so only the
-# drain of the later windows finds the 99 E002s and the E099.
+# an '@' line after it: the parser stops at its first token, so no later
+# window is lexed and no '@' is reported.
 _LATE_ERRORS = fixture_text("production-machine.dsx").replace("connector", "connectr", 1) + (
     "// comment\n" * 400 + "@\n"
 ) * 120
 
-# The cap reached with lexical errors in windows the parser has not reached:
-# the lexer alone fills it after the parser has bound the whole connector,
-# and the parser holds more findings than, or exactly as many as, the room
-# that the later lexical errors leave it.
+# The cap reached with lexical errors after the connector block: the lexer
+# alone fills it after the parser has bound the whole connector, or the
+# parser's findings and the later lexical ones reach it together, exactly
+# or with findings to spare.
 _CAP_CASES = {
     "lexer-fills-late": fixture_text("production-machine.dsx") + ("// c\n" * 400 + "@\n") * 120,
     **{
@@ -1374,12 +1374,21 @@ class TestLexerWindows:
         for file, source in inputs:
             assert _windowed(64, source, file) == _windowed(1 << 30, source, file), file
 
-    def test_the_cap_counts_the_lexical_findings_of_windows_not_yet_parsed(self):
-        result, _, lexical = _windowed(64, _LATE_ERRORS, "late.dsx")
-        assert [d.code for d in result.diagnostics] == ["E002"] * 99 + ["E099"]
-        assert result.diagnostics == tuple(lexical)
-        assert result.diagnostics[-1].span.line == 59 + 100 * 401
-        assert result.model is None
+    def test_a_parser_stopped_at_its_first_token_lexes_no_later_window(self, monkeypatch):
+        windows = []
+        lex = parser_module._lex
+
+        def counting_lex(smap, sink, tokens, start):
+            windows.append(start)
+            return lex(smap, sink, tokens, start)
+
+        monkeypatch.setattr(parser_module, "_lex", counting_lex)
+        result = parse(_LATE_ERRORS, "late.dsx")
+        assert result.diagnostics == (
+            Diagnostic("E011", "expected 'connector'", Span("late.dsx", 1, 1, 8)),
+        )
+        assert len(_LATE_ERRORS) > 30 * parser_module._WINDOW
+        assert len(windows) <= 2
 
     # A window that cuts a line falls back to shorter tokens inside a date or
     # an env reference; shifting the line moves every cut across each of them.
@@ -1392,14 +1401,17 @@ class TestLexerWindows:
             assert _windowed(64, source) == _windowed(1 << 30, source), shift
 
     @pytest.mark.parametrize("name", _CAP_CASES)
-    def test_the_map_holds_only_what_the_parser_bound_before_the_cap(self, name):
-        result, _, lexical = _windowed(64, _CAP_CASES[name])
-        parsed = [d for d in result.diagnostics if d.code == "E003"]
-        assert len(lexical) == (100 if name == "lexer-fills-late" else 50)
-        assert len(parsed) == max(0, 99 - len(lexical))
-        spans = result.source_map.spans
-        assert ("discovery.baseUrl" in spans) == bool(parsed)
-        assert "access.usagePolicy" not in spans  # after the parser's last finding
+    def test_the_cap_keeps_the_first_findings_in_source_order(self, name):
+        source = _CAP_CASES[name]
+        windowed = _windowed(64, source)
+        assert windowed == _windowed(1 << 30, source)
+        result, _, lexical = windowed
+        head = parse(source[: source.index("// c\n")], "w.dsx")  # the connector alone
+        findings = sorted([*head.diagnostics, *lexical], key=lambda d: d.span.sort_key())
+        assert len(findings) >= 100
+        cap = Diagnostic("E099", "too many errors", findings[99].span)
+        assert result.diagnostics == (*findings[:99], cap)
+        assert result.source_map == head.source_map  # the parser stopped at the end
 
     @settings(max_examples=150, deadline=None)
     @given(windowed_files())
