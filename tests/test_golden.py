@@ -2,7 +2,7 @@
 
 Inputs are the fixtures, the canonical prints of ``modelgen.build_model(i)``
 for i in 0..599, deterministic token and line mutations of the three
-flagship fixtures, and two inputs that hit the diagnostic cap.  For each
+flagship fixtures, and three inputs that hit the diagnostic cap.  For each
 input the test records the rendered parse diagnostics (with span lengths),
 the source-map spans, ``validate`` and every ``check_single`` code, the
 canonical print, and ``generate_all`` for every target set with and without
@@ -65,8 +65,15 @@ REPLACEMENTS = (
     "x", '"s"', '""', "0", "-3", "2025-02-30", "2025-01-01", "true", "{", "}", "[", "]",
     ":", ",", "env(X)", "env(x)", "role", "push", "qos", "usage", "connector", "READ",
 )
-# Inputs that stop at the cap of MAX_DIAGNOSTICS (E099): one in the lexer, one in the parser.
-CAPPED = ("@" * 300, 'connector "c" {\n' + "  metadata { x: [ }\n" * 300)
+# Inputs that stop at the cap of MAX_DIAGNOSTICS (E099): one in the lexer, one
+# in the parser, and one whose lexical and parse findings interleave, down to
+# one line, past the cap, so it pins that the cap keeps the first findings in
+# source order.
+CAPPED = (
+    "@" * 300,
+    'connector "c" {\n' + "  metadata { x: [ }\n" * 300,
+    'connector "c" {\n' + "  metadata { x: [ $ }\n" * 300,
+)
 
 GOLDEN = {
     "fixtures": "b2e9559f98a056a8501865c96686d045dfe78e4ffc072f1b6faefefe6cfedc82",
@@ -91,7 +98,7 @@ GOLDEN = {
     "sensor-idlink:replace-token": "cb610a38f54654b7d048e688117aa84d67ede91b49d254cfec4a315c2841043b",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
-    "capped": "51b5d203e3f7f76d42708a9114a8893050b6a53eb298ac8d7bf45ef3ee68f8af",
+    "capped": "bae6cd82b141c28a3cd941da45c747f3abdb99179d0b2131861aa6736d0570d3",
 }
 
 TOKEN_GOLDEN = {
@@ -117,7 +124,7 @@ TOKEN_GOLDEN = {
     "sensor-idlink:replace-token": "917d15d8f5de2b93f2296037d252600fb4ac81fb7be1a910f6ac018cad70c672",
     "sensor-idlink:drop-line": "0de7d2c94b842efbcbac30bf4eb39761a334692f0438938f04b6f6e2b9a55f77",
     "sensor-idlink:duplicate-line": "4b651289f2a3bb2a9b53c61efcf462579dd3055b2765733a8cd58ec848f5f791",
-    "capped": "e82c1cd1403fac22f6ccf42f463922104cb3085229b4d4c158de92b5d235c97f",
+    "capped": "af1bd6ab88890b2244c3b76e46d637a433da56655d303fbbe726b1b6469d1ce5",
 }
 
 
