@@ -98,28 +98,40 @@ class TokenKind(Enum):
 
 class SourceMap:
     """One parsed file: its name and text, and the offset of the token each
-    model path was parsed from.  Line starts are built on first use, spans
-    when read, each token's length by matching the lexer's pattern once at
-    its offset: a recorded token starts a match, and the pattern has no
-    lookbehind, so that match gives the token's lexeme again."""
+    model path was parsed from.  Line starts are found on demand, only as
+    far as the largest offset asked, spans built when read, each token's
+    length by matching the lexer's pattern once at its offset: a recorded
+    token starts a match, and the pattern has no lookbehind, so that match
+    gives the token's lexeme again."""
 
-    __slots__ = ("file", "source", "_starts", "_offsets")
+    __slots__ = ("file", "source", "_starts", "_known", "_offsets")
 
     def __init__(self, file: str, source: str = "") -> None:
         self.file = file
         self.source = source
-        self._starts: list[int] | None = None
+        self._starts = [0]
+        self._known = 0  # every line start up to this offset is in _starts
         self._offsets: dict[str, int] = {}
 
     def span(self, offset: int, length: int) -> Span:
         """The span of ``length`` characters from a character offset."""
         starts = self._starts
-        if starts is None:
-            # Each line starts one past the previous line and its '\n'.
-            lengths = map((1).__add__, map(len, self.source.split("\n")))
-            starts = self._starts = list(accumulate(lengths, initial=0))
+        if offset > self._known:
+            self._find_starts(offset)
         line = bisect_right(starts, offset)
         return Span(self.file, line, offset - starts[line - 1] + 1, length)
+
+    def _find_starts(self, offset: int) -> None:
+        """Find the line starts up to ``offset``, and at least as far again
+        as they were known, so that the splitting stays linear in the
+        largest offset asked."""
+        known = self._known
+        end = max(offset, 2 * known)
+        # Each line starts one past the previous line and its '\n'; the last
+        # piece starts no line in the slice.
+        lengths = map((1).__add__, map(len, self.source[known:end].split("\n")))
+        self._starts += list(accumulate(lengths, initial=known))[1:-1]
+        self._known = end
 
     def span_of(self, tok: _Tok) -> Span:
         return self.span(tok[3], len(tok[1]))

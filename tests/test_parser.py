@@ -398,6 +398,19 @@ class TestPositionsOnDemand:
             assert all(tok.offset <= cap_offset for tok in tokens[:-1])
             assert tokens[-1].offset > cap_offset
 
+    # The map finds line starts only as far as the largest offset asked, so
+    # an offset may fall short of, at or past where they are known.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_spans_asked_in_any_order_equal_a_naive_oracle(self, data):
+        source = data.draw(st.lists(st.sampled_from(("\n", "\r\n", "a", "bc ")), max_size=80))
+        source = "".join(source)
+        offsets = data.draw(st.lists(st.integers(0, len(source)), max_size=20))
+        smap = SourceMap("s.dsx", source)
+        for offset in offsets:
+            line, column = _naive_position(source, offset)
+            assert smap.span(offset, 1) == Span("s.dsx", line, column, 1), offset
+
     def test_eof_follows_the_token_that_hit_the_cap(self):
         source = "a $\n" * 150
         tokens, diagnostics = tokenize(source)
