@@ -1465,3 +1465,36 @@ class TestLexerWindows:
         cap = Diagnostic("E099", "too many errors", Span("flood.dsx", 1, 100, 1))
         assert result.diagnostics == (*illegal, cap)
         assert best < 0.020
+
+    # A parser that stops at its first token, or at the EOF that the lexer's
+    # cap placed, leaves every later window unlexed, and its findings ask for
+    # line starts only as far as they lie.
+    @pytest.mark.parametrize(
+        "source",
+        ["{" * (1 << 20), "x\n" + "@\n" * (1 << 19), "@\n" * (1 << 19), "x: 1\n" * (1 << 18)],
+        ids=["brace-flood", "error-lines-after-a-word", "error-lines", "field-lines"],
+    )
+    def test_a_parse_stops_lexing_where_the_parser_stops(self, source):
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            result = parse(source, "flood.dsx")
+            best = min(best, time.perf_counter() - start)
+        if source[0] == "@":
+            illegal = [
+                Diagnostic("E002", "illegal character '@'", Span("flood.dsx", line, 1, 1))
+                for line in range(1, 100)
+            ]
+            cap = Diagnostic("E099", "too many errors", Span("flood.dsx", 100, 1, 1))
+            assert result.diagnostics == (*illegal, cap)
+        else:
+            expected = Diagnostic("E011", "expected 'connector'", Span("flood.dsx", 1, 1, 1))
+            assert result.diagnostics == (expected,)
+        assert best < 0.020
+        tracemalloc.start()
+        try:
+            result = parse(source)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - kept) / len(source) < 4
