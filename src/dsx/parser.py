@@ -19,9 +19,10 @@ decoded value, dates included (``None`` for an impossible calendar date such
 as ``2025-02-30``), and its character offset.  A list value has the same
 shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
 :class:`SourceMap` per file holds its name and text, and works out line and
-column from line starts built on first use, only when a diagnostic or a
-reader asks.  :func:`tokenize` wraps each tuple in a :class:`Token`, which
-works out its ``line``, ``column`` and ``span`` from that map on each read.
+column only when a diagnostic or a reader asks, from line starts found as
+far as the largest offset asked.  :func:`tokenize` wraps each tuple in a
+:class:`Token`, which works out its ``line``, ``column`` and ``span`` from
+that map on each read.
 
 The parser walks the tokens once and binds each block as it parses it:
 each ``key: value`` field, contract entry and role is checked against its
@@ -279,9 +280,9 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # Possessive quantifiers and atomic groups would save as much, but need
 # Python 3.11.
 # Cost: lexing is linear in the input for every input.  ``_lex`` matches one
-# window of the file at a time, so the diagnostic cap stops the matching at
-# the end of the window that fills it, and a match list lives only as long
-# as its window.
+# window of the file at a time, so the lexer's diagnostic cap stops the
+# matching at the end of the window that fills it, no window is matched
+# after the parser stops, and a match list lives only as long as its window.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -368,7 +369,8 @@ def _describe(tok: tuple) -> str:
 
 
 class _Sink:
-    """Collects diagnostics, capping the total per file at MAX_DIAGNOSTICS."""
+    """Collects the lexer's diagnostics, capped at MAX_DIAGNOSTICS; the
+    parser keeps its own, and ``parse`` merges the two."""
 
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
