@@ -403,8 +403,8 @@ class TestPositionsOnDemand:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_spans_asked_in_any_order_equal_a_naive_oracle(self, data):
-        source = data.draw(st.lists(st.sampled_from(("\n", "\r\n", "a", "bc ")), max_size=80))
-        source = "".join(source)
+        pieces = st.lists(st.sampled_from(("\n", "\r\n", "a", "bc ")), max_size=80)
+        source = data.draw(pieces.map("".join))
         offsets = data.draw(st.lists(st.integers(0, len(source)), max_size=20))
         smap = SourceMap("s.dsx", source)
         for offset in offsets:
