@@ -2,12 +2,13 @@
 
 Inputs are the fixtures, the canonical prints of ``modelgen.build_model(i)``
 for i in 0..599, deterministic token and line mutations of the three
-flagship fixtures, and three inputs that hit the diagnostic cap.  For each
-input the test records the rendered parse diagnostics (with span lengths),
-the source-map spans, ``validate`` and every ``check_single`` code, the
-canonical print, and ``generate_all`` for every target set with and without
-a report.  Each input group hashes to one sha256 digest, so a refactor that
-changes any output byte names the first group that differs.
+flagship fixtures, two flagships grown to 300 contract terms and 300 roles,
+and three inputs that hit the diagnostic cap.  For each input the test
+records the rendered parse diagnostics (with span lengths), the source-map
+spans, ``validate`` and every ``check_single`` code, the canonical print,
+and ``generate_all`` for every target set with and without a report.  Each
+input group hashes to one sha256 digest, so a refactor that changes any
+output byte names the first group that differs.
 ``TOKEN_GOLDEN`` holds a second digest per group over what ``tokenize``
 returns: each token's kind name, lexeme, ``repr`` of its value and offset,
 then the lexer's rendered diagnostics.
@@ -74,6 +75,38 @@ CAPPED = (
     'connector "c" {\n' + "  metadata { x: [ }\n" * 300,
     'connector "c" {\n' + "  metadata { x: [ $ }\n" * 300,
 )
+# The large inputs' contract values cycle through these forms: non-ASCII text,
+# integers (one past 64 bits), dates, booleans, and strings with escapes.
+_LARGE_VALUES = (
+    '"Prüfstand {n}: Charge ✓"',
+    "{n}",
+    "2026-{month:02d}-{day:02d}",
+    "true",
+    r'"quote \" and backslash \\ {n}"',
+    "{big}",
+    "false",
+)
+_LARGE_PERMISSIONS = ("READ", "READ, WRITE", "SUBSCRIBE, READ", "READ, WRITE, SUBSCRIBE")
+
+
+def _large(stem: str, size: int = 300) -> str:
+    """A flagship with ``size`` more contract terms and roles, so that its
+    generated documents hold flat objects and name lists of that size."""
+    entries, roles = [], []
+    for n in range(size):
+        key = (f"Prüfung-{n:03d}", f'q\\"{n:03d}', f"term-{n:03d}")[n % 3]
+        value = _LARGE_VALUES[n % len(_LARGE_VALUES)].format(
+            n=n * 7919, month=1 + n % 12, day=1 + n % 28, big=2**64 + n
+        )
+        entries.append(f'      "{key}": {value},\n')
+        permissions = _LARGE_PERMISSIONS[n % len(_LARGE_PERMISSIONS)]
+        roles.append(
+            f"      role shift-{n:03d} {{\n        permissions: [{permissions}]\n      }}\n"
+        )
+    text = (FIXTURES / f"{stem}.dsx").read_text(encoding="utf-8")
+    text = text.replace("    contract {\n", "    contract {\n" + "".join(entries), 1)
+    return text.replace("    roles {\n", "    roles {\n" + "".join(roles), 1)
+
 
 GOLDEN = {
     "fixtures": "b2e9559f98a056a8501865c96686d045dfe78e4ffc072f1b6faefefe6cfedc82",
@@ -98,6 +131,7 @@ GOLDEN = {
     "sensor-idlink:replace-token": "cb610a38f54654b7d048e688117aa84d67ede91b49d254cfec4a315c2841043b",
     "sensor-idlink:drop-line": "70ba7cd959ce5e949e860fac5e1bc0375037e280d3b77fd4b48886c7da6f2b71",
     "sensor-idlink:duplicate-line": "225e882c69e0fba1c9eb69b4dc30efdbbd73dfaec9f64cf44e501cefabb15fcd",
+    "large": "90caed3530f13b6c83ca6d44b0c33f6f5c6aa18d3608dc3db7f87cd0fd9fc8ab",
     "capped": "bae6cd82b141c28a3cd941da45c747f3abdb99179d0b2131861aa6736d0570d3",
 }
 
@@ -124,6 +158,7 @@ TOKEN_GOLDEN = {
     "sensor-idlink:replace-token": "917d15d8f5de2b93f2296037d252600fb4ac81fb7be1a910f6ac018cad70c672",
     "sensor-idlink:drop-line": "0de7d2c94b842efbcbac30bf4eb39761a334692f0438938f04b6f6e2b9a55f77",
     "sensor-idlink:duplicate-line": "4b651289f2a3bb2a9b53c61efcf462579dd3055b2765733a8cd58ec848f5f791",
+    "large": "2f629c541575bc4f4747b235d3137f16a8f9413f37c36b98e407af62288e7983",
     "capped": "af1bd6ab88890b2244c3b76e46d637a433da56655d303fbbe726b1b6469d1ce5",
 }
 
@@ -173,6 +208,7 @@ def groups() -> Iterator[tuple[str, list[tuple[str, str]]]]:
         source = (FIXTURES / f"{stem}.dsx").read_text(encoding="utf-8")
         for kind, variants in _mutations(source).items():
             yield f"{stem}:{kind}", [(f"{stem}.dsx", text) for text in variants]
+    yield "large", [(f"{stem}-large.dsx", _large(stem)) for stem in FLAGSHIPS[:2]]
     yield "capped", [("capped.dsx", source) for source in CAPPED]
 
 
