@@ -422,6 +422,50 @@ def _object_runs(draw, values=_json_leaves | _json_documents):
 _json_runs = _object_runs() | _object_runs(_object_runs()).map(lambda runs: {"outer": [runs]})
 
 
+# Containers this size and larger are flat ones that ``_dump`` may hand to the
+# C encoder in one call.
+_FLAT_SIZE = 32
+_flat_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: n * (-1) ** (n % 2))
+    | _json_strings
+)
+_flat_sizes = st.sampled_from([_FLAT_SIZE - 1, _FLAT_SIZE]) | st.integers(_FLAT_SIZE, 300)
+
+
+def _names_and(value):
+    """A dict of N str values, and one more member holding ``value``."""
+    return {**{f"k{n:02d}": f"v{n}" for n in range(_FLAT_SIZE)}, "last": value}
+
+
+@st.composite
+def _flat_containers(draw):
+    """A dict of leaves or a list of str, N-1, N or up to 300 long."""
+    size = draw(_flat_sizes)
+    if draw(st.booleans()):
+        return draw(st.dictionaries(_json_strings, _flat_leaves, min_size=size, max_size=size))
+    return draw(st.lists(_json_strings, min_size=size, max_size=size))
+
+
+@st.composite
+def _placed_flat_containers(draw):
+    """A flat container at top level, as a member of the objects of a run, or
+    under more levels than ``_PREBUILT_DEPTHS``."""
+    container = draw(_flat_containers())
+    place = draw(st.sampled_from(["top", "run", "deep"]))
+    if place == "top":
+        return container
+    if place == "run":
+        other = draw(_flat_containers())
+        return [{"k": container, "n": 1}, {"n": 2, "k": other}, {"k": [], "n": 3}]
+    document = container
+    for level in range(codegen._PREBUILT_DEPTHS + 2):
+        document = {"inner": document, "n": level} if level % 2 else [level, document]
+    return document
+
+
 def _nested(depth):
     """``depth`` levels of alternating lists and dicts, each holding int, bool
     and str leaves beside the next level, and runs of same-shaped objects."""
@@ -444,6 +488,12 @@ class TestJsonEncoding:
     @settings(max_examples=200, deadline=None)
     @given(_json_runs)
     def test_runs_of_same_shaped_objects_match_json_dumps(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_placed_flat_containers())
+    def test_large_flat_containers_match_json_dumps(self, document):
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert codegen._dump(document) == expected.encode("utf-8")
 
@@ -472,6 +522,9 @@ class TestJsonEncoding:
 
     def test_threads_dumping_at_different_depths_get_the_same_bytes(self):
         documents = [_nested(depth) for depth in (1, 3, 15, 16, 17, 33, 40)]
+        leaves = ["value", 7, 2**70, True, False, None]
+        documents.append({f"term-{n:04d}": leaves[n % len(leaves)] for n in range(4096)})
+        documents.append([f"role-{n:04d}" for n in range(4096)])
         expected = [
             (json.dumps(d, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
             for d in documents
@@ -506,6 +559,13 @@ class TestJsonEncoding:
             [{"a": 1}, {"a": 2}, {"a": ("x",)}],
             [{"a": 1}, {"a": date(2026, 1, 1)}],
             [{"a": 1}, {1: "a"}],
+            _names_and(1.5),
+            _names_and(("x",)),
+            _names_and(date(2026, 1, 1)),
+            {**_names_and("a"), 1: "a"},
+            {**_names_and("a"), None: "a"},
+            {**_names_and("a"), True: "a"},
+            [f"n{n}" for n in range(_FLAT_SIZE)] + [1.5],
         ],
         ids=[
             "float",
@@ -517,6 +577,13 @@ class TestJsonEncoding:
             "tuple-late-in-run",
             "date-in-run",
             "int-key-after-object",
+            "float-among-str-values",
+            "tuple-among-str-values",
+            "date-among-str-values",
+            "int-key-among-str-keys",
+            "none-key-among-str-keys",
+            "bool-key-among-str-keys",
+            "float-among-names",
         ],
     )
     def test_other_types_raise_type_error(self, document):

@@ -1102,6 +1102,120 @@ class TestParseErrors:
         assert result.model is None
 
 
+_FLAGSHIP_CONTRACT = '      "maxRetentionDays": 30,\n      "validUntil": "2026-12-31",\n'
+_DATE_MESSAGE = "invalid calendar date '{}'"
+_VALUE_MESSAGE = "contract values must be a string, integer, date, or boolean"
+
+
+def _contract_entries(body):
+    """The EDC flagship with its contract entries replaced by ``body``, and
+    the line number of the body's first line."""
+    text = fixture_text("production-machine.dsx")
+    assert _FLAGSHIP_CONTRACT in text
+    text = text.replace(_FLAGSHIP_CONTRACT, body, 1)
+    return text, text.count("\n", 0, text.index("contract {")) + 2
+
+
+def _contract_spans(result):
+    """Each recorded contract path's line, column and length."""
+    return {
+        path: (span.line, span.column, span.length)
+        for path, span in result.source_map.spans.items()
+        if path.startswith("access.contract")
+    }
+
+
+class TestContractEntries:
+    """Each contract entry's diagnostics, in order, with their spans, and the
+    source-map path of each entry that binds: at its value, not its key."""
+
+    def check(self, body, diagnostics, spans):
+        # ``diagnostics`` and ``spans`` give lines relative to the body's first.
+        text, first = _contract_entries(body)
+        result = parse(text, "contract.dsx")
+        assert [
+            (d.code, d.message, d.span.line - first, d.span.column, d.span.length)
+            for d in result.diagnostics
+        ] == diagnostics
+        contract_line = first - 1
+        assert _contract_spans(result) == {
+            "access.contract": (contract_line, 5, len("contract")),
+            **{
+                f"access.contract.{key}": (first + line, column, length)
+                for key, (line, column, length) in spans.items()
+            },
+        }
+        return result
+
+    def test_an_invalid_calendar_date_is_reported_and_not_recorded(self):
+        body = '      "a": 1,\n      "bad": 2025-02-30,\n      "b": "x"\n'
+        result = self.check(
+            body,
+            [("E014", _DATE_MESSAGE.format("2025-02-30"), 1, 14, 10)],
+            {"a": (0, 12, 1), "b": (2, 12, 3)},
+        )
+        assert result.model is None
+
+    def test_an_identifier_value_is_reported_and_not_recorded(self):
+        body = '      "a": 1,\n      "id": bogus,\n      "b": 2\n'
+        result = self.check(
+            body, [("E014", _VALUE_MESSAGE, 1, 13, 5)], {"a": (0, 12, 1), "b": (2, 12, 1)}
+        )
+        assert result.model is None
+
+    def test_an_entry_without_a_comma_is_followed_by_the_next(self):
+        body = '      "a": 1 "b": "x"\n      "c": 2025-01-02\n      "d": true,\n'
+        result = self.check(
+            body,
+            [],
+            {"a": (0, 12, 1), "b": (0, 19, 3), "c": (1, 12, 10), "d": (2, 12, 4)},
+        )
+        assert result.model.access.contract_offers == {
+            "a": 1,
+            "b": "x",
+            "c": date(2025, 1, 2),
+            "d": True,
+        }
+
+    def test_a_key_repeated_after_a_bad_value_is_a_duplicate(self):
+        # A bad date is reported, and its key is still taken, so a later
+        # entry with that key is a duplicate; a duplicate's value is not
+        # checked for form.  Findings are presented in source order.
+        body = (
+            '      "k": 2025-02-30,\n'
+            '      "k": 1,\n'
+            '      "j": x,\n'
+            '      "j": 2025-02-31,\n'
+            '      "k": y,\n'
+            '      "i": 3,\n'
+        )
+        result = self.check(
+            body,
+            [
+                ("E014", _DATE_MESSAGE.format("2025-02-30"), 0, 12, 10),
+                ("E015", 'duplicate contract key "k"', 1, 7, 3),
+                ("E014", _VALUE_MESSAGE, 2, 12, 1),
+                ("E015", 'duplicate contract key "j"', 3, 7, 3),
+                ("E014", _DATE_MESSAGE.format("2025-02-31"), 3, 12, 10),
+                ("E015", 'duplicate contract key "k"', 4, 7, 3),
+            ],
+            {"i": (5, 12, 1)},
+        )
+        assert result.model is None
+
+    def test_a_bad_date_counts_toward_the_cap_before_its_duplicate_key(self):
+        # The parser stops at its MAX_DIAGNOSTICS-th finding, so the E099
+        # lands where the last finding counted lies: at the date of the
+        # entry whose date and key are both bad.
+        bad = "".join(f'      "x{n}": bogus,\n' for n in range(99))
+        body = '      "k": 1,\n' + bad + '      "k": 2025-02-30,\n'
+        text, first = _contract_entries(body)
+        result = parse(text, "contract.dsx")
+        assert [d.code for d in result.diagnostics] == ["E014"] * 99 + ["E099"]
+        span = result.diagnostics[-1].span
+        assert (span.line - first, span.column, span.length) == (100, 12, 10)
+
+
 # An unbound body: a wrong-typed value, an unknown key and a key with no value.
 _UNBOUND_BODY = '{pad}{typed}\n{pad}bogus: "x"\n{pad}{empty}:\n'
 _NO_VALUE = ("E003", "expected a value, got '}'")
