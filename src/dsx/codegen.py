@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections.abc import KeysView
 from datetime import date
 from enum import Enum
+from json.encoder import c_make_encoder as _c_make_encoder
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path, PurePosixPath
 
@@ -152,6 +153,25 @@ _OBJECT_BRACKETS = tuple(_brackets(depth, "{}") for depth in range(_PREBUILT_DEP
 _LIST_BRACKETS = tuple(_brackets(depth, "[]") for depth in range(_PREBUILT_DEPTHS))
 
 
+# A dict of at least this many members, with str keys and str, int, bool or
+# None values, is flat and large: the C encoder writes it in one call.  Below
+# about this size the encoder's set-up costs more than it saves (README).
+_FLAT_MIN = 32
+_FLAT_VALUE = frozenset({str, int, bool, type(None)}).__contains__
+_STR = frozenset({str}).__contains__
+
+
+def _encode_flat(value: dict, depth: int, out: list[str]) -> None:
+    """Write a large flat dict with the C encoder, its members separated by
+    the depth's comma, and its braces swapped for the depth's opener and
+    closer."""
+    opener, comma, close = (
+        _OBJECT_BRACKETS[depth] if depth < _PREBUILT_DEPTHS else _brackets(depth, "{}")
+    )
+    encode = _c_make_encoder(None, None, _encode_str, None, ": ", comma, True, False, True)
+    out += (opener, "".join(encode(value, 0))[1:-1], close)
+
+
 def _encode(value: object, depth: int, out: list[str]) -> None:
     # ``depth`` is the nesting level of ``value``'s own line, 0 at top level.
     if isinstance(value, str):
@@ -159,6 +179,15 @@ def _encode(value: object, depth: int, out: list[str]) -> None:
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
+            return
+        if (
+            len(value) >= _FLAT_MIN
+            and _c_make_encoder is not None
+            # Values first: a dict of lists fails at its first value.
+            and all(map(_FLAT_VALUE, map(type, value.values())))
+            and all(map(_STR, map(type, value)))
+        ):
+            _encode_flat(value, depth, out)
             return
         separator, comma, close = (
             _OBJECT_BRACKETS[depth] if depth < _PREBUILT_DEPTHS else _brackets(depth, "{}")

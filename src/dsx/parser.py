@@ -791,9 +791,31 @@ class _Parser:
                         self.skip_balanced_block()
                         continue
                 if contract:
-                    if kind is _STRING:
-                        value = self.parse_contract_entry(seen)
-                        if value is None or rows is None:
+                    if kind is _STRING:  # a `"key": value` entry, then an optional ','
+                        self.pos += 1
+                        colon = tokens[self.pos]
+                        if colon[0] is not _COLON:
+                            self.error("E003", "expected ':' after contract key", colon)
+                            self.skip_contract_stray(tok)
+                            continue
+                        self.pos += 1
+                        value = tokens[self.pos]
+                        if value[0] not in _SCALAR_KINDS:
+                            self.error("E003", f"expected a value, got {_describe(value)}", value)
+                            self.skip_contract_stray(tok)
+                            continue
+                        self.pos += 1
+                        term = value[2]
+                        if term is None:
+                            self.error("E014", f"invalid calendar date '{value[1]}'", value)
+                        if tokens[self.pos][0] is _COMMA:
+                            self.pos += 1
+                        key = tok[2]
+                        if key in seen:
+                            self.error("E015", f"duplicate contract key \"{key}\"", tok)
+                            continue
+                        seen.add(key)
+                        if rows is None:
                             continue
                         if value[0] is _IDENT:
                             self.error(
@@ -801,9 +823,9 @@ class _Parser:
                                 "contract values must be a string, integer, date, or boolean",
                                 value,
                             )
-                        elif value[2] is not None:  # None: an invalid date, already reported
-                            values[tok[2]] = value[2]
-                            self.smap.record(f"{path}.{tok[2]}", value[3])
+                        elif term is not None:  # None: an invalid date, reported above
+                            values[key] = term
+                            self.smap._offsets[f"{path}.{key}"] = value[3]
                         continue
                     self.error(
                         "E003", f"expected a quoted contract key or '}}', got {_describe(tok)}", tok
@@ -824,30 +846,6 @@ class _Parser:
         if len(diagnostics) > reported:
             return None
         return tuple(roles) if label == "roles" else values
-
-    def parse_contract_entry(self, seen: set[str]) -> _Tok | None:
-        """The value of a `"key": value` entry whose key is new to its block;
-        None after an error."""
-        key_tok = self.tokens[self.pos]
-        self.pos += 1
-        tok = self.tokens[self.pos]
-        if tok[0] is not _COLON:
-            self.error("E003", "expected ':' after contract key", tok)
-            self.skip_contract_stray(key_tok)
-            return None
-        self.pos += 1
-        value = self.parse_scalar()
-        if value is None:
-            self.skip_contract_stray(key_tok)
-            return None
-        if self.tokens[self.pos][0] is _COMMA:
-            self.pos += 1
-        key = key_tok[2]
-        if key in seen:
-            self.error("E015", f"duplicate contract key \"{key}\"", key_tok)
-            return None
-        seen.add(key)
-        return value
 
     def parse_role(self, rows: dict[str, FieldSpec] | None, path: str) -> Role | None:
         """A `role NAME { ... }` entry after its keyword, in a roles block at

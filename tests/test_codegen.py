@@ -422,9 +422,8 @@ def _object_runs(draw, values=_json_leaves | _json_documents):
 _json_runs = _object_runs() | _object_runs(_object_runs()).map(lambda runs: {"outer": [runs]})
 
 
-# Containers this size and larger are flat ones that ``_dump`` may hand to the
-# C encoder in one call.
-_FLAT_SIZE = 32
+# Flat dicts this size and larger are written by the C encoder in one call.
+_FLAT_SIZE = codegen._FLAT_MIN
 _flat_leaves = (
     st.none()
     | st.booleans()
@@ -495,6 +494,39 @@ class TestJsonEncoding:
     @given(_placed_flat_containers())
     def test_large_flat_containers_match_json_dumps(self, document):
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
+
+    def test_only_large_flat_dicts_take_the_c_encoder(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return json.encoder.c_make_encoder(*args)
+
+        monkeypatch.setattr(codegen, "_c_make_encoder", counting)
+        names = [f"n{n:02d}" for n in range(_FLAT_SIZE)]
+        flat = dict(zip(names, [1, "s", True, None] * _FLAT_SIZE))
+        name = type("Name", (str,), {})
+        python_path = [
+            dict(list(flat.items())[1:]),  # one short
+            {**flat, "x": {}},  # a container among flat values
+            {**flat, "x": ["READ"]},
+            {key: ["READ"] for key in names},  # a permissions map
+            {**flat, "x": name("x")},  # a str subclass
+            {**flat, name("x"): 1},
+            names,  # a list: the C encoder writes str lists no faster
+            [{"name": key} for key in names],  # role objects
+        ]
+        for document in python_path:
+            expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            assert codegen._dump(document) == expected.encode("utf-8")
+        assert made == []
+        document = {"offers": flat, "roles": [{"terms": flat}]}
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert codegen._dump(document) == expected.encode("utf-8")
+        assert [args[5] for args in made] == [",\n    ", ",\n        "]
+        # Without the C encoder every container takes the Python path.
+        monkeypatch.setattr(codegen, "_c_make_encoder", None)
         assert codegen._dump(document) == expected.encode("utf-8")
 
     def test_a_run_encodes_its_keys_once(self, monkeypatch):

@@ -4,6 +4,7 @@ import re
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -1214,6 +1215,34 @@ class TestContractEntries:
         assert [d.code for d in result.diagnostics] == ["E014"] * 99 + ["E099"]
         span = result.diagnostics[-1].span
         assert (span.line - first, span.column, span.length) == (100, 12, 10)
+
+    def test_parsing_makes_no_python_call_per_entry(self):
+        forms = ("{}", '"s{}"', "2025-01-{:02d}", "true")
+
+        def calls(count):
+            body = "".join(
+                f'      "key-{n:05d}": {forms[n % 4].format(1 + n % 28)},\n' for n in range(count)
+            )
+            names = []
+
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == parser_module.__file__:
+                    names.append(frame.f_code.co_name)
+
+            text, _ = _contract_entries(body)
+            sys.setprofile(hook)
+            try:
+                result = parse(text, "contract.dsx")
+            finally:
+                sys.setprofile(None)
+            assert len(result.model.access.contract_offers) == count
+            windowed = [name for name in names if name in ("_lex", "refill")]
+            return Counter(names) - Counter(windowed), len(windowed)
+
+        calls(1)  # fills the tables that the first parse caches
+        (few, few_windows), (many, many_windows) = calls(500), calls(2000)
+        assert many_windows > few_windows  # only the lexer's windows grow
+        assert few == many
 
 
 # An unbound body: a wrong-typed value, an unknown key and a key with no value.
