@@ -1361,14 +1361,19 @@ class TestParseProperties:
         assert best[1] / best[0] < 8
 
     # Valid tokens and comments, each a match of its own, are lexed to the
-    # end of the file in time linear in its length.  A flood of illegal
-    # characters stops at the end of the window that fills the cap, so its
-    # time does not grow with its length at all.
+    # end of the file in time linear in its length: the valid tokens follow a
+    # connector header, so the connector loop's recovery reads them all, and
+    # comments hold no token, so the parser's first read lexes them all.  Each
+    # file's last finding lies at its end.  A flood of illegal characters
+    # stops at the end of the window that fills the cap, so its time does not
+    # grow with its length at all.
     @pytest.mark.parametrize(
-        "unit", ["@", "a ", "//c\n"], ids=["error-flood", "valid-token-flood", "comment-flood"]
+        "head, unit, to_end",
+        [("", "@", False), ('connector "c" {\n', "a ", True), ("", "//c\n", True)],
+        ids=["error-flood", "valid-token-flood", "comment-flood"],
     )
-    def test_one_line_floods_parse_in_linear_time(self, unit):
-        texts = [unit * 20000, unit * 80000]
+    def test_one_line_floods_parse_in_linear_time(self, head, unit, to_end):
+        texts = [head + unit * 20000, head + unit * 80000]
         best = [float("inf"), float("inf")]
         for _ in range(3):
             for index, text in enumerate(texts):
@@ -1376,6 +1381,9 @@ class TestParseProperties:
                 result = parse(text, "flood.dsx")
                 best[index] = min(best[index], time.perf_counter() - start)
                 assert result.model is None
+                last = result.diagnostics[-1].span
+                end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
+                assert ((last.line, last.column) == end) == to_end
         assert best[1] / best[0] < 8
 
     def test_parse_result_compares_by_value_and_does_not_hash(self):
