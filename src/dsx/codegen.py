@@ -195,9 +195,8 @@ def _encode(value: object, depth: int, out: list[str]) -> None:
         separator, comma, close = (
             _OBJECT_BRACKETS[depth] if depth < _PREBUILT_DEPTHS else _brackets(depth, "{}")
         )
+        # A key that is not a str raises TypeError from the sort or the encoder.
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(separator + _encode_str(key) + ": ")
             separator = comma
             if type(item) is str:

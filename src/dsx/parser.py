@@ -368,22 +368,13 @@ def _describe(tok: tuple) -> str:
     return kind.value
 
 
-class _Sink:
-    """Collects the lexer's diagnostics, capped at MAX_DIAGNOSTICS; the
-    parser keeps its own, and ``parse`` merges the two."""
-
-    def __init__(self) -> None:
-        self.diagnostics: list[Diagnostic] = []
-        self.full = False
-
-    def error(self, code: str, message: str, span: Span) -> None:
-        if self.full:
-            return
-        if len(self.diagnostics) >= MAX_DIAGNOSTICS - 1:
-            self.diagnostics.append(Diagnostic("E099", "too many errors", span))
-            self.full = True
-            return
-        self.diagnostics.append(Diagnostic(code, message, span))
+def _capped(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+    """The findings up to the cap: from MAX_DIAGNOSTICS on, the first
+    MAX_DIAGNOSTICS - 1 and an E099 at the next."""
+    if len(diagnostics) >= MAX_DIAGNOSTICS:
+        cap = diagnostics[MAX_DIAGNOSTICS - 1].span
+        diagnostics[MAX_DIAGNOSTICS - 1 :] = [Diagnostic("E099", "too many errors", cap)]
+    return diagnostics
 
 
 # Characters per lexer window; a window runs on to the end of the line it
@@ -395,10 +386,10 @@ _WINDOW = 16384
 _MARGIN = 64
 
 
-def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
+def _lex(smap: SourceMap, diagnostics: list[Diagnostic], tokens: list[_Tok], start: int) -> int:
     """Append the tokens of the window from offset ``start`` to ``tokens``,
-    with lexical problems going to ``sink``; return where the next window
-    starts, or -1 once EOF is appended.
+    and its lexical problems to ``diagnostics``; return where the next
+    window starts, or -1 once EOF is appended.
 
     A window is ``_WINDOW`` characters up to the end of the line it stops
     in, since no token spans a newline; its last match, the empty one at the
@@ -409,8 +400,9 @@ def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
     shorter tokens, at most three (``2025``, ``-01``, ``-0``).  A cut window
     that holds no more matches than those runs on to the end of its line
     instead, so a token longer than a window, such as a 1 MiB string, is
-    matched once.  After the token that fills the sink, EOF follows at that
-    token's end.
+    matched once.  The lexer stops at its MAX_DIAGNOSTICS-th finding: EOF
+    follows at the end of the token that holds it, and ``_capped`` turns
+    that finding into the E099.
     """
     source = smap.source
     length = len(source)
@@ -455,52 +447,54 @@ def _lex(smap: SourceMap, sink: _Sink, tokens: list[_Tok], start: int) -> int:
                 else:
                     append((_INTEGER, text, int(text), start))
             else:
-                tok = _lex_rare(text, close, start, smap, sink)
+                tok = _lex_rare(text, close, start, smap, diagnostics)
                 if tok is not None:
                     append(tok)
-                if sink.full:
+                if len(diagnostics) >= MAX_DIAGNOSTICS:
                     break
         if mark:
             pos += len(mark)
             mark = mark[-1]
             append((fixed(mark)[0], mark, None, pos - 1))
-    if pos < length and not sink.full:
+    if pos < length and len(diagnostics) < MAX_DIAGNOSTICS:
         return pos
     append((_EOF, "", None, pos))
     return -1
 
 
-def _lex_rare(text: str, close: str, start: int, smap: SourceMap, sink: _Sink) -> _Tok | None:
+def _lex_rare(
+    text: str, close: str, start: int, smap: SourceMap, diagnostics: list[Diagnostic]
+) -> _Tok | None:
     """The token, if any, of a lexeme that ``_lex`` does not decode inline: a
     comment, which has none, an env reference, a string with a control
     character or without its closing quote, a negative or long integer, or an
-    illegal character."""
+    illegal character.  A string's control characters are reported up to the
+    MAX_DIAGNOSTICS-th finding and no further."""
+    error = diagnostics.append
     first = text[0]
     if first == "e":  # env(, since every other word is decoded inline
         if text[-1] == ")":
             return (_ENV_REF, text, text[4:-1], start)
-        sink.error(
-            "E002",
-            "malformed env() reference (expected env(UPPER_CASE_NAME))",
-            smap.span(start, 3),
-        )
+        message = "malformed env() reference (expected env(UPPER_CASE_NAME))"
+        error(Diagnostic("E002", message, smap.span(start, 3)))
     elif first == '"':
         for bad in _CONTROL_RE.finditer(text):
-            sink.error(
-                "E002", "control character in string literal", smap.span(start + bad.start(), 1)
-            )
+            span = smap.span(start + bad.start(), 1)
+            error(Diagnostic("E002", "control character in string literal", span))
+            if len(diagnostics) >= MAX_DIAGNOSTICS:
+                break
         if close:  # not printable: the value drops its control characters
             value = _CONTROL_RE.sub("", _ESCAPE_RE.sub(r"\1", text[1:-1]))
             return (_STRING, text, value, start)
-        sink.error("E001", "unterminated string literal", smap.span(start, 1))
+        error(Diagnostic("E001", "unterminated string literal", smap.span(start, 1)))
     elif first in _DIGITS or (first == "-" and len(text) > 1):
         if len(text) - (first == "-") <= _MAX_INT_DIGITS:
             return (_INTEGER, text, int(text), start)
-        sink.error("E002", "integer literal too long", smap.span(start, len(text)))
+        error(Diagnostic("E002", "integer literal too long", smap.span(start, len(text))))
     elif text.startswith("//"):
         return None
     else:
-        sink.error("E002", f"illegal character {text!r}", smap.span(start, 1))
+        error(Diagnostic("E002", f"illegal character {text!r}", smap.span(start, 1)))
     return None
 
 
@@ -509,15 +503,16 @@ def tokenize(source: str, file: str = "<input>") -> tuple[list[Token], list[Diag
     """Split source text into tokens; lexical problems become diagnostics.
 
     The windows of ``_lex`` are joined into one list, EOF last, so the
-    tokens do not depend on where a window ends.
+    tokens do not depend on where a window ends.  The diagnostics are
+    capped as ``_capped`` says.
     """
-    sink = _Sink()
+    diagnostics: list[Diagnostic] = []
     smap = SourceMap(file, source)
     lexed: list[_Tok] = []
     window = 0
     while window >= 0:
-        window = _lex(smap, sink, lexed, window)
-    return [Token(*tok, smap) for tok in lexed], sink.diagnostics
+        window = _lex(smap, diagnostics, lexed, window)
+    return [Token(*tok, smap) for tok in lexed], _capped(diagnostics)
 
 
 class ParseResult(Record):
@@ -553,7 +548,8 @@ class _Parser:
         self.refill_at = -1
         self.window = 0  # where the next window starts; -1 once EOF is lexed
         self.smap = smap
-        self.lexical = _Sink()
+        # The lexer's findings, from the windows lexed so far.
+        self.lexical: list[Diagnostic] = []
         # The parser's own findings, kept apart from the lexer's: a block
         # that grows this list reported an error.
         self.diagnostics: list[Diagnostic] = []
@@ -1055,7 +1051,7 @@ class _Parser:
             if section not in seen:
                 self.error("E011", f"missing required section '{section}'", connector)
 
-        if self.diagnostics or self.lexical.diagnostics:
+        if self.diagnostics or self.lexical:
             return None
         model = object.__new__(ConnectorModel)
         ConnectorModel._init_parsed(model, name=name, **values)
@@ -1202,31 +1198,28 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
 
     The parser stops at its MAX_DIAGNOSTICS-th finding, at a first token
     that is not ``connector``, or at EOF, and no window is lexed after it
-    stops.  If it stopped at the EOF that the lexer's cap placed, the
-    diagnostics are the lexer's.  Otherwise they are the lexer's findings
-    before the token the parser stopped at and the parser's, in source
-    order; from MAX_DIAGNOSTICS findings on, the first MAX_DIAGNOSTICS - 1
-    and an E099 at the next.  Neither depends on where a window ends.
+    stops.  If it stopped at the EOF that the lexer placed at its
+    MAX_DIAGNOSTICS-th finding, the diagnostics are the lexer's.  Otherwise
+    they are the lexer's findings before the token the parser stopped at
+    and the parser's, in source order.  Either list is capped as
+    ``_capped`` says, and neither depends on where a window ends.
     """
     smap = SourceMap(file, source)
     parser = _Parser(smap)
     model = parser.run()  # None after any diagnostic, all of them errors
     lexical = parser.lexical
     stop = parser.tokens[parser.pos]
-    if lexical.full and stop[0] is _EOF:
-        diagnostics = lexical.diagnostics
+    if len(lexical) >= MAX_DIAGNOSTICS and stop[0] is _EOF:
+        diagnostics = lexical
     else:
         diagnostics = parser.diagnostics
-        if lexical.diagnostics:
+        if lexical:
             before = smap.span_of(stop).sort_key()
-            lexed = [d for d in lexical.diagnostics if d.span.sort_key() < before]
-            diagnostics = lexed + diagnostics
+            diagnostics = [d for d in lexical if d.span.sort_key() < before] + diagnostics
         # A block reports its missing fields when it closes, after the syntax
         # errors of its later lines; present findings in source order.
         diagnostics.sort(key=lambda d: d.span.sort_key())
-        if len(diagnostics) >= MAX_DIAGNOSTICS:
-            cap = diagnostics[MAX_DIAGNOSTICS - 1].span
-            diagnostics[MAX_DIAGNOSTICS - 1 :] = [Diagnostic("E099", "too many errors", cap)]
+    diagnostics = _capped(diagnostics)
     if diagnostics:
         model = None
     return ParseResult(model=model, diagnostics=tuple(diagnostics), source_map=smap)

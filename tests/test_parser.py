@@ -30,7 +30,7 @@ from dsx import model as model_module
 from dsx import parser as parser_module
 from dsx.codegen import _unsupported
 from dsx.model import NAME_RE, Record
-from dsx.parser import _ROWS, SourceMap, Token, _lex, _Sink
+from dsx.parser import _ROWS, SourceMap, Token, _lex
 
 from conftest import FIXTURE_TODAY, fixture_text
 from modelgen import build_model
@@ -648,7 +648,7 @@ class TestTokensOnDemand:
         assert built == []
         for source, _, _ in LEX_CASES.values():
             lexed = []
-            assert _lex(SourceMap("t.dsx", source), _Sink(), lexed, 0) == -1
+            assert _lex(SourceMap("t.dsx", source), [], lexed, 0) == -1
             tokens, _ = tokenize(source, "t.dsx")
             assert [(t.kind, t.lexeme, t.value, t.offset) for t in tokens] == lexed
             assert len(built) == len(tokens)  # the count sees tokenize's Tokens
@@ -1616,6 +1616,56 @@ class TestLexerWindows:
         cap = Diagnostic("E099", "too many errors", Span("flood.dsx", 1, 100, 1))
         assert result.diagnostics == (*illegal, cap)
         assert best < 0.020
+
+    # The lexer reports control characters up to its cap and builds no
+    # finding past it; what is left of the closed string is decoding its value.
+    @pytest.mark.parametrize(
+        "source, line, column, bound",
+        [
+            ('"' + "\x01" * (1 << 20), 1, 2, 0.020),
+            (
+                'connector "c" {\n  metadata {\n    title: "' + "\x01" * (1 << 20) + '"\n  }\n}\n',
+                3,
+                13,
+                0.25,
+            ),
+        ],
+        ids=["unterminated", "closed-title"],
+    )
+    def test_a_control_character_flood_stops_lexing_at_the_cap(self, source, line, column, bound):
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            result = parse(source, "flood.dsx")
+            best = min(best, time.perf_counter() - start)
+        message = "control character in string literal"
+        control = [
+            Diagnostic("E002", message, Span("flood.dsx", line, first, 1))
+            for first in range(column, column + 99)
+        ]
+        cap = Diagnostic("E099", "too many errors", Span("flood.dsx", line, column + 99, 1))
+        assert result.diagnostics == (*control, cap)
+        assert best < bound
+
+    # The lexer builds a span for each finding up to the cap, and the E001 of
+    # an unterminated string or the parser's own finding at most one or two
+    # more; none for a control character past the cap.
+    @pytest.mark.parametrize("size", [10**3, 10**5])
+    @pytest.mark.parametrize("close", ["", '"'], ids=["unterminated", "closed"])
+    def test_no_span_is_built_past_the_cap(self, monkeypatch, size, close):
+        calls = []
+        span = SourceMap.span
+
+        def counting_span(self, offset, length):
+            calls.append(offset)
+            return span(self, offset, length)
+
+        monkeypatch.setattr(SourceMap, "span", counting_span)
+        source = '"' + "\x01" * size + close
+        for read in (tokenize, parse):
+            calls.clear()
+            read(source)
+            assert len(calls) <= parser_module.MAX_DIAGNOSTICS + 2, read.__name__
 
     # A parser that stops at its first token, or at the EOF that the lexer's
     # cap placed, leaves every later window unlexed, and its findings ask for

@@ -292,7 +292,7 @@ def test_space_pattern_matches_str_isspace_on_every_code_point():
 
 
 # A diagnostic is made by the parser's error and _fail calls, by the
-# validator's report calls, by the E099 Diagnostic the sink adds at its cap,
+# validator's report calls, by the lexer's and _capped's Diagnostic calls,
 # and by the validator's value forms, whose codes its _FORMS table holds.
 _EMITTED_RE = re.compile(r'\b(?:error|report|_fail|Diagnostic)\(\s*"([EW]\d{3})"')
 
@@ -315,7 +315,7 @@ def test_readme_code_table_lists_exactly_the_emitted_codes():
 
 
 def test_the_parser_emits_only_error_codes():
-    # parse drops the model whenever its sink holds a diagnostic.
+    # parse drops the model whenever it reports a diagnostic.
     source = (FIXTURES.parent / "src" / "dsx" / "parser.py").read_text(encoding="utf-8")
     emitted = set(_EMITTED_RE.findall(source))
     assert "E099" in emitted and {code[0] for code in emitted} == {"E"}
