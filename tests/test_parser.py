@@ -2,6 +2,7 @@ import enum
 import gc
 import re
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -629,6 +630,67 @@ class TestOffsetMap:
             tracemalloc.stop()
         assert len(result.model.access.roles) == 2050
         assert kept / 2048 < 760
+
+
+class TestPositionsByCounting:
+    """The map counts newlines from the position it was last asked, so reads
+    in or against source order cost one pass, threads that share a map read
+    true positions, and no table of line starts is built."""
+
+    def test_threads_sharing_a_map_read_the_positions_of_a_naive_oracle(self):
+        source = "".join("x" * (1 + i * 7 % 40) + "\n" for i in range(20_000))
+        offsets = range(0, len(source), 211)
+        expected = [Span("t.dsx", *_naive_position(source, offset), 1) for offset in offsets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                smap = SourceMap("t.dsx", source)
+                read = [None] * 4
+
+                def read_all(index):
+                    read[index] = [smap.span(offset, 1) for offset in offsets]
+
+                threads = [threading.Thread(target=read_all, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert read == [expected] * 4, trial
+        finally:
+            sys.setswitchinterval(interval)
+
+    # A finding at the end of a file of many lines once built a list of every
+    # line start; the traced peak was ≈15.8 MiB for the field lines and
+    # ≈20.6 MiB for the comment lines on CPython 3.11.
+    @pytest.mark.parametrize("line", ["  x: 1\n", "// c\n"], ids=["field-lines", "comment-lines"])
+    def test_a_late_finding_holds_no_table_of_lines(self, line):
+        source = 'connector "c" {\n' + line * ((1 << 20) // len(line))
+        parse(fixture_text("production-machine.dsx"))  # fills the caches built on first use
+        tracemalloc.start()
+        try:
+            result = parse(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics[-1].span.line > 1
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("unit", ["ab\n", "ab "], ids=["lines", "one-line"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["source-order", "reverse-order"])
+    def test_every_token_span_reads_in_linear_time(self, unit, order):
+        texts = [unit * (1 << 14), unit * (1 << 16)]
+        tokens = [tokenize(text, "t.dsx")[0][::order] for text in texts]
+        best = [float("inf"), float("inf")]
+        for _ in range(3):
+            for index, text in enumerate(texts):
+                smap = SourceMap("t.dsx", text)
+                start = time.perf_counter()
+                spans = [smap.span(tok.offset, len(tok.lexeme)) for tok in tokens[index]]
+                best[index] = min(best[index], time.perf_counter() - start)
+                for tok, span in zip(tokens[index][:: 1 << 10], spans[:: 1 << 10]):
+                    assert (span.line, span.column) == _naive_position(text, tok.offset)
+        assert best[1] / best[0] < 8
 
 
 class TestTokensOnDemand:
