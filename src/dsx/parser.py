@@ -49,10 +49,8 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
 from enum import Enum
 from functools import cache
-from itertools import accumulate
 
 from .model import (
     BLOCK_KINDS,
@@ -99,40 +97,34 @@ class TokenKind(Enum):
 
 class SourceMap:
     """One parsed file: its name and text, and the offset of the token each
-    model path was parsed from.  Line starts are found on demand, only as
-    far as the largest offset asked, spans built when read, each token's
+    model path was parsed from.  A position is counted from the last one
+    asked, so reads in or against source order cost one pass over the text
+    and nothing is stored per line; spans are built when read, each token's
     length by matching the lexer's pattern once at its offset: a recorded
     token starts a match, and the pattern has no lookbehind, so that match
-    gives the token's lexeme again."""
+    gives the token's lexeme again.  The cursor is read and replaced as one
+    tuple, so threads that share a map each see a true one."""
 
-    __slots__ = ("file", "source", "_starts", "_known", "_offsets")
+    __slots__ = ("file", "source", "_at", "_offsets")
 
     def __init__(self, file: str, source: str = "") -> None:
         self.file = file
         self.source = source
-        self._starts = [0]
-        self._known = 0  # every line start up to this offset is in _starts
+        self._at = (0, 1, 0)  # the offset last asked, its line, and that line's start
         self._offsets: dict[str, int] = {}
 
     def span(self, offset: int, length: int) -> Span:
         """The span of ``length`` characters from a character offset."""
-        starts = self._starts
-        if offset > self._known:
-            self._find_starts(offset)
-        line = bisect_right(starts, offset)
-        return Span(self.file, line, offset - starts[line - 1] + 1, length)
-
-    def _find_starts(self, offset: int) -> None:
-        """Find the line starts up to ``offset``, and at least as far again
-        as they were known, so that the splitting stays linear in the
-        largest offset asked."""
-        known = self._known
-        end = max(offset, 2 * known)
-        # Each line starts one past the previous line and its '\n'; the last
-        # piece starts no line in the slice.
-        lengths = map((1).__add__, map(len, self.source[known:end].split("\n")))
-        self._starts += list(accumulate(lengths, initial=known))[1:-1]
-        self._known = end
+        source = self.source
+        at, line, start = self._at
+        if offset < start:  # before the cursor's line: count back
+            line -= source.count("\n", offset, start)
+            start = source.rfind("\n", 0, offset) + 1
+        elif newlines := source.count("\n", at, offset):
+            line += newlines
+            start = source.rfind("\n", at, offset) + 1
+        self._at = (offset, line, start)
+        return Span(self.file, line, offset - start + 1, length)
 
     def span_of(self, tok: _Tok) -> Span:
         return self.span(tok[3], len(tok[1]))
@@ -1219,7 +1211,4 @@ def parse(source: str, file: str = "<input>") -> ParseResult:
         # A block reports its missing fields when it closes, after the syntax
         # errors of its later lines; present findings in source order.
         diagnostics.sort(key=lambda d: d.span.sort_key())
-    diagnostics = _capped(diagnostics)
-    if diagnostics:
-        model = None
-    return ParseResult(model=model, diagnostics=tuple(diagnostics), source_map=smap)
+    return ParseResult(model=model, diagnostics=tuple(_capped(diagnostics)), source_map=smap)

@@ -400,8 +400,8 @@ class TestPositionsOnDemand:
             assert all(tok.offset <= cap_offset for tok in tokens[:-1])
             assert tokens[-1].offset > cap_offset
 
-    # The map finds line starts only as far as the largest offset asked, so
-    # an offset may fall short of, at or past where they are known.
+    # The map counts from the offset it was last asked, so an offset may
+    # fall before the line of that offset, on it, or past it.
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_spans_asked_in_any_order_equal_a_naive_oracle(self, data):
@@ -608,12 +608,13 @@ class TestOffsetMap:
     def test_the_map_holds_no_token_and_no_container_the_collector_tracks(self):
         for source in [fixture_text(name) for name in FLAGSHIPS] + [_roles_file(100)]:
             smap = parse(source).source_map
-            assert smap.spans and smap._starts  # reading the spans built the line starts
+            assert smap.spans and smap._at[0] > 0  # reading the spans moved the cursor
             assert not gc.is_tracked(smap._offsets)
-            reachable = [smap.file, smap.source, smap._starts, smap._offsets]
+            assert type(smap._at) is tuple and [type(n) for n in smap._at] == [int] * 3
+            reachable = [smap.file, smap.source, smap._at, smap._offsets]
             for obj in reachable:
                 reachable += gc.get_referents(obj)
-            assert {type(obj) for obj in reachable} == {str, int, list, dict}
+            assert {type(obj) for obj in reachable} == {str, int, tuple, dict}
 
     def test_parse_keeps_few_bytes_per_role(self):
         # On CPython 3.11 a parse keeps ≈612 bytes per role (≈659 in some runs),
