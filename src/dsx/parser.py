@@ -19,8 +19,8 @@ decoded value, dates included (``None`` for an impossible calendar date such
 as ``2025-02-30``), and its character offset.  A list value has the same
 shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
 :class:`SourceMap` per file holds its name and text, and works out line and
-column only when a diagnostic or a reader asks, from line starts found as
-far as the largest offset asked.  :func:`tokenize` wraps each tuple in a
+column only when a diagnostic or a reader asks, counting newlines from the
+offset it was last asked.  :func:`tokenize` wraps each tuple in a
 :class:`Token`, which works out its ``line``, ``column`` and ``span`` from
 that map on each read.
 

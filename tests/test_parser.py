@@ -636,7 +636,7 @@ class TestOffsetMap:
 class TestPositionsByCounting:
     """The map counts newlines from the position it was last asked, so reads
     in or against source order cost one pass, threads that share a map read
-    true positions, and no table of line starts is built."""
+    true positions, and nothing is stored per line."""
 
     def test_threads_sharing_a_map_read_the_positions_of_a_naive_oracle(self):
         source = "".join("x" * (1 + i * 7 % 40) + "\n" for i in range(20_000))
@@ -1731,8 +1731,8 @@ class TestLexerWindows:
             assert len(calls) <= parser_module.MAX_DIAGNOSTICS + 2, read.__name__
 
     # A parser that stops at its first token, or at the EOF that the lexer's
-    # cap placed, leaves every later window unlexed, and its findings ask for
-    # line starts only as far as they lie.
+    # cap placed, leaves every later window unlexed, and its findings count
+    # lines only as far as they lie.
     @pytest.mark.parametrize(
         "source",
         ["{" * (1 << 20), "x\n" + "@\n" * (1 << 19), "@\n" * (1 << 19), "x: 1\n" * (1 << 18)],
