@@ -401,7 +401,7 @@ class TestPositionsOnDemand:
             assert tokens[-1].offset > cap_offset
 
     # The map counts from the offset it was last asked, so an offset may
-    # fall before the line of that offset, on it, or past it.
+    # fall before that offset's line, on it, or past it.
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_spans_asked_in_any_order_equal_a_naive_oracle(self, data):
