@@ -661,9 +661,6 @@ class TestPositionsByCounting:
         finally:
             sys.setswitchinterval(interval)
 
-    # A finding at the end of a file of many lines once built a list of every
-    # line start; the traced peak was ≈15.8 MiB for the field lines and
-    # ≈20.6 MiB for the comment lines on CPython 3.11.
     @pytest.mark.parametrize("line", ["  x: 1\n", "// c\n"], ids=["field-lines", "comment-lines"])
     def test_a_late_finding_holds_no_table_of_lines(self, line):
         source = 'connector "c" {\n' + line * ((1 << 20) // len(line))
@@ -691,6 +688,37 @@ class TestPositionsByCounting:
                 best[index] = min(best[index], time.perf_counter() - start)
                 for tok, span in zip(tokens[index][:: 1 << 10], spans[:: 1 << 10]):
                     assert (span.line, span.column) == _naive_position(text, tok.offset)
+        assert best[1] / best[0] < 8
+
+    # A repeated role name keeps its first place among the paths and the
+    # offset of its later block, and the validator reports the duplicate
+    # permissions of each role at that path: with the later blocks in the
+    # order r0, r2, r4, ..., r5, r3, r1, both read r0, r1, r2, ... between
+    # the two ends of the later half.
+    def test_spans_and_findings_read_out_of_order_in_linear_time(self):
+        role = "      role r{} {{\n        permissions: [READ, READ]\n      }}\n"
+        results = []
+        for count in (1 << 11, 1 << 13):
+            later = [*range(0, count, 2), *reversed(range(1, count, 2))]
+            roles = "".join(role.format(n) for n in [*range(count), *later])
+            source = fixture_text("production-machine.dsx").replace(
+                "    roles {\n", "    roles {\n" + roles
+            )
+            result = parse(source, "roles.dsx")
+            assert not result.diagnostics
+            results.append((source, result))
+        best = [float("inf"), float("inf")]
+        for _ in range(3):
+            for index, (source, result) in enumerate(results):
+                start = time.perf_counter()
+                spans = result.source_map.spans
+                findings = validate(result.model, result.source_map, today=FIXTURE_TODAY)
+                best[index] = min(best[index], time.perf_counter() - start)
+        offsets = result.source_map._offsets
+        for path in list(spans)[::97]:
+            assert (spans[path].line, spans[path].column) == _naive_position(source, offsets[path])
+        assert len(findings.diagnostics) == 3 * count
+        assert {d.span for d in findings.diagnostics} <= set(spans.values())
         assert best[1] / best[0] < 8
 
 
