@@ -95,36 +95,56 @@ class TokenKind(Enum):
     __hash__ = object.__hash__
 
 
+_MARK = 1 << 10  # characters from one mark to the next, and the most a read counts over
+
+
 class SourceMap:
     """One parsed file: its name and text, and the offset of the token each
     model path was parsed from.  A position is counted from the last one
-    asked, so reads in or against source order cost one pass over the text
-    and nothing is stored per line; spans are built when read, each token's
-    length by matching the lexer's pattern once at its offset: a recorded
-    token starts a match, and the pattern has no lookbehind, so that match
-    gives the token's lexeme again.  The cursor is read and replaced as one
-    tuple, so threads that share a map each see a true one."""
+    asked when it lies at most 1 KiB ahead of it, and otherwise from a mark:
+    the line and line start at each KiB's first character, found in one pass
+    when first needed.  So a read in any order counts over at most 1 KiB,
+    reads in source order count over the text once, and nothing is stored
+    per line.  The last position is read and replaced as one tuple, so
+    threads that share a map each see a true one.  Spans are built when
+    read, each token's length by matching the lexer's pattern once at its
+    offset: a recorded token starts a match, and the pattern has no
+    lookbehind, so that match gives the token's lexeme again."""
 
-    __slots__ = ("file", "source", "_at", "_offsets")
+    __slots__ = ("file", "source", "_at", "_marks", "_offsets")
 
     def __init__(self, file: str, source: str = "") -> None:
         self.file = file
         self.source = source
         self._at = (0, 1, 0)  # the offset last asked, its line, and that line's start
+        self._marks: list[tuple[int, int]] = []
         self._offsets: dict[str, int] = {}
 
     def span(self, offset: int, length: int) -> Span:
         """The span of ``length`` characters from a character offset."""
         source = self.source
         at, line, start = self._at
-        if offset < start:  # before the cursor's line: count back
-            line -= source.count("\n", offset, start)
-            start = source.rfind("\n", 0, offset) + 1
-        elif newlines := source.count("\n", at, offset):
-            line += newlines
-            start = source.rfind("\n", at, offset) + 1
+        if not start <= offset <= at + _MARK:
+            line, start = (self._marks or self._mark())[offset // _MARK]
+            at = offset - offset % _MARK
+        newline = source.rfind("\n", at, offset)
+        if newline >= 0:
+            line += source.count("\n", at, newline) + 1
+            start = newline + 1
         self._at = (offset, line, start)
         return Span(self.file, line, offset - start + 1, length)
+
+    def _mark(self) -> list[tuple[int, int]]:
+        # Threads that share a map may each find the marks: each finds the
+        # same list and publishes it whole.
+        source, line, start = self.source, 1, 0
+        marks = [(line, start)]
+        for base in range(_MARK, len(source) + 1, _MARK):
+            line += source.count("\n", base - _MARK, base)
+            start = max(start, source.rfind("\n", base - _MARK, base) + 1)
+            marks.append((line, start))
+        self._marks = marks
+        return marks
 
     def span_of(self, tok: _Tok) -> Span:
         return self.span(tok[3], len(tok[1]))

@@ -400,8 +400,8 @@ class TestPositionsOnDemand:
             assert all(tok.offset <= cap_offset for tok in tokens[:-1])
             assert tokens[-1].offset > cap_offset
 
-    # The map counts from the offset it was last asked, so an offset may
-    # fall before that offset's line, on it, or past it.
+    # The map counts from the offset it was last asked or from a mark, so an
+    # offset may fall before that offset, on it, or past it.
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_spans_asked_in_any_order_equal_a_naive_oracle(self, data):
@@ -608,13 +608,14 @@ class TestOffsetMap:
     def test_the_map_holds_no_token_and_no_container_the_collector_tracks(self):
         for source in [fixture_text(name) for name in FLAGSHIPS] + [_roles_file(100)]:
             smap = parse(source).source_map
-            assert smap.spans and smap._at[0] > 0  # reading the spans moved the cursor
+            assert smap.spans and smap._at[0] > 0  # reading the spans moved the last position
             assert not gc.is_tracked(smap._offsets)
             assert type(smap._at) is tuple and [type(n) for n in smap._at] == [int] * 3
-            reachable = [smap.file, smap.source, smap._at, smap._offsets]
+            assert all(type(mark) is tuple and len(mark) == 2 for mark in smap._marks)
+            reachable = [smap.file, smap.source, smap._at, smap._marks, smap._offsets]
             for obj in reachable:
                 reachable += gc.get_referents(obj)
-            assert {type(obj) for obj in reachable} == {str, int, tuple, dict}
+            assert {type(obj) for obj in reachable} == {str, int, tuple, list, dict}
 
     def test_parse_keeps_few_bytes_per_role(self):
         # On CPython 3.11 a parse keeps ≈612 bytes per role (≈659 in some runs),
@@ -634,9 +635,25 @@ class TestOffsetMap:
 
 
 class TestPositionsByCounting:
-    """The map counts newlines from the position it was last asked, so reads
-    in or against source order cost one pass, threads that share a map read
-    true positions, and nothing is stored per line."""
+    """The map counts newlines from the position it was last asked or from a
+    mark at most 1 KiB before the offset, so reads in any order take linear
+    time, threads that share a map read true positions, and nothing is
+    stored per line."""
+
+    # Marks a few characters apart make the reads of short sources count
+    # from marks too, and from the last position.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 8))
+    def test_spans_counted_from_close_marks_equal_a_naive_oracle(self, data, mark):
+        pieces = st.lists(st.sampled_from(("\n", "\r\n", "a", "bc ")), max_size=80)
+        source = data.draw(pieces.map("".join))
+        offsets = data.draw(st.lists(st.integers(0, len(source)), max_size=20))
+        smap = SourceMap("s.dsx", source)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser_module, "_MARK", mark)
+            for offset in offsets:
+                line, column = _naive_position(source, offset)
+                assert smap.span(offset, 1) == Span("s.dsx", line, column, 1), offset
 
     def test_threads_sharing_a_map_read_the_positions_of_a_naive_oracle(self):
         source = "".join("x" * (1 + i * 7 % 40) + "\n" for i in range(20_000))
