@@ -20,9 +20,9 @@ as ``2025-02-30``), and its character offset.  A list value has the same
 shape, ``(LBRACKET, "[", items, offset of the '[')``.  One
 :class:`SourceMap` per file holds its name and text, and works out line and
 column only when a diagnostic or a reader asks, counting newlines from the
-offset it was last asked.  :func:`tokenize` wraps each tuple in a
-:class:`Token`, which works out its ``line``, ``column`` and ``span`` from
-that map on each read.
+offset it was last asked or from a mark at most 1 KiB before the offset.
+:func:`tokenize` wraps each tuple in a :class:`Token`, which works out its
+``line``, ``column`` and ``span`` from that map on each read.
 
 The parser walks the tokens once and binds each block as it parses it:
 each ``key: value`` field, contract entry and role is checked against its
@@ -125,8 +125,10 @@ class SourceMap:
         source = self.source
         at, line, start = self._at
         if not start <= offset <= at + _MARK:
-            line, start = (self._marks or self._mark())[offset // _MARK]
-            at = offset - offset % _MARK
+            marks = self._marks or self._mark()
+            index = min(offset // _MARK, len(marks) - 1)  # an offset past the end: the last mark
+            line, start = marks[index]
+            at = index * _MARK
         newline = source.rfind("\n", at, offset)
         if newline >= 0:
             line += source.count("\n", at, newline) + 1

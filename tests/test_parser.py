@@ -655,6 +655,12 @@ class TestPositionsByCounting:
                 line, column = _naive_position(source, offset)
                 assert smap.span(offset, 1) == Span("s.dsx", line, column, 1), offset
 
+    def test_an_offset_past_the_end_lies_on_the_last_line(self):
+        source = "a\n" * 2000 + "b"
+        smap = SourceMap("s.dsx", source)
+        for offset in (len(source) + 5000, 10, len(source) + 1, len(source) + 3000):
+            assert smap.span(offset, 1) == Span("s.dsx", *_naive_position(source, offset), 1)
+
     def test_threads_sharing_a_map_read_the_positions_of_a_naive_oracle(self):
         source = "".join("x" * (1 + i * 7 % 40) + "\n" for i in range(20_000))
         offsets = range(0, len(source), 211)
