@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from datetime import date
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1216,8 +1217,22 @@ class TestParseErrors:
         assert result.diagnostics[-1].code == "E099"
         assert result.model is None
 
+    # The cascade of findings after one mutation of a flagship: 284 of the
+    # 1890 inputs get four or more, at most 11, with E011 and E003 leading
+    # that tail.  Cascade suppression lowers both bounds.
+    def test_one_mutation_reports_a_bounded_cascade(self):
+        counts = [
+            len(parse(source, file).diagnostics)
+            for name, inputs in groups()
+            if ":" in name and not name.startswith("modelgen[")
+            for file, source in inputs
+        ]
+        assert len(counts) == 1890
+        assert sum(count >= 4 for count in counts) <= 284
+        assert max(counts) <= 11
 
-_FLAGSHIP_CONTRACT = '      "maxRetentionDays": 30,\n      "validUntil": "2026-12-31",\n'
+
+_FLAGSHIP_CONTRACT ='      "maxRetentionDays": 30,\n      "validUntil": "2026-12-31",\n'
 _DATE_MESSAGE = "invalid calendar date '{}'"
 _VALUE_MESSAGE = "contract values must be a string, integer, date, or boolean"
 
@@ -1580,6 +1595,14 @@ _LATE_ERRORS = fixture_text("production-machine.dsx").replace("connector", "conn
     "// comment\n" * 400 + "@\n"
 ) * 120
 
+# A token longer than a window and a flood after it on its line.
+_LONG_TOKEN_FLOODS = {
+    "long-word-error-flood": "x" * 20000 + " " + "@" * (1 << 20),
+    "long-string-brace-flood": '"' + "s" * 20000 + '" ' + "{" * (1 << 20),
+    "long-blanks-error-flood": "x" + " " * 20000 + "@" * (1 << 20),
+    "long-digits-error-flood": "7" * 20000 + " " + "@" * (1 << 20),
+}
+
 # The cap reached with lexical errors after the connector block: the lexer
 # alone fills it after the parser has bound the whole connector, or the
 # parser's findings and the later lexical ones reach it together, exactly
@@ -1608,13 +1631,19 @@ _VALUES = st.one_of(
     st.integers(-99999, 99999).map(str),
     st.sampled_from(['"v"', "true", "env(ABC)", "2025-02-30"]),
 )
+_PIECE_RUNS = st.lists(st.sampled_from(_LINE_PIECES), min_size=20, max_size=120).map("".join)
+# Tokens longer than a 64-character window, which a window holds alone.
+_LONG_TOKENS = st.integers(65, 200).flatmap(
+    lambda n: st.sampled_from(["x" * n, '"' + "s" * n + '"', "7" * n, " " * n])
+)
 _LONG_LINES = st.one_of(
-    st.lists(st.sampled_from(_LINE_PIECES), min_size=20, max_size=120).map("".join),
+    _PIECE_RUNS,
     st.integers(1, 150).map(lambda n: "@\n" * n),
     st.integers(1, 150).map(lambda n: "@" * n),
     st.integers(1, 30).map(lambda n: "  // a comment line\n" * n),
     st.integers(30, 300).map(lambda n: '    title: "' + "ab " * n + '"'),
     st.integers(65, 400).map(lambda n: "    " + "x" * n + ": 1"),
+    st.tuples(_LONG_TOKENS, _PIECE_RUNS).map("".join),
 )
 
 
@@ -1699,11 +1728,13 @@ class TestLexerWindows:
     # Traced peak minus what the result keeps, per input byte, on CPython
     # 3.11: ≈1.5 for the 4096-role file, ≈1.0 for 1 MiB of '@' and ≈2.3 for
     # 1 MiB of '{', where a parse that built the whole token list first
-    # peaked ≈24, ≈80 and ≈152 bytes per byte above what it kept.
+    # peaked ≈24, ≈80 and ≈152 bytes per byte above what it kept.  A token
+    # longer than a window before a flood on its line peaked 78 to 149 bytes
+    # per byte where a window that held it ran on to the end of the line.
     @pytest.mark.parametrize(
         "source",
-        [_roles_file(4096), "@" * (1 << 20), "{" * (1 << 20)],
-        ids=["4096-roles", "error-flood", "brace-flood"],
+        [_roles_file(4096), "@" * (1 << 20), "{" * (1 << 20), *_LONG_TOKEN_FLOODS.values()],
+        ids=["4096-roles", "error-flood", "brace-flood", *_LONG_TOKEN_FLOODS],
     )
     def test_a_parse_holds_about_one_window_beyond_what_it_keeps(self, source):
         parse(fixture_text("production-machine.dsx"))  # fills the caches built on first use
@@ -1715,6 +1746,40 @@ class TestLexerWindows:
             tracemalloc.stop()
         assert (result.model is None) == (source[0] != "c")
         assert (peak - kept) / len(source) < 4
+
+    # A stand-in for the lexer's pattern records how many characters each
+    # findall covers; a token longer than a window is matched alone.
+    @pytest.mark.parametrize(
+        "window, sources",
+        [
+            (
+                parser_module._WINDOW,
+                [
+                    *_LONG_TOKEN_FLOODS.values(),
+                    _roles_file(4096),
+                    'connector "c" {\n  metadata {\n    title: "' + "s" * (1 << 20) + '"\n  }\n}\n',
+                ],
+            ),
+            (64, [fixture_text(name) for name in FLAGSHIPS]),
+        ],
+        ids=["default-window", "64-character-window"],
+    )
+    def test_no_findall_covers_more_than_one_window(self, monkeypatch, window, sources):
+        covered = []
+        pattern = parser_module._TOKEN_RE
+
+        def findall(source, start, end):
+            covered.append(min(end, len(source)) - start)
+            return pattern.findall(source, start, end)
+
+        stand_in = SimpleNamespace(findall=findall, match=pattern.match)
+        monkeypatch.setattr(parser_module, "_TOKEN_RE", stand_in)
+        monkeypatch.setattr(parser_module, "_WINDOW", window)
+        for source in sources:
+            covered.clear()
+            parse(source)
+            tokenize(source)
+            assert 0 < max(covered) <= window
 
     def test_an_error_flood_stops_lexing_at_the_cap(self):
         source = "@" * (1 << 20)
