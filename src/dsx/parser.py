@@ -9,8 +9,9 @@ The surface syntax is block-structured::
       access { ... }
     }
 
-The lexer runs ``findall`` of a compiled regex over one window of the file
-at a time; the parser asks for the next window as it reads, and drops the
+The lexer runs ``findall`` of a compiled regex over one window of at most
+16 KiB of the file at a time, or matches a token longer than a window
+alone; the parser asks for the next window as it reads, and drops the
 tokens it has read.  Each match is one token with the blanks before it and
 any punctuation mark after it on the same line, which becomes a token of its
 own.  A ``//`` comment is a match of its own, which the lexer drops.  Inside
@@ -272,13 +273,13 @@ KEYWORDS = frozenset({"connector", *VARIANTS, *_SUBBLOCKS})
 SECTION_KEYWORDS = tuple(spec.key for spec in ConnectorModel.FIELDS)
 _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 
-# The lexer: one ``findall`` over the whole file returns a plain tuple per
-# match, so no match object is made.  A match has four groups: the blanks
-# before a token; the token, one alternative per token class tried in order,
-# or empty at the end of input; a string's closing quote; and the same-line
-# blanks and punctuation mark after the token, or nothing, such as the ':' of
-# `key:` or the '{' of `section {`, which the lexer appends as a token of its
-# own.  A `//` comment is a token alternative, which the lexer drops.  Every
+# The lexer: ``findall`` over a window returns a plain tuple per match, so
+# no match object is made but for the first match of a window that a long
+# token fills.  A match has four groups: the blanks before a token; the
+# token, one alternative per token class tried in order, or empty at the end
+# of input; a string's closing quote; and the same-line blanks and
+# punctuation mark after the token, or nothing, such as the ':' of `key:` or
+# the '{' of `section {`, which the lexer appends as a token of its own.  A `//` comment is a token alternative, which the lexer drops.  Every
 # character after the blanks matches at least the any-character alternative
 # (a newline is a blank), so the matches tile the source and offsets are a
 # running sum of group lengths.
@@ -294,9 +295,11 @@ _STRUCTURAL = frozenset({"connector", *SECTION_KEYWORDS})
 # Possessive quantifiers and atomic groups would save as much, but need
 # Python 3.11.
 # Cost: lexing is linear in the input for every input.  ``_lex`` matches one
-# window of the file at a time, so the lexer's diagnostic cap stops the
-# matching at the end of the window that fills it, no window is matched
-# after the parser stops, and a match list lives only as long as its window.
+# window of the file at a time, no ``findall`` covers more than one window,
+# and a token longer than a window is matched alone, so the lexer's
+# diagnostic cap stops the matching at the end of the window that fills it,
+# no window is matched after the parser stops, and a match list lives only
+# as long as its window.
 # Hyphens may follow the first character of a word, so role names such as
 # "night-shift" lex as one identifier; '-' only starts a negative integer.
 # A string runs to its closing quote or to the end of its line.  Its body is
@@ -391,8 +394,8 @@ def _capped(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return diagnostics
 
 
-# Characters per lexer window; a window runs on to the end of the line it
-# stops in.  Tests set it low, so that every file crosses windows.
+# Characters per lexer window, the most one ``findall`` covers.  Tests set
+# it low, so that every file crosses windows.
 _WINDOW = 16384
 # Tokens the parser may read between two refill checks.  A check sits at the
 # top of every loop that reads any number of tokens, and no path from one
@@ -405,35 +408,28 @@ def _lex(smap: SourceMap, diagnostics: list[Diagnostic], tokens: list[_Tok], sta
     and its lexical problems to ``diagnostics``; return where the next
     window starts, or -1 once EOF is appended.
 
-    A window is ``_WINDOW`` characters up to the end of the line it stops
-    in, since no token spans a newline; its last match, the empty one at the
-    window's end, is EOF only at the end of the source.  A line that runs on
-    for more than another window is cut at the window's end, and the last
-    three matches before the cut are left to the next window: the last may
-    be cut itself, and a date or env reference cut short falls back to
-    shorter tokens, at most three (``2025``, ``-01``, ``-0``).  A cut window
-    that holds no more matches than those runs on to the end of its line
-    instead, so a token longer than a window, such as a 1 MiB string, is
-    matched once.  The lexer stops at its MAX_DIAGNOSTICS-th finding: EOF
+    A window is the ``_WINDOW`` characters from ``start``; its last match is
+    the empty one at the window's end, which is EOF at the end of the source.
+    Where the source goes on, the window's end and the three matches before
+    it are left to the next window: the last may be cut itself, and a date
+    or env reference cut short falls back to shorter tokens, at most three
+    (``2025``, ``-01``, ``-0``).  A window that holds no more matches than
+    those four yields its first match alone, matched to its own end, so a
+    token longer than a window, such as a 1 MiB string, is matched once.
+    Every window starts where a match of the whole source starts, and a
+    match there with no end position is the one ``findall`` over the whole
+    source finds.  The lexer stops at its MAX_DIAGNOSTICS-th finding: EOF
     follows at the end of the token that holds it, and ``_capped`` turns
     that finding into the E099.
     """
     source = smap.source
     length = len(source)
-    end = start + _WINDOW
-    newline = source.find("\n", end, end + _WINDOW)
-    if newline >= 0:
-        end = newline + 1
-    elif end + _WINDOW >= length:
-        end = length
-    matches = _TOKEN_RE.findall(source, start, end)
-    if newline < 0 and end < length:  # a long line, cut at the window's end
+    matches = _TOKEN_RE.findall(source, start, start + _WINDOW)
+    if start + _WINDOW < length:  # the window cuts the source
         if len(matches) > 4:  # the three matches to leave, and the window's end
             del matches[-4:]
-        elif len(matches) > 1:  # no more than those: lex to the line's end
-            newline = source.find("\n", end)
-            end = length if newline < 0 else newline + 1
-            matches = _TOKEN_RE.findall(source, start, end)
+        else:  # no more than those: its first match alone, however long
+            matches = [_TOKEN_RE.match(source, start).groups("")]
     append = tokens.append
     fixed = _FIXED.get
     pos = start
@@ -448,7 +444,7 @@ def _lex(smap: SourceMap, diagnostics: list[Diagnostic], tokens: list[_Tok], sta
             append((_STRING, text, value, start))
         elif (known := fixed(text)) is not None:
             append((known[0], text, known[1], start))
-        elif not text:  # blanks up to the end of the window
+        elif not text:  # blanks up to the end of the source
             break
         else:
             first = text[0]
