@@ -1232,7 +1232,7 @@ class TestParseErrors:
         assert max(counts) <= 11
 
 
-_FLAGSHIP_CONTRACT ='      "maxRetentionDays": 30,\n      "validUntil": "2026-12-31",\n'
+_FLAGSHIP_CONTRACT = '      "maxRetentionDays": 30,\n      "validUntil": "2026-12-31",\n'
 _DATE_MESSAGE = "invalid calendar date '{}'"
 _VALUE_MESSAGE = "contract values must be a string, integer, date, or boolean"
 
@@ -1726,11 +1726,11 @@ class TestLexerWindows:
         assert _windowed(64, source) == _windowed(1 << 30, source)
 
     # Traced peak minus what the result keeps, per input byte, on CPython
-    # 3.11: ≈1.5 for the 4096-role file, ≈1.0 for 1 MiB of '@' and ≈2.3 for
-    # 1 MiB of '{', where a parse that built the whole token list first
-    # peaked ≈24, ≈80 and ≈152 bytes per byte above what it kept.  A token
-    # longer than a window before a flood on its line peaked 78 to 149 bytes
-    # per byte where a window that held it ran on to the end of the line.
+    # 3.11: ≈1.5 for the 4096-role file, ≈1.0 for 1 MiB of '@', ≈2.3 for
+    # 1 MiB of '{' and ≈1.1 to ≈2.2 for a token longer than a window before a
+    # flood on its line, where a parse that built the whole token list first
+    # peaked ≈24, ≈80 and ≈152 bytes per byte above what it kept, and one
+    # whose window ran on to the end of that line ≈78 to ≈150.
     @pytest.mark.parametrize(
         "source",
         [_roles_file(4096), "@" * (1 << 20), "{" * (1 << 20), *_LONG_TOKEN_FLOODS.values()],
